@@ -158,7 +158,7 @@ def generate(spec: str) -> RibbonData:
             raise ValueError("stabilized: count must be >= 0")
         data = RibbonData(2, 1, ())
         for _ in range(k):
-            rng_target = random.Random((seed, data.base_count)).randint(1, data.base_count)
+            rng_target = random.Random(f"{seed}:{data.base_count}").randint(1, data.base_count)
             data = apply_stabilize(data, rng_target)
         return _scramble(data, random.Random(seed), 3 * k)
     if kind == "random":
@@ -229,7 +229,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--weak", type=int, required=True)
     p.add_argument("--states", type=int, default=100_000)
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("gen", help="emit generated example data")
     p.add_argument("spec")
@@ -315,9 +314,7 @@ def run(argv, out=None) -> int:
         if args.command == "search":
             a = _load_data(args.file_a)
             b = _load_data(args.file_b)
-            outcome = search_equiv(
-                a, b, args.depth, args.weak, args.states, threads=args.threads
-            )
+            outcome = search_equiv(a, b, args.depth, args.weak, args.states)
             print(serialize_outcome(outcome), end="", file=out)
             if isinstance(outcome, Equivalent):
                 return 0

@@ -85,6 +85,11 @@ class FiniteQuandle:
                 inv[self.op(x, y) - 1][y - 1] = x
         return tuple(tuple(row) for row in inv)
 
+    @cached_property
+    def _axiom_problems(self) -> tuple[Diagnostic, ...]:
+        # The table is immutable, so its axiom verdict is computed once.
+        return tuple(check_quandle_axioms(self))
+
     def op_inv(self, a: int, y: int) -> int:
         """The unique x with x * y = a."""
         x = self._inverse[a - 1][y - 1]
@@ -259,7 +264,7 @@ def group_presentation(data: RibbonData) -> GroupPresentation:
 
 
 def _require_quandle(q: FiniteQuandle):
-    problems = check_quandle_axioms(q)
+    problems = q._axiom_problems
     if problems:
         raise ValueError(f"invalid quandle {q.name}: {problems[0].message}")
 

@@ -13,16 +13,17 @@ This module owns the record itself: the ``ribbon 1`` text format,
 structural validation, free reduction of crossing words, genus bookkeeping
 via the Euler characteristic, and a canonical form that quotients out base
 relabelling, handle order, handle orientation, and cancelling crossing
-pairs.  Serialized canonical forms are the state identity used by the
-equivalence search.
+pairs.  The canonical form picks its base numbering by
+individualization-refinement, the canonical labelling scheme of nauty and
+Traces, so it is canonical at every size with no exhaustive limit.
+Serialized canonical forms are the state identity used by the equivalence
+search.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
 from typing import NamedTuple
 
 __all__ = [
@@ -299,9 +300,19 @@ def reversed_handle(h: Handle) -> Handle:
 
 # ---------------------------------------------------------------------------
 # canonical form
-
-_EXACT_RELABEL_LIMIT = 8
-_CELL_PERM_BUDGET = 40320
+#
+# Canonical labelling by individualization-refinement, the scheme of
+# nauty and Traces (McKay & Piperno, "Practical graph isomorphism II",
+# J. Symbolic Comput. 60, 2014).  Bases carry ordered colours.  Refinement
+# splits colour classes (cells) by how their bases sit in the handles until
+# nothing more splits; while a cell has more than one base, each of its
+# bases in turn is given a colour of its own and the colouring is refined
+# again.  Every leaf of this search tree is an ordering of the bases, and
+# the canonical encoding is the least leaf encoding.  Each step depends
+# only on the record and the colours, never on the stored numbering, so the
+# set of leaf encodings, and with it the least one, is the same for every
+# relabelling.  Leaves with equal encodings give automorphisms, which prune
+# the tree without changing its least encoding.
 
 
 def _oriented(triple):
@@ -320,68 +331,242 @@ def _relabel_key(handle_triples, perm):
     return tuple(out)
 
 
-def _relabel_perms(base_count, handle_triples):
-    if base_count <= _EXACT_RELABEL_LIMIT:
-        for p in itertools.permutations(range(1, base_count + 1)):
-            yield (0,) + p
-        return
+def _handle_readings(triples):
+    """Per handle: its bases in order (start, crossings, end; numbered
+    from 0), the crossing signs read forwards and backwards, and for each
+    base on it the base's positions read forwards and backwards."""
+    out = []
+    for s, w, e in triples:
+        ids = [s - 1, *[b - 1 for b, _ in w], e - 1]
+        last = len(ids) - 1
+        at: dict[int, list[int]] = {}
+        for i, b in enumerate(ids):
+            if b in at:
+                at[b].append(i)
+            else:
+                at[b] = [i]
+        spots = {b: (tuple(where), tuple([last - i for i in where[::-1]])) for b, where in at.items()}
+        signs = tuple([sg for _, sg in w])
+        out.append((ids, signs, tuple([-sg for sg in signs[::-1]]), spots))
+    return out
 
-    # Partition bases by relabel- and reversal-invariant statistics and
-    # search exactly inside cells when that stays affordable.  Beyond the
-    # budget, the in-cell order falls back to the stored numbering, which
-    # is deterministic but not relabel-invariant (documented caveat; search
-    # states stay well under this size).
-    end_deg = [0] * (base_count + 1)
-    word_deg = [0] * (base_count + 1)
-    for s, w, e in handle_triples:
-        end_deg[s] += 1
-        end_deg[e] += 1
-        for b, _ in w:
-            word_deg[b] += 1
-    cells: dict[tuple[int, int], list[int]] = {}
-    for b in range(1, base_count + 1):
-        cells.setdefault((end_deg[b], word_deg[b]), []).append(b)
-    ordered = [cells[sig] for sig in sorted(cells)]
-    if prod(factorial(len(cell)) for cell in ordered) <= _CELL_PERM_BUDGET:
-        for combo in itertools.product(*(itertools.permutations(c) for c in ordered)):
-            perm = [0] * (base_count + 1)
-            pos = 1
-            for cell in combo:
-                for b in cell:
-                    perm[b] = pos
-                    pos += 1
-            yield tuple(perm)
-    else:
-        perm = [0] * (base_count + 1)
-        pos = 1
-        for cell in ordered:
-            for b in cell:
-                perm[b] = pos
-                pos += 1
-        yield tuple(perm)
+
+class _Colouring:
+    """An ordered partition of the bases 0..n-1.  A base's colour is the
+    position of its cell's first base in the order, so a cell that splits
+    keeps its place and the colours of all other cells stay as they are."""
+
+    __slots__ = ("colours", "cells")
+
+    def __init__(self, colours, cells):
+        self.colours = colours  # base -> colour
+        self.cells = cells  # colour -> the bases of that cell
+
+    def individualized(self, v):
+        """A copy with base ``v`` split off as the last base of its cell."""
+        c = self.colours[v]
+        cell = self.cells[c]
+        colours = list(self.colours)
+        cells = dict(self.cells)
+        cells[c] = [b for b in cell if b != v]
+        colours[v] = c + len(cell) - 1
+        cells[colours[v]] = [v]
+        return _Colouring(colours, cells)
+
+    def refine(self, readings, handles_of, touched):
+        """Split cells in place until stable, starting from the bases in
+        ``touched`` whose colours changed since the colouring was last
+        stable.
+
+        A base's signature is the sorted multiset of its incidences: for
+        each handle it lies on, the handle read through the current colours
+        in the smaller of its two orientations, and the base's positions in
+        that reading.  Each round, every cell holding a base on a handle
+        through a touched base is split by signature, in signature order;
+        the bases that move to a new colour are the next round's touched
+        bases.  No other base's signature can have changed.
+        """
+        colours, cells = self.colours, self.cells
+        memo: dict[int, tuple] = {}
+
+        def signature(b):
+            out = []
+            for h in handles_of[b]:
+                if h in memo:
+                    reading, way = memo[h]
+                else:
+                    ids, signs, rev_signs, _ = readings[h]
+                    seen = tuple([colours[x] for x in ids])
+                    fwd = (seen, signs)
+                    rev = (seen[::-1], rev_signs)
+                    reading, way = memo[h] = (fwd, 0) if fwd < rev else (rev, 1) if rev < fwd else (fwd, 2)
+                here, there = readings[h][3][b]
+                # a reading equal to its reverse leaves the direction open,
+                # so the base takes the smaller of its two position lists
+                out.append((reading, here if way == 0 else there if way == 1 else min(here, there)))
+            out.sort()
+            return tuple(out)
+
+        while touched:
+            affected = {b for t in touched for h in handles_of[t] for b in readings[h][3]}
+            memo.clear()
+            splits = []
+            for c in sorted({colours[b] for b in affected}):
+                if len(cells[c]) > 1:
+                    ranked = sorted((signature(b), b) for b in cells[c])
+                    if ranked[0][0] != ranked[-1][0]:
+                        splits.append((c, ranked))
+            touched = []
+            for c, ranked in splits:
+                start = c
+                run: list[int] = []
+                for i, (sig, b) in enumerate(ranked):
+                    run.append(b)
+                    if i + 1 == len(ranked) or ranked[i + 1][0] != sig:
+                        cells[start] = run
+                        if start != c:
+                            for x in run:
+                                colours[x] = start
+                            touched.extend(run)
+                        start += len(run)
+                        run = []
+        return self
+
+
+class _TreeNode:
+    """A node of the search tree: its refined colouring, the bases
+    individualized on the way to it, and its first non-singleton cell,
+    whose bases are its children.  Cells before the parent's target cell
+    are singletons and stay so, so the search for the target starts there."""
+
+    __slots__ = ("colouring", "path", "target", "cell", "tried", "parent", "merged")
+
+    def __init__(self, colouring, path, start=0):
+        self.colouring = colouring
+        self.path = path
+        cells = colouring.cells
+        while len(cells[start]) == 1:
+            start += 1
+        self.target = start
+        self.cell = list(reversed(cells[start]))
+        self.tried: list[int] = []
+        self.parent: dict[int, int] = {}  # orbits of the path's stabilizer
+        self.merged = 0  # generators merged into ``parent`` so far
+
+    def _find(self, x):
+        parent = self.parent
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def next_child(self, generators):
+        """The next base of the cell whose branch can hold a new leaf
+        encoding, or None.  A base is skipped when the automorphisms found
+        so far that fix this node's path map a tried base to it: its branch
+        is the image of one already searched.  Automorphisms are kept as
+        maps of the bases they move."""
+        while self.cell:
+            v = self.cell.pop()
+            if self.tried:
+                for g in generators[self.merged :]:
+                    if g.keys().isdisjoint(self.path):
+                        for b, gb in g.items():
+                            rb, rg = self._find(b), self._find(gb)
+                            if rb != rg:
+                                self.parent[rb] = rg
+                self.merged = len(generators)
+                orbit = self._find(v)
+                if any(self._find(u) == orbit for u in self.tried):
+                    continue
+            self.tried.append(v)
+            return v
+        return None
+
+
+def _canonical_key(base_count, triples):
+    """The least relabelled encoding over the leaves of the
+    individualization-refinement tree."""
+    if base_count <= 1:
+        return _relabel_key(triples, (0, 1))
+    readings = _handle_readings(triples)
+    handles_of: list[list[int]] = [[] for _ in range(base_count)]
+    for h, (_, _, _, spots) in enumerate(readings):
+        for b in spots:
+            handles_of[b].append(h)
+
+    def leaf_key(colours):
+        return _relabel_key(triples, (0, *[c + 1 for c in colours]))
+
+    everything = list(range(base_count))
+    root = _Colouring([0] * base_count, {0: everything}).refine(readings, handles_of, everything)
+    if len(root.cells) == base_count:
+        return leaf_key(root.colours)
+    first = best = None  # (key, colours, path) of the first and the least leaf
+    generators: list[dict[int, int]] = []
+    stack = [_TreeNode(root, ())]
+    while stack:
+        node = stack[-1]
+        v = node.next_child(generators)
+        if v is None:
+            stack.pop()
+            continue
+        colouring = node.colouring.individualized(v).refine(readings, handles_of, [v])
+        path = node.path + (v,)
+        if len(colouring.cells) < base_count:
+            stack.append(_TreeNode(colouring, path, node.target))
+            continue
+        colours = colouring.colours
+        key = leaf_key(colours)
+        if first is None:
+            first = best = (key, colours, path)
+            continue
+        for ref_key, ref_colours, ref_path in (first, best):
+            if key == ref_key:
+                # The map taking the earlier leaf's ordering to this one is
+                # an automorphism that fixes the common part of the two
+                # paths, so this leaf's branch below the node where the
+                # paths part repeats a searched one: jump back there.
+                at = [0] * base_count
+                for b, x in enumerate(colours):
+                    at[x] = b
+                generators.append({b: at[x] for b, x in enumerate(ref_colours) if at[x] != b})
+                depth = 0
+                while path[depth] == ref_path[depth]:
+                    depth += 1
+                del stack[depth + 1 :]
+                break
+        else:
+            if key < best[0]:
+                best = (key, colours, path)
+    return best[0]
 
 
 @lru_cache(maxsize=1 << 15)
 def _canonical_reduced(data: RibbonData) -> RibbonData:
     triples = tuple((h.start, tuple(h.word), h.end) for h in data.handles)
-    best = None
-    for perm in _relabel_perms(data.base_count, triples):
-        key = _relabel_key(triples, perm)
-        if best is None or key < best:
-            best = key
-    handles = tuple(Handle(s, e, w) for s, w, e in best) if best else ()
+    best = _canonical_key(data.base_count, triples)
+    handles = tuple(Handle(s, e, w) for s, w, e in best)
     return RibbonData(data.dim, data.base_count, handles)
 
 
 def canonical_form(data: RibbonData) -> RibbonData:
-    """The least equivalent encoding under free reduction, handle
-    reversal, handle reordering, and base relabelling.
+    """One representative per class of records equal up to free
+    reduction, handle reversal, handle reordering, and base relabelling.
 
-    Words are freely reduced, each handle takes the lexicographically
-    smaller of its two orientations, handles are sorted, and the base
-    relabelling minimizing the overall encoding is applied (exhaustively
-    for up to 8 bases).  Idempotent; equal inputs up to the listed
-    symmetries share one canonical form.
+    Words are freely reduced; under a base numbering, each handle takes
+    the lexicographically smaller of its two orientations and handles are
+    sorted.  The numbering is chosen by individualization-refinement:
+    colour refinement on how bases sit in handles, individualizing each
+    base of the first non-split colour class in turn, and keeping the
+    least encoding over the leaves of that search tree, with automorphisms
+    found along the way pruning it.  The result is canonical at every size,
+    with no exhaustive limit: two inputs share a canonical form exactly
+    when they are equal up to the listed symmetries.  Idempotent.  The
+    representative is the least leaf encoding, which need not be the least
+    encoding over all relabellings.
     """
     return _canonical_reduced(free_reduce(data))
 

@@ -15,14 +15,13 @@ Certificate scripts produced here are sequences of elementary moves whose
 indices refer to the canonical form of each intermediate state; replay
 them with :func:`replay_canonical` (apply one move, re-canonicalize,
 repeat).  Everything is deterministic for fixed inputs and caps, ties
-broken by serialized canonical byte order, including multi-threaded
-frontier expansion.
+broken by serialized canonical byte order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 from typing import Union
 
 from .moves import (
@@ -98,7 +97,10 @@ class Unknown:
 SearchOutcome = Union[Equivalent, Refuted, Unknown]
 
 
+@cache
 def default_gate_quandles() -> tuple[FiniteQuandle, ...]:
+    # One shared tuple, so each quandle's axiom verdict is computed once
+    # per process rather than once per search.
     return (dihedral_quandle(3), dihedral_quandle(5), dihedral_quandle(7))
 
 
@@ -155,7 +157,6 @@ def search_equiv(
     weak_budget: int,
     state_cap: int,
     quandles=None,
-    threads: int = 1,
 ) -> SearchOutcome:
     """Decide equivalence at bounded depth.
 
@@ -163,8 +164,7 @@ def search_equiv(
     ``weak_budget`` the trivial handles attached on each side separately,
     and ``state_cap`` the total number of canonical states stored.  The
     smaller frontier is expanded level by level and levels are completed
-    before meets are resolved, so the outcome does not depend on thread
-    scheduling.
+    before meets are resolved.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -172,8 +172,6 @@ def search_equiv(
         raise ValueError("weak budget must be >= 0")
     if state_cap <= 0:
         raise ValueError("state cap must be > 0")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     if quandles is None:
         quandles = default_gate_quandles()
 
@@ -198,65 +196,50 @@ def search_equiv(
     if key_a == key_b:
         return Equivalent(MoveScript(), MoveScript(), sides[0]["visited"][key_a].data, 0, 0)
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while sides[0]["level"] + sides[1]["level"] < depth:
-            idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
-            if not sides[idx]["frontier"]:
-                idx = 1 - idx
-            if not sides[idx]["frontier"]:
-                break
-            me, other = sides[idx], sides[1 - idx]
-            visited = me["visited"]
+    while sides[0]["level"] + sides[1]["level"] < depth:
+        idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
+        if not sides[idx]["frontier"]:
+            idx = 1 - idx
+        if not sides[idx]["frontier"]:
+            break
+        me, other = sides[idx], sides[1 - idx]
+        visited = me["visited"]
 
-            def expand(key):
-                node = visited[key]
-                return enumerate_moves(node.data, weak_budget - node.weak)
-
-            frontier = me["frontier"]
-            if pool is not None:
-                expansions = list(pool.map(expand, frontier))
-            else:
-                expansions = [expand(key) for key in frontier]
-
-            new_keys: list[str] = []
-            cap_hit = False
-            for key, successors in zip(frontier, expansions):
-                node = visited[key]
-                for move, child in successors:
-                    child_key = serialize(child)
-                    if child_key in visited:
-                        continue
-                    weak = node.weak + (1 if isinstance(move, TrivialHandle) else 0)
-                    visited[child_key] = _Node(child, key, move, weak, node.depth + 1)
-                    new_keys.append(child_key)
-                    states += 1
-                    if states >= state_cap:
-                        cap_hit = True
-                        break
-                if cap_hit:
+        new_keys: list[str] = []
+        cap_hit = False
+        for key in me["frontier"]:
+            node = visited[key]
+            for move, child in enumerate_moves(node.data, weak_budget - node.weak):
+                child_key = serialize(child)
+                if child_key in visited:
+                    continue
+                weak = node.weak + (1 if isinstance(move, TrivialHandle) else 0)
+                visited[child_key] = _Node(child, key, move, weak, node.depth + 1)
+                new_keys.append(child_key)
+                states += 1
+                if states >= state_cap:
+                    cap_hit = True
                     break
-            me["frontier"] = new_keys
-            me["level"] += 1
-
-            meets = sorted(k for k in new_keys if k in other["visited"])
-            if meets:
-                meet_key = meets[0]
-                node_a = sides[0]["visited"][meet_key]
-                node_b = sides[1]["visited"][meet_key]
-                return Equivalent(
-                    _script_to(sides[0]["visited"], meet_key),
-                    _script_to(sides[1]["visited"], meet_key),
-                    node_a.data,
-                    node_a.weak,
-                    node_b.weak,
-                )
             if cap_hit:
-                return Unknown(states, sides[0]["level"] + sides[1]["level"])
-        return Unknown(states, sides[0]["level"] + sides[1]["level"])
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True)
+                break
+        me["frontier"] = new_keys
+        me["level"] += 1
+
+        meets = sorted(k for k in new_keys if k in other["visited"])
+        if meets:
+            meet_key = meets[0]
+            node_a = sides[0]["visited"][meet_key]
+            node_b = sides[1]["visited"][meet_key]
+            return Equivalent(
+                _script_to(sides[0]["visited"], meet_key),
+                _script_to(sides[1]["visited"], meet_key),
+                node_a.data,
+                node_a.weak,
+                node_b.weak,
+            )
+        if cap_hit:
+            return Unknown(states, sides[0]["level"] + sides[1]["level"])
+    return Unknown(states, sides[0]["level"] + sides[1]["level"])
 
 
 def replay_canonical(data: RibbonData, script: MoveScript) -> RibbonData:

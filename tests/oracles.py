@@ -1,8 +1,8 @@
 """Independent reference implementations and random walk drivers for the
 test suite.  The oracles here deliberately avoid the library's solvers:
 coloring counts come from full enumeration, components from a direct
-breadth-first search, and word reduction from randomized cancellation
-order."""
+breadth-first search, word reduction from randomized cancellation order,
+and canonical encodings from trying every base relabelling."""
 
 import itertools
 from collections import deque
@@ -22,6 +22,7 @@ from ribbonlab import (
     Stab,
     TrivialHandle,
     apply_destabilize,
+    free_reduce_word,
 )
 
 
@@ -47,6 +48,27 @@ def brute_force_colorings(data, q):
 
 def brute_profile(data, quandles):
     return tuple((q.name, brute_force_colorings(data, q)) for q in quandles)
+
+
+def exhaustive_canonical_key(data):
+    """The dimension, the base count, and the least encoding of the freely
+    reduced handles over all base relabellings: each handle in its smaller
+    orientation, handles sorted.  Two inputs are equal up to relabelling,
+    handle order, handle orientation and free reduction exactly when their
+    keys are equal.  Tries all k! relabellings, so keep k at 7 or below."""
+    triples = [(h.start, free_reduce_word(h.word), h.end) for h in data.handles]
+    best = None
+    for p in itertools.permutations(range(1, data.base_count + 1)):
+        perm = (0,) + p
+        key = []
+        for s, w, e in triples:
+            fwd = (perm[s], tuple((perm[b], sg) for b, sg in w), perm[e])
+            rev = (perm[e], tuple((perm[b], -sg) for b, sg in reversed(w)), perm[s])
+            key.append(min(fwd, rev))
+        key = tuple(sorted(key))
+        if best is None or key < best:
+            best = key
+    return data.dim, data.base_count, best
 
 
 def graph_components(data):
@@ -103,6 +125,57 @@ def random_ribbon(rng, max_bases=5, max_handles=5, max_len=6):
         for _ in range(rng.randint(0, max_handles))
     )
     return RibbonData(2, b, handles)
+
+
+def random_knot(rng, bases, extra=0, max_len=3):
+    """Connected data: a random spanning tree of handles on ``bases``
+    bases, ``extra`` more handles, each handle with a random crossing word
+    of at most ``max_len`` letters, in random order."""
+    ends = [(rng.randint(1, new - 1), new) for new in range(2, bases + 1)]
+    ends += [(rng.randint(1, bases), rng.randint(1, bases)) for _ in range(extra)]
+    handles = [Handle(s, e, random_word(rng, bases, max_len)) for s, e in ends]
+    rng.shuffle(handles)
+    return RibbonData(2, bases, tuple(handles))
+
+
+def random_regular(rng, bases, layers=0):
+    """Data on which colour refinement splits little: handle b runs from
+    base b to base sigma(b) and crosses tau_j(b) with sign s_j for each of
+    ``layers`` crossing layers, sigma and every tau_j random permutations.
+    Every base then has the same degrees and crossing counts, while the
+    cycle of sigma it lies on (a double handle, a triangle, ...) can still
+    set it apart, so the labelling search must compare leaves that no
+    automorphism relates."""
+    sigma = list(range(1, bases + 1))
+    rng.shuffle(sigma)
+    taus = []
+    for _ in range(layers):
+        tau = list(range(1, bases + 1))
+        rng.shuffle(tau)
+        taus.append((tau, rng.choice((1, -1))))
+    handles = tuple(
+        Handle(b, sigma[b - 1], tuple(SignedLetter(tau[b - 1], sign) for tau, sign in taus))
+        for b in range(1, bases + 1)
+    )
+    return RibbonData(2, bases, handles)
+
+
+def shuffled(data, rng):
+    """The same presentation under a random base numbering, handle order
+    and handle orientations."""
+    perm = list(range(1, data.base_count + 1))
+    rng.shuffle(perm)
+    perm = [0] + perm
+    handles = []
+    for h in data.handles:
+        start, end = perm[h.start], perm[h.end]
+        word = tuple(SignedLetter(perm[l.base], l.sign) for l in h.word)
+        if rng.random() < 0.5:
+            start, end = end, start
+            word = tuple(SignedLetter(l.base, -l.sign) for l in reversed(word))
+        handles.append(Handle(start, end, word))
+    rng.shuffle(handles)
+    return RibbonData(data.dim, data.base_count, tuple(handles))
 
 
 def _slides(data):

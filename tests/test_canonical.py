@@ -1,0 +1,99 @@
+"""Canonical labelling: the class partition against the exhaustive
+oracle, relabel invariance beyond the oracle's reach, and symmetric and
+large inputs."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ribbonlab import Handle, RibbonData, SignedLetter, apply_stabilize, canonical_bytes, canonical_form
+from ribbonlab.cli import generate
+
+from oracles import exhaustive_canonical_key, random_knot, random_regular, random_ribbon, shuffled
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_input(rng, bases, regular):
+    if regular:
+        return random_regular(rng, bases, layers=rng.randint(0, 2))
+    return random_knot(rng, bases, extra=rng.randint(0, 2), max_len=rng.choice((0, 1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, bases=st.integers(min_value=1, max_value=6), regular=st.booleans())
+def test_canonical_classes_match_exhaustive_oracle(seed, bases, regular):
+    rng = random.Random(seed)
+    data = random_input(rng, bases, regular)
+    copy = shuffled(data, rng)
+    family = [data, copy, apply_stabilize(copy, rng.randint(1, bases))]
+    family += [apply_stabilize(data, b) for b in rng.sample(range(1, bases + 1), min(bases, 2))]
+    keys = [exhaustive_canonical_key(x) for x in family]
+    forms = [canonical_bytes(x) for x in family]
+    for i in range(len(family)):
+        for j in range(i):
+            assert (forms[i] == forms[j]) == (keys[i] == keys[j])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, bases=st.integers(min_value=9, max_value=14), regular=st.booleans())
+def test_canonical_bytes_survive_relabelling_past_the_oracle(seed, bases, regular):
+    rng = random.Random(seed)
+    data = random_input(rng, bases, regular)
+    assert canonical_bytes(shuffled(data, rng)) == canonical_bytes(data)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=seeds)
+def test_canonical_form_is_idempotent(seed):
+    data = random_ribbon(random.Random(seed), max_bases=12, max_handles=12, max_len=4)
+    once = canonical_form(data)
+    assert canonical_form(once) == once
+
+
+def cycle(n):
+    return RibbonData(2, n, tuple(Handle(i, i % n + 1, ()) for i in range(1, n + 1)))
+
+
+def star(n):
+    return RibbonData(2, n, tuple(Handle(1, i, ()) for i in range(2, n + 1)))
+
+
+def crossed_star(n):
+    """A star whose spoke to each leaf crosses the next leaf round."""
+    return RibbonData(
+        2, n, tuple(Handle(1, i, (SignedLetter(i % (n - 1) + 2, 1),)) for i in range(2, n + 1))
+    )
+
+
+def path(n):
+    return RibbonData(2, n, tuple(Handle(i, i + 1, ()) for i in range(1, n)))
+
+
+def frucht(n):
+    """The Frucht graph (n = 12): 3-regular with no symmetry but the
+    identity, so refinement splits nothing and no two leaves agree."""
+    edges = [(i, i % 12 + 1) for i in range(1, 13)]
+    edges += [(1, 8), (2, 12), (3, 11), (4, 6), (5, 10), (7, 9)]
+    return RibbonData(2, n, tuple(Handle(s, e, ()) for s, e in edges))
+
+
+@pytest.mark.parametrize("shape", [cycle, star, crossed_star, path, frucht])
+def test_symmetric_shapes_have_one_form(shape):
+    rng = random.Random(12)
+    data = shape(12)
+    forms = {canonical_bytes(shuffled(data, rng)) for _ in range(20)}
+    assert forms == {canonical_bytes(data)}
+
+
+@pytest.mark.parametrize(
+    "data",
+    [star(40), cycle(40), path(40), generate("torus:50"), random_knot(random.Random(1000), 1000)],
+    ids=["star40", "cycle40", "path40", "torus50", "random1000"],
+)
+def test_large_inputs_canonicalize(data):
+    # Past the exhaustive oracle's reach the tree search must still end
+    # quickly and without deep recursion on large, highly symmetric inputs.
+    assert canonical_bytes(shuffled(data, random.Random(40))) == canonical_bytes(data)
