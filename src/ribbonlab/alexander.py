@@ -1,14 +1,24 @@
 """
 Alexander polynomial of a presented complement group.
 
-The free-derivative matrix of the presented group (one row per relation,
-one column per generator, every generator sent to t) has entries in the
-ring of integer Laurent polynomials.  The polynomial returned is the
-greatest common divisor of its maximal proper minors, normalized so the
-lowest exponent is zero and the constant term positive.  The gcd is taken
-over the rationals and cleared to primitive integer form, making the
-output bytes canonical.  It is invariant under every move in
+The free-derivative (Fox) matrix of the presented group has one row per
+relation and one column per generator, with every generator sent to t, so
+its entries are integer Laurent polynomials.  The polynomial returned is
+the greatest common divisor of its maximal proper minors, normalized so
+the lowest exponent is zero and the constant term positive.  The gcd is
+taken over the rationals and cleared to primitive integer form, making
+the output bytes canonical.  It is invariant under every move in
 ``ribbonlab.moves``.
+
+Two facts keep the computation polynomial in the number of bases.  By the
+fundamental formula of Fox calculus, each relator r satisfies
+``sum_j (dr/dx_j)(x_j - 1) = r - 1 = 0``, so with every x_j sent to t the
+columns of the matrix sum to zero; every maximal minor of one row pick is
+therefore, up to sign, the minor that deletes the last column, and only
+row picks are enumerated.  Each minor is a determinant over Z[t] (rows
+first shifted by a power of t, a unit), computed by fraction-free Bareiss
+elimination (Bareiss, Math. Comp. 1968) in O(k^3) ring operations with
+exact divisions.
 """
 
 from __future__ import annotations
@@ -16,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 from .quandle import GroupPresentation, group_presentation
 from .ribbon import RibbonData, component_count
@@ -23,7 +34,6 @@ from .ribbon import RibbonData, component_count
 __all__ = [
     "LaurentPolynomial",
     "alexander_polynomial",
-    "abelianization_rank_check",
 ]
 
 
@@ -82,36 +92,10 @@ class LaurentPolynomial:
         return " ".join(parts)
 
 
-# Laurent arithmetic on plain {exponent: coefficient} dicts; the dataclass
-# above is only the normalized value type handed to callers.
-
-
-def _ladd(a, b, factor=1):
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + factor * c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _lmul(a, b):
-    out: dict[int, int] = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
-def _fox_rows(pres: GroupPresentation) -> list[list[dict[int, int]]]:
-    """Free-derivative rows with every generator sent to t.
+def _fox_rows(pres: GroupPresentation) -> list[list[list[int]]]:
+    """Free-derivative rows with every generator sent to t, as dense
+    coefficient lists (lowest power first, trailing zeros trimmed), each
+    row multiplied by the power of t that makes its least exponent zero.
 
     Walking the relator left to right: a positive letter g contributes
     t^p to column g and raises the running abelianized prefix p by one; a
@@ -119,57 +103,91 @@ def _fox_rows(pres: GroupPresentation) -> list[list[dict[int, int]]]:
     """
     rows = []
     for rel in pres.relations:
-        row: list[dict[int, int]] = [{} for _ in range(pres.generators)]
+        terms: list[dict[int, int]] = [{} for _ in range(pres.generators)]
         p = 0
         for x in rel.relator():
-            col = row[abs(x) - 1]
+            col = terms[abs(x) - 1]
             if x > 0:
                 col[p] = col.get(p, 0) + 1
-                if col[p] == 0:
-                    del col[p]
                 p += 1
             else:
                 p -= 1
                 col[p] = col.get(p, 0) - 1
-                if col[p] == 0:
-                    del col[p]
-        rows.append(row)
+        lo = min((e for col in terms for e, c in col.items() if c), default=0)
+        rows.append([_trim([col.get(e, 0) for e in range(lo, max(col, default=lo) + 1)]) for col in terms])
     return rows
 
 
-def _det(matrix: list[list[dict[int, int]]]) -> dict[int, int]:
-    n = len(matrix)
+# Dense polynomials over Z: coefficient lists, lowest power first, with no
+# trailing zeros, so the zero polynomial is [].
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmul(a: list[int], b: list[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _psub(a: list[int], b: list[int]) -> list[int]:
+    out = a + [0] * (len(b) - len(a)) if len(b) > len(a) else list(a)
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _trim(out)
+
+
+def _pdiv_exact(a: list[int], b: list[int]) -> list[int]:
+    """a / b for b dividing a in Z[t]: long division from the top, where
+    every leading coefficient divides exactly."""
+    a = list(a)
+    lead = b[-1]
+    q = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(q) - 1, -1, -1):
+        c = a[shift + len(b) - 1] // lead
+        if c:
+            q[shift] = c
+            for i, y in enumerate(b):
+                a[shift + i] -= c * y
+    return q
+
+
+def _det(matrix: list[list[list[int]]]) -> list[int]:
+    """Determinant over Z[t] by Bareiss elimination: after step k every
+    entry of the trailing block is a (k+1)-order minor, and the division
+    by the previous pivot is exact (Sylvester's identity)."""
+    a = [list(row) for row in matrix]
+    n = len(a)
     if n == 0:
-        return {0: 1}
-    memo: dict[tuple[int, ...], dict[int, int]] = {}
-
-    def expand(cols: tuple[int, ...]) -> dict[int, int]:
-        i = n - len(cols)
-        if not cols:
-            return {0: 1}
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        total: dict[int, int] = {}
-        for j, c in enumerate(cols):
-            entry = matrix[i][c]
-            if not entry:
-                continue
-            sub = expand(cols[:j] + cols[j + 1 :])
-            if not sub:
-                continue
-            total = _ladd(total, _lmul(entry, sub), factor=1 if j % 2 == 0 else -1)
-        memo[cols] = total
-        return total
-
-    return expand(tuple(range(n)))
-
-
-def _dense(poly: dict[int, int]) -> list[int]:
-    """Coefficient list with the power-of-t content stripped."""
-    lo = min(poly)
-    hi = max(poly)
-    return [poly.get(e, 0) for e in range(lo, hi + 1)]
+        return [1]
+    negate = False
+    prev = [1]
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return []
+            a[k], a[swap] = a[swap], a[k]
+            negate = not negate
+        pivot = a[k][k]
+        row_k = a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            lead = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = _pdiv_exact(_psub(_pmul(pivot, row_i[j]), _pmul(lead, row_k[j])), prev)
+        prev = pivot
+    det = a[n - 1][n - 1]
+    return [-c for c in det] if negate else det
 
 
 def _primitive(coeffs: list[Fraction]) -> list[int]:
@@ -180,22 +198,16 @@ def _primitive(coeffs: list[Fraction]) -> list[int]:
     lcm = 1
     for c in coeffs:
         d = c.denominator
-        g = _gcd_int(lcm, d)
+        g = gcd(lcm, d)
         lcm = lcm // g * d
     ints = [int(c * lcm) for c in coeffs]
     g = 0
     for v in ints:
-        g = _gcd_int(g, abs(v))
+        g = gcd(g, v)
     ints = [v // g for v in ints]
     if ints[-1] < 0:
         ints = [-v for v in ints]
     return ints
-
-
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -228,61 +240,25 @@ def alexander_polynomial(data: RibbonData) -> LaurentPolynomial:
     if component_count(data) != 1:
         raise ValueError("disconnected data has no Alexander polynomial")
     pres = group_presentation(data)
-    n = pres.generators
-    k = n - 1
+    k = pres.generators - 1
     if k == 0:
         return LaurentPolynomial.one()
-    rows = [row for row in _fox_rows(pres) if any(row)]
+    rows = [row[:k] for row in _fox_rows(pres) if any(row)]
     if len(rows) < k:
         return LaurentPolynomial.zero()
 
-    gcd: list[int] | None = None
-    for row_pick in combinations(range(len(rows)), k):
-        for col_pick in combinations(range(n), k):
-            minor = _det([[rows[i][j] for j in col_pick] for i in row_pick])
-            if not minor:
-                continue
-            d = _dense(minor)
-            gcd = _poly_gcd(gcd, d) if gcd is not None else _poly_gcd(d, [])
-            if len(gcd) == 1:
-                return LaurentPolynomial.one()
-    if gcd is None:
+    result: list[int] | None = None
+    for row_pick in combinations(rows, k):
+        minor = _det(row_pick)
+        if not minor:
+            continue
+        while minor[0] == 0:  # strip the power-of-t content
+            minor = minor[1:]
+        result = _poly_gcd(result, minor) if result is not None else _poly_gcd(minor, [])
+        if len(result) == 1:
+            return LaurentPolynomial.one()
+    if result is None:
         return LaurentPolynomial.zero()
-    if gcd and gcd[0] < 0:
-        gcd = [-v for v in gcd]
-    return LaurentPolynomial.from_dict({e: c for e, c in enumerate(gcd)})
-
-
-def abelianization_rank_check(data: RibbonData) -> bool:
-    """True when the integer matrix of abelianized relations (end minus
-    start per handle) has rank one below the base count, the signature of
-    an infinite cyclic abelianization."""
-    if component_count(data) != 1:
-        raise ValueError("disconnected data")
-    n = data.base_count
-    rows = []
-    for h in data.handles:
-        if h.start == h.end:
-            continue
-        row = [Fraction(0)] * n
-        row[h.end - 1] = Fraction(1)
-        row[h.start - 1] = Fraction(-1)
-        rows.append(row)
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                factor = rows[r][col] / lead
-                for c in range(col, n):
-                    rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-    return rank == n - 1
+    if result and result[0] < 0:
+        result = [-v for v in result]
+    return LaurentPolynomial.from_dict({e: c for e, c in enumerate(result)})

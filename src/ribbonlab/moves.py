@@ -65,6 +65,7 @@ __all__ = [
     "remove_trivial_handle",
     "reverse_handle",
     "enumerate_moves",
+    "is_weak",
 ]
 
 
@@ -363,10 +364,15 @@ class MoveScript:
 
     @property
     def weak_count(self) -> int:
-        """Trivial handles attached minus trivial handles removed."""
-        added = sum(isinstance(m, TrivialHandle) for m in self.moves)
-        removed = sum(isinstance(m, RemoveTrivialHandle) for m in self.moves)
-        return added - removed
+        """Weak moves in the script: trivial handles attached plus trivial
+        handles removed.  Each spends one unit of a weak budget."""
+        return sum(is_weak(m) for m in self.moves)
+
+
+def is_weak(move: Move) -> bool:
+    """True for the two moves that change the genus, attaching and
+    removing a trivial handle; each spends one unit of a weak budget."""
+    return isinstance(move, (TrivialHandle, RemoveTrivialHandle))
 
 
 def apply_script(data: RibbonData, script: MoveScript) -> RibbonData:
@@ -493,13 +499,14 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
     """All canonical successors of a canonical state, as (move, state)
     pairs with duplicates removed.
 
-    Includes every applicable destabilization, trivial-handle removal and
-    slide, the crossing reroutes that do not lengthen the freely reduced
-    word, a stabilization per base, and (only when ``weak_budget`` is
-    positive) a trivial handle per base.  Free insertions are never
-    enumerated: states are kept freely reduced, and insertions arise
-    implicitly through slides followed by reduction.  Order is fixed, so
-    the result is deterministic.
+    Includes every applicable destabilization and slide, the crossing
+    reroutes that do not lengthen the freely reduced word, a stabilization
+    per base, and, only when ``weak_budget`` is positive, the two weak
+    moves: every trivial-handle removal and a trivial handle per base.  At
+    budget 0 every successor therefore has the genus of ``data``.  Free
+    insertions are never enumerated: states are kept freely reduced, and
+    insertions arise implicitly through slides followed by reduction.
+    Order is fixed, so the result is deterministic.
     """
     results: list[tuple[Move, RibbonData]] = []
     seen: set[str] = set()
@@ -517,9 +524,10 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
         if _destab_target(data, base) is not None:
             push(Destab(base), apply_destabilize(data, base))
 
-    for i, h in enumerate(data.handles, start=1):
-        if h.start == h.end and not h.word:
-            push(RemoveTrivialHandle(i), remove_trivial_handle(data, i))
+    if weak_budget > 0:
+        for i, h in enumerate(data.handles, start=1):
+            if h.start == h.end and not h.word:
+                push(RemoveTrivialHandle(i), remove_trivial_handle(data, i))
 
     for slider in range(1, n_handles + 1):
         h = data.handles[slider - 1]

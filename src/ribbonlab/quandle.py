@@ -11,6 +11,19 @@ quandle into a fixed finite quandle is an exact integer invariant of the
 presentation that every move preserves, which makes coloring profiles the
 cheap refutation gate for equivalence questions.
 
+Counts take one of two paths.  A quandle whose table, read on the labels
+0..m-1, is ``x * y = a*x + (1-a)*y mod m`` is an Alexander (affine)
+quandle; ``dihedral:m`` (a = -1) and ``trivial:m`` (a = 1) are both of
+this kind.  There a crossing maps the running color by the affine map
+``v -> alpha*v + (1-alpha)*c`` with ``alpha = a`` or ``a^-1``, so each
+handle relation is one homogeneous linear equation mod m, and the count
+is the size of the kernel of that system (Inoue, JKTR 2001).  The kernel
+is measured by elimination mod each prime power of m, and the counts are
+multiplied (Chinese remaindering); this is polynomial in the number of
+bases.  Every other table, and every listing of colorings, goes through
+a backtracking search with unit propagation, which is exponential in the
+number of bases it has to branch on.
+
 The parallel group-presentation reading (crossings become conjugations)
 lives here too; the Alexander polynomial derived from it is in
 ``ribbonlab.alexander``.
@@ -84,6 +97,20 @@ class FiniteQuandle:
             for y in range(1, m + 1):
                 inv[self.op(x, y) - 1][y - 1] = x
         return tuple(tuple(row) for row in inv)
+
+    @cached_property
+    def _affine(self) -> tuple[int, int] | None:
+        # (m, a) when the table on labels 0..m-1 is x*y = a*x + (1-a)*y
+        # mod m, else None.  a is read off 1*0 = a.
+        m = self.size
+        if m < 2:
+            return None
+        a = self.op(2, 1) - 1
+        for x, row in enumerate(self.table):
+            for y, v in enumerate(row):
+                if v - 1 != (a * x + (1 - a) * y) % m:
+                    return None
+        return m, a
 
     @cached_property
     def _axiom_problems(self) -> tuple[Diagnostic, ...]:
@@ -351,10 +378,114 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
     return count, found
 
 
+def _affine_rows(data: RibbonData, m: int, a: int) -> list[dict[int, int]]:
+    """One linear form mod m per handle, as {base: coefficient}: the start
+    color carried through the word, minus the end color.  A crossing of
+    sign s maps the running color v to alpha*v + (1-alpha)*c, with c the
+    crossed base's color and alpha = a for s = -1, a^-1 for s = +1.  The
+    end base comes first, so elimination pivots on it when its coefficient
+    is a unit, which keeps a tree of handles from filling in."""
+    a_inv = pow(a, -1, m)
+    rows = []
+    for h in data.handles:
+        row = {h.end: -1}
+        scale = 1  # product of the alphas after the current letter
+        for letter in reversed(h.word):
+            alpha = a if letter.sign < 0 else a_inv
+            row[letter.base] = row.get(letter.base, 0) + scale * (1 - alpha)
+            scale = scale * alpha % m
+        row[h.start] = row.get(h.start, 0) + scale
+        row = {b: c % m for b, c in row.items() if c % m}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _prime_powers(m: int) -> list[tuple[int, int]]:
+    out = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            out.append((p, e))
+        p += 1
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _valuation(c: int, p: int) -> int:
+    v = 0
+    while c % p == 0:
+        c //= p
+        v += 1
+    return v
+
+
+def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> int:
+    """Number of solutions mod p^e of the homogeneous system ``rows``.
+
+    Each step pivots on an entry of least p-valuation v over the whole
+    remaining system (the first unit entry when there is one), clears its
+    column from the other rows, and drops the pivot row and column: every
+    other entry of the pivot row is divisible by p^v, so column operations
+    would clear them without touching the rest.  The system is then
+    diagonal, and the count is prod p^v_i * (p^e)^(unknowns - rank).
+    """
+    q = p**e
+    rows = [r for r in ({b: c % q for b, c in row.items() if c % q} for row in rows) if r]
+    count = 1
+    rank = 0
+    while rows:
+        best = None
+        for i, row in enumerate(rows):
+            for b, c in row.items():
+                v = _valuation(c, p)
+                if best is None or v < best[0]:
+                    best = (v, i, b)
+                    if v == 0:
+                        break
+            if best[0] == 0:
+                break
+        v, i, col = best
+        pivot_row = rows.pop(i)
+        pv = p**v
+        inv = pow(pivot_row[col] // pv, -1, q)
+        count *= pv
+        rank += 1
+        kept = []
+        for row in rows:
+            c = row.get(col)
+            if c:
+                factor = c // pv * inv % q
+                for b, x in pivot_row.items():
+                    y = (row.get(b, 0) - factor * x) % q
+                    if y:
+                        row[b] = y
+                    else:
+                        row.pop(b, None)
+            if row:
+                kept.append(row)
+        rows = kept
+    return count * q ** (unknowns - rank)
+
+
 def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
     """Exact number of assignments of quandle elements to bases satisfying
-    every handle relation."""
+    every handle relation.  Alexander quandles are counted by linear
+    algebra mod m, every other quandle by backtracking."""
     _require_quandle(q)
+    affine = q._affine
+    if affine is not None:
+        m, a = affine
+        rows = _affine_rows(data, m, a)
+        count = 1
+        for p, e in _prime_powers(m):
+            count *= _kernel_size(rows, data.base_count, p, e)
+        return count
     count, _ = _solve_colorings(data, q, collect=False)
     return count
 

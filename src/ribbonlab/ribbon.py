@@ -60,6 +60,15 @@ class SignedLetter(NamedTuple):
 
 
 def _as_letters(word) -> tuple[SignedLetter, ...]:
+    """``word`` as a tuple of int-valued letters.  A word that already is
+    one is returned as it is, since rebuilding every letter on each
+    ``Handle`` construction is a large share of a search's time."""
+    if type(word) is tuple:
+        for letter in word:
+            if type(letter) is not SignedLetter or type(letter[0]) is not int or type(letter[1]) is not int:
+                break
+        else:
+            return word
     return tuple(SignedLetter(int(b), int(s)) for b, s in word)
 
 

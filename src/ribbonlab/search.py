@@ -36,6 +36,7 @@ from .moves import (
     TrivialHandle,
     apply_move,
     enumerate_moves,
+    is_weak,
     serialize_script,
 )
 from .quandle import FiniteQuandle, count_colorings, dihedral_quandle
@@ -117,8 +118,9 @@ def _require_comparable(a: RibbonData, b: RibbonData):
 
 def invariant_gate(a: RibbonData, b: RibbonData, quandles, weak_budget: int | None = None):
     """Refute via the first quandle whose coloring counts differ, or via
-    genus when the weak budget is zero (trivial handles change genus, so a
-    positive budget absorbs it).  Returns None when nothing separates."""
+    genus when the weak budget is zero: only the weak moves change genus,
+    and at budget 0 neither side may apply one.  Returns None when nothing
+    separates."""
     _require_comparable(a, b)
     for q in quandles:
         ca = count_colorings(a, q)
@@ -161,7 +163,8 @@ def search_equiv(
     """Decide equivalence at bounded depth.
 
     ``depth`` caps the combined length of the two certificate scripts,
-    ``weak_budget`` the trivial handles attached on each side separately,
+    ``weak_budget`` the weak moves (trivial handles attached or removed)
+    on each side separately,
     and ``state_cap`` the total number of canonical states stored.  The
     smaller frontier is expanded level by level and levels are completed
     before meets are resolved.
@@ -213,7 +216,7 @@ def search_equiv(
                 child_key = serialize(child)
                 if child_key in visited:
                     continue
-                weak = node.weak + (1 if isinstance(move, TrivialHandle) else 0)
+                weak = node.weak + is_weak(move)
                 visited[child_key] = _Node(child, key, move, weak, node.depth + 1)
                 new_keys.append(child_key)
                 states += 1
@@ -276,9 +279,8 @@ def certify(a: RibbonData, b: RibbonData, outcome: SearchOutcome, diagnostics: l
     if serialize(final_b) != meet:
         note("script B does not reach the meeting form")
         return False
-    used_a = sum(isinstance(m, TrivialHandle) for m in outcome.script_a)
-    used_b = sum(isinstance(m, TrivialHandle) for m in outcome.script_b)
-    if used_a != outcome.weak_used_a or used_b != outcome.weak_used_b:
+    used = (outcome.script_a.weak_count, outcome.script_b.weak_count)
+    if used != (outcome.weak_used_a, outcome.weak_used_b):
         note("weak-handle accounting does not match the scripts")
         return False
     return True

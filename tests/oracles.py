@@ -2,16 +2,21 @@
 test suite.  The oracles here deliberately avoid the library's solvers:
 coloring counts come from full enumeration, components from a direct
 breadth-first search, word reduction from randomized cancellation order,
-and canonical encodings from trying every base relabelling."""
+canonical encodings from trying every base relabelling, and Alexander
+polynomials from every maximal minor of the Fox matrix by Laplace
+expansion (or by sympy)."""
 
 import itertools
 from collections import deque
+from fractions import Fraction
+from math import gcd
 
 from ribbonlab import (
     CancelDelete,
     CancelInsert,
     CrossSlide,
     Destab,
+    FiniteQuandle,
     Handle,
     MoveError,
     RemoveTrivialHandle,
@@ -23,6 +28,7 @@ from ribbonlab import (
     TrivialHandle,
     apply_destabilize,
     free_reduce_word,
+    group_presentation,
 )
 
 
@@ -48,6 +54,204 @@ def brute_force_colorings(data, q):
 
 def brute_profile(data, quandles):
     return tuple((q.name, brute_force_colorings(data, q)) for q in quandles)
+
+
+def alexander_quandle(m, a, name=None):
+    """x * y = a*x + (1-a)*y mod m on the labels 0..m-1, stored as 1..m."""
+    table = tuple(tuple((a * x + (1 - a) * y) % m + 1 for y in range(m)) for x in range(m))
+    return FiniteQuandle(name or f"alexander:{m}:{a}", table)
+
+
+def relabelled_quandle(q, perm, name="relabelled"):
+    """The same quandle with element x renamed perm[x-1]."""
+    inv = {v: x for x, v in enumerate(perm, start=1)}
+    table = tuple(
+        tuple(perm[q.op(inv[x], inv[y]) - 1] for y in range(1, q.size + 1)) for x in range(1, q.size + 1)
+    )
+    return FiniteQuandle(name, table)
+
+
+def s4_transpositions():
+    """Conjugation on the six transpositions of S4, a quandle that is not
+    affine: y * x = x^-1 y x, read here as x * y = y x y."""
+    swaps = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+
+    def perm(swap):
+        p = list(range(4))
+        p[swap[0]], p[swap[1]] = p[swap[1]], p[swap[0]]
+        return tuple(p)
+
+    elems = [perm(s) for s in swaps]
+    table = tuple(
+        tuple(elems.index(tuple(y[x[y[i]]] for i in range(4))) + 1 for y in elems) for x in elems
+    )
+    return FiniteQuandle("s4-transpositions", table)
+
+
+# Laurent polynomials as {exponent: coefficient} dicts with no zero entries.
+
+
+def _ladd(a, b, factor=1):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + factor * c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _lmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def fox_matrix(data):
+    """Free-derivative rows of the presented group, every generator sent
+    to t, entries as Laurent dicts."""
+    pres = group_presentation(data)
+    rows = []
+    for rel in pres.relations:
+        row = [{} for _ in range(pres.generators)]
+        p = 0
+        for x in rel.relator():
+            if x > 0:
+                row[x - 1] = _ladd(row[x - 1], {p: 1})
+                p += 1
+            else:
+                p -= 1
+                row[-x - 1] = _ladd(row[-x - 1], {p: -1})
+        rows.append(row)
+    return rows
+
+
+def laplace_det(matrix):
+    """Determinant of a square matrix of Laurent dicts by Laplace expansion
+    along the rows, memoized on the set of columns left."""
+    n = len(matrix)
+    memo = {}
+
+    def expand(cols):
+        if not cols:
+            return {0: 1}
+        if cols not in memo:
+            i = n - len(cols)
+            total = {}
+            for j, c in enumerate(cols):
+                if matrix[i][c]:
+                    sub = expand(cols[:j] + cols[j + 1 :])
+                    total = _ladd(total, _lmul(matrix[i][c], sub), 1 if j % 2 == 0 else -1)
+            memo[cols] = total
+        return memo[cols]
+
+    return expand(tuple(range(n)))
+
+
+def _normalized_gcd(polys):
+    """gcd over Q of integer polynomials (coefficient lists, lowest power
+    first), as a primitive integer list with no power of t as a factor
+    and a positive constant term; [] when every input is zero."""
+
+    def mod(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            factor = a[-1] / b[-1]
+            for i in range(len(b)):
+                a[len(a) - len(b) + i] -= factor * b[i]
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        return a
+
+    g = []
+    for poly in polys:
+        a, b = [Fraction(c) for c in poly], g
+        while b:
+            a, b = b, mod(a, b)
+        g = a
+    if not g:
+        return []
+    while g[0] == 0:
+        g = g[1:]
+    denominators = 1
+    for c in g:
+        denominators = denominators * c.denominator // gcd(denominators, c.denominator)
+    ints = [int(c * denominators) for c in g]
+    content = 0
+    for v in ints:
+        content = gcd(content, v)
+    sign = 1 if ints[0] > 0 else -1
+    return [sign * v // content for v in ints]
+
+
+def laplace_alexander(data):
+    """The Alexander polynomial as {exponent: coefficient}: the normalized
+    gcd over Q of every maximal proper minor of the Fox matrix, all row
+    picks times all column picks, each by Laplace expansion.  Exponential
+    in the base count; keep it to about 8 bases.  Requires connected
+    data."""
+    rows = [row for row in fox_matrix(data) if any(row)]
+    k = group_presentation(data).generators - 1
+    if k == 0:
+        return {0: 1}
+    minors = []
+    for row_pick in itertools.combinations(rows, k):
+        for col_pick in itertools.combinations(range(k + 1), k):
+            minor = laplace_det([[row[j] for j in col_pick] for row in row_pick])
+            if minor:
+                lo = min(minor)
+                minors.append([minor.get(e, 0) for e in range(lo, max(minor) + 1)])
+    return {e: c for e, c in enumerate(_normalized_gcd(minors)) if c}
+
+
+def sympy_alexander(data):
+    """The same polynomial computed by sympy: each Fox row multiplied by
+    the power of t that clears its negative exponents, every maximal minor
+    by sympy's determinant, their gcd by sympy, then made primitive with
+    no power of t as a factor and a positive constant term."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    k = group_presentation(data).generators - 1
+    if k == 0:
+        return {0: 1}
+    rows = []
+    for row in fox_matrix(data):
+        if any(row):
+            lo = min(e for entry in row for e in entry)
+            rows.append([sum(c * t ** (e - lo) for e, c in entry.items()) for entry in row])
+    g = sympy.Integer(0)
+    for row_pick in itertools.combinations(rows, k):
+        for col_pick in itertools.combinations(range(k + 1), k):
+            g = sympy.gcd(g, sympy.Matrix([[row[j] for j in col_pick] for row in row_pick]).det())
+    if g == 0:
+        return {}
+    coeffs = sympy.Poly(g, t).primitive()[1].all_coeffs()[::-1]
+    while coeffs[0] == 0:
+        coeffs = coeffs[1:]
+    sign = 1 if coeffs[0] > 0 else -1
+    return {e: sign * int(c) for e, c in enumerate(coeffs) if c}
+
+
+def connected_sum(pieces):
+    """One knot from several: the pieces' bases numbered one after another
+    and each piece's first base joined to the next piece's by a handle
+    that crosses nothing."""
+    handles = []
+    offset = 0
+    for i, piece in enumerate(pieces):
+        for h in piece.handles:
+            word = tuple(SignedLetter(l.base + offset, l.sign) for l in h.word)
+            handles.append(Handle(h.start + offset, h.end + offset, word))
+        if i:
+            handles.append(Handle(previous, offset + 1, ()))
+        previous = offset + 1
+        offset += piece.base_count
+    return RibbonData(2, offset, tuple(handles))
 
 
 def exhaustive_canonical_key(data):

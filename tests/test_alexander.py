@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonlab import (
     Handle,
@@ -12,7 +14,15 @@ from ribbonlab import (
 )
 from ribbonlab.cli import generate
 
-from oracles import graph_components, random_ribbon
+from oracles import (
+    connected_sum,
+    graph_components,
+    laplace_alexander,
+    random_knot,
+    random_ribbon,
+    shuffled,
+    sympy_alexander,
+)
 
 UNKNOT = generate("unknot")
 SPUN_TREFOIL = generate("spun-trefoil")
@@ -97,3 +107,54 @@ def test_evaluate():
     assert poly.evaluate(1) == 1
     assert poly.evaluate(2) == 3
     assert poly.evaluate(-1) == 3
+
+
+# ---------------------------------------------------------------------------
+# Bareiss minors against every minor by Laplace expansion, and against sympy
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def random_connected(seed, max_bases):
+    """Connected data of genus 0-2."""
+    rng = random.Random(seed)
+    bases = rng.randint(1, max_bases)
+    return random_knot(rng, bases, extra=rng.randint(0, 2), max_len=rng.randint(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=seeds)
+def test_matches_laplace_expansion_of_every_minor(seed):
+    data = random_connected(seed, 7)
+    assert alexander_polynomial(data).as_dict() == laplace_alexander(data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds)
+def test_matches_sympy(seed):
+    data = random_connected(seed, 4)
+    assert alexander_polynomial(data).as_dict() == sympy_alexander(data)
+
+
+def test_forty_bases():
+    # The polynomial of a connected sum is the product of the summands'
+    # polynomials; each summand's comes from the Laplace oracle.
+    rng = random.Random(32)
+    expected = {0: 1}
+    pieces = []
+    while len(pieces) < 8:
+        knot = random_knot(rng, 5, max_len=3)
+        poly = laplace_alexander(knot)
+        if poly == {0: 1}:
+            continue
+        pieces.append(shuffled(knot, rng))
+        product = {}
+        for e1, c1 in expected.items():
+            for e2, c2 in poly.items():
+                product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+        expected = {e: c for e, c in product.items() if c}
+    data = shuffled(connected_sum(pieces), rng)
+    assert data.base_count == 40
+    assert max(expected) >= 16
+    assert alexander_polynomial(data).as_dict() == expected
+

@@ -1,0 +1,68 @@
+"""Golden-byte tests of the command line.
+
+Each case runs ``cli.run`` on fixed input files under ``tests/golden`` and
+compares its exit code, stdout and stderr with the recorded
+``tests/golden/expected/<case>.golden`` byte for byte.  The recordings were
+made before the coloring and Alexander kernels were rewritten, so they pin
+the outputs that rewrite had to keep.
+"""
+
+import io
+from pathlib import Path
+
+import pytest
+
+from ribbonlab import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "color-spun-d3": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:3"],
+    "color-spun-d3-list": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:3", "--list"],
+    "color-spun-d5": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:5"],
+    "color-spun-s4": ["color", "spun-trefoil.ribbon", "--quandle", "s4-transpositions.quandle"],
+    "color-spun-s4-list": ["color", "spun-trefoil.ribbon", "--quandle", "s4-transpositions.quandle", "--list"],
+    "color-knot12-d3": ["color", "knot12.ribbon", "--quandle", "dihedral:3"],
+    "color-knot12-d6": ["color", "knot12.ribbon", "--quandle", "dihedral:6"],
+    "color-knot12-d7": ["color", "knot12.ribbon", "--quandle", "dihedral:7"],
+    "color-knot12-d9": ["color", "knot12.ribbon", "--quandle", "dihedral:9"],
+    "color-knot12-d9-list": ["color", "knot12.ribbon", "--quandle", "dihedral:9", "--list"],
+    "color-knot12-trivial2": ["color", "knot12.ribbon", "--quandle", "trivial:2"],
+    "color-knot12-s4": ["color", "knot12.ribbon", "--quandle", "s4-transpositions.quandle"],
+    "color-torus2-d3": ["color", "torus2.ribbon", "--quandle", "dihedral:3"],
+    "color-torus2-d4-list": ["color", "torus2.ribbon", "--quandle", "dihedral:4", "--list"],
+    "color-bad-quandle": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:x"],
+    "alex-spun": ["alex", "spun-trefoil.ribbon"],
+    "alex-knot12": ["alex", "knot12.ribbon"],
+    "alex-torus2": ["alex", "torus2.ribbon"],
+    "alex-disconnected": ["alex", "disconnected.ribbon"],
+    "canon-spun": ["canon", "spun-trefoil.ribbon"],
+    "canon-knot12": ["canon", "knot12.ribbon"],
+    "canon-torus2": ["canon", "torus2.ribbon"],
+    "search-stabilized3": ["search", "stabilized3.ribbon", "unknot.ribbon", "--depth", "3", "--weak", "0"],
+    "search-spun-stabilized": ["search", "spun-stabilized.ribbon", "spun-trefoil.ribbon", "--depth", "2", "--weak", "0"],
+    "search-spun-unknot": ["search", "spun-trefoil.ribbon", "unknot.ribbon", "--depth", "2", "--weak", "0"],
+    "search-knot12-spun": ["search", "knot12.ribbon", "spun-trefoil.ribbon", "--depth", "2", "--weak", "0"],
+    "search-torus2-genus": ["search", "torus2.ribbon", "unknot.ribbon", "--depth", "2", "--weak", "0"],
+    "search-torus2-weak": ["search", "torus2.ribbon", "unknot.ribbon", "--depth", "2", "--weak", "2"],
+    "search-unknown": ["search", "spun-stabilized.ribbon", "spun-trefoil.ribbon", "--depth", "0", "--weak", "0"],
+}
+
+
+def run_case(argv, capsys):
+    """(exit code, stdout, stderr) of one invocation; file names in
+    ``argv`` are relative to the golden directory."""
+    out = io.StringIO()
+    code = cli.run(argv, out=out)
+    return code, out.getvalue(), capsys.readouterr().err
+
+
+def render(code, out, err) -> str:
+    return f"exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_golden(case, capsys, monkeypatch):
+    expected = (GOLDEN / "expected" / f"{case}.golden").read_text(encoding="utf-8")
+    monkeypatch.chdir(GOLDEN)
+    assert render(*run_case(CASES[case], capsys)) == expected

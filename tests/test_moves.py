@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonlab import (
     CancelDelete,
@@ -44,6 +46,7 @@ from oracles import (
     brute_profile,
     graph_components,
     random_ribbon,
+    random_knot,
     stable_walk_pool,
 )
 
@@ -375,7 +378,7 @@ def test_script_text_round_trip_all_moves():
 
 def test_weak_count():
     script = MoveScript((TrivialHandle(1), Stab(1), TrivialHandle(2), RemoveTrivialHandle(1)))
-    assert script.weak_count == 1
+    assert script.weak_count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +447,35 @@ def test_enumerate_unknot_budgets():
 
     one = enumerate_moves(UNKNOT, 1)
     assert [m for m, _ in one] == [Stab(1), TrivialHandle(1)]
+
+
+def test_enumerate_torus_budgets():
+    torus = canonical_form(generate("torus:1"))
+    assert [m for m, _ in enumerate_moves(torus, 0)] == [Stab(1)]
+    assert [m for m, _ in enumerate_moves(torus, 1)] == [RemoveTrivialHandle(1), Stab(1), TrivialHandle(1)]
+
+
+def with_trivial_handles(rng, data, count):
+    handles = list(data.handles)
+    for _ in range(count):
+        base = rng.randint(1, data.base_count)
+        handles.insert(rng.randint(0, len(handles)), Handle(base, base, ()))
+    return RibbonData(data.dim, data.base_count, tuple(handles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), budget=st.integers(0, 2))
+def test_only_weak_moves_change_genus_and_only_under_budget(seed, budget):
+    rng = random.Random(seed)
+    knot = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
+    data = canonical_form(with_trivial_handles(rng, knot, rng.randint(0, 2)))
+    for move, succ in enumerate_moves(data, budget):
+        if isinstance(move, TrivialHandle):
+            assert budget > 0 and genus(succ) == genus(data) + 1
+        elif isinstance(move, RemoveTrivialHandle):
+            assert budget > 0 and genus(succ) == genus(data) - 1
+        else:
+            assert genus(succ) == genus(data)
 
 
 def test_enumerate_successors_are_canonical_and_unique():

@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ribbonlab import (
     FiniteQuandle,
     Handle,
     RibbonData,
-    abelianization_rank_check,
     builtin_quandle,
     check_quandle_axioms,
     coloring_profile,
@@ -22,7 +23,17 @@ from ribbonlab import (
 )
 from ribbonlab.cli import generate
 
-from oracles import brute_force_colorings, graph_components, random_ribbon
+from oracles import (
+    alexander_quandle,
+    brute_force_colorings,
+    connected_sum,
+    graph_components,
+    random_knot,
+    random_ribbon,
+    relabelled_quandle,
+    s4_transpositions,
+    shuffled,
+)
 
 UNKNOT = generate("unknot")
 SPUN_TREFOIL = generate("spun-trefoil")
@@ -232,22 +243,93 @@ def test_group_presentation_unknot_and_trivial_handle():
     assert rel.relator() == (-1, 1)
 
 
-def test_abelianization_rank_examples():
-    assert abelianization_rank_check(SPUN_TREFOIL)
-    assert abelianization_rank_check(UNKNOT)
+# ---------------------------------------------------------------------------
+# the linear path for Alexander quandles against enumeration
+
+AFFINE = [dihedral_quandle(m) for m in (2, 4, 6, 8, 9, 12)] + [
+    alexander_quandle(5, 2),
+    alexander_quandle(7, 3),
+    trivial_quandle(2),
+    trivial_quandle(5),
+]
+# A dihedral table under a relabelling that is not an affine map of Z/5.
+RELABELLED_DIHEDRAL = relabelled_quandle(dihedral_quandle(5), (1, 2, 4, 3, 5))
+NOT_AFFINE = [s4_transpositions(), RELABELLED_DIHEDRAL]
 
 
-def test_abelianization_rank_on_connected_random_data():
-    rng = random.Random(24)
-    checked = 0
-    while checked < 50:
-        data = random_ribbon(rng)
-        if graph_components(data) != 1:
-            continue
-        assert abelianization_rank_check(data)
-        checked += 1
+def test_affine_detection():
+    assert dihedral_quandle(7)._affine == (7, 6)
+    assert trivial_quandle(4)._affine == (4, 1)
+    assert alexander_quandle(5, 2)._affine == (5, 2)
+    assert trivial_quandle(1)._affine is None
+    for q in NOT_AFFINE:
+        assert q._affine is None
+        assert check_quandle_axioms(q) == []
 
 
-def test_abelianization_rank_rejects_disconnected():
-    with pytest.raises(ValueError):
-        abelianization_rank_check(RibbonData(2, 2, ()))
+def knot_for(seed, q, max_assignments=3000):
+    """A random connected presentation small enough to enumerate."""
+    rng = random.Random(seed)
+    bases = 1
+    while q.size ** (bases + 1) <= max_assignments and bases < 6:
+        bases += 1
+    bases = rng.randint(1, bases)
+    return random_knot(rng, bases, extra=rng.randint(0, 2), max_len=rng.randint(1, 4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), which=st.integers(0, len(AFFINE) - 1))
+def test_affine_counts_match_enumeration(seed, which):
+    q = AFFINE[which]
+    data = knot_for(seed, q)
+    assert count_colorings(data, q) == brute_force_colorings(data, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), which=st.integers(0, len(NOT_AFFINE) - 1))
+def test_other_quandles_take_the_backtracker_and_match(seed, which):
+    q = NOT_AFFINE[which]
+    data = knot_for(seed, q, max_assignments=1500)
+    assert count_colorings(data, q) == brute_force_colorings(data, q)
+
+
+def test_alexander_quandle_tells_a_from_its_inverse():
+    # The Alexander polynomial 2 - t of this knot is not symmetric, so the
+    # quandles with a = 2 and a = 3 = 2^-1 mod 5 count it differently:
+    # a crossing must act by a or by a^-1 according to its sign.
+    data = RibbonData(
+        2,
+        4,
+        (
+            Handle(1, 4, ((1, 1), (3, 1), (4, -1))),
+            Handle(1, 3, ((1, -1), (4, 1))),
+            Handle(1, 2, ((4, -1),)),
+        ),
+    )
+    for a, expected in ((2, 5), (3, 25)):
+        q = alexander_quandle(5, a)
+        assert brute_force_colorings(data, q) == expected
+        assert count_colorings(data, q) == expected
+
+
+def test_dihedral_seven_on_two_hundred_bases():
+    # A connected sum multiplies affine counts and divides by m, since each
+    # summand's colorings are closed under adding a constant color.  The
+    # summands are copies of small knots, each counted by enumeration.
+    q = dihedral_quandle(7)
+    rng = random.Random(26)
+    rich = []
+    while len(rich) < 3:
+        knot = random_knot(rng, 4, max_len=4)
+        if count_colorings(knot, q) > 7:
+            rich.append(knot)
+    kinds = [(knot, brute_force_colorings(knot, q)) for knot in rich + [random_knot(rng, 4, max_len=4)]]
+    pieces = [kinds[i % len(kinds)] for i in range(50)]
+    expected = 7
+    for _, count in pieces:
+        expected = expected * count // 7
+    data = shuffled(connected_sum([shuffled(knot, rng) for knot, _ in pieces]), rng)
+    assert data.base_count == 200
+    assert expected >= 7**20
+    assert count_colorings(data, q) == expected
+

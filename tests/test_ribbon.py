@@ -132,6 +132,32 @@ def test_validate_bad_sign():
     assert any("sign" in p.message for p in validate(data))
 
 
+@pytest.mark.parametrize(
+    "word",
+    [
+        [(2, -1), (1, 1)],
+        ((2, -1), (1, 1)),
+        [SignedLetter(2, -1), SignedLetter(1, 1)],
+        (SignedLetter(2, -1), (1, 1)),
+        (SignedLetter(2.0, -1), SignedLetter(1, True)),
+        (SignedLetter("2", "-1"), SignedLetter(1, 1)),
+        iter([(2, -1), (1, 1)]),
+    ],
+)
+def test_handle_converts_words_to_int_letters(word):
+    h = Handle(1, 2, word)
+    assert h.word == ((2, -1), (1, 1))
+    assert type(h.word) is tuple
+    for letter in h.word:
+        assert type(letter) is SignedLetter
+        assert type(letter.base) is int and type(letter.sign) is int
+
+
+def test_handle_keeps_a_word_that_is_already_letters():
+    word = (SignedLetter(2, -1), SignedLetter(1, 1))
+    assert Handle(1, 2, word).word is word
+
+
 # ---------------------------------------------------------------------------
 # genus and components
 

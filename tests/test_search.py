@@ -1,6 +1,14 @@
 import pytest
 
-from ribbonlab import Equivalent, certify, is_sphere_knot, search_equiv
+from ribbonlab import (
+    Equivalent,
+    Refuted,
+    Unknown,
+    certify,
+    is_sphere_knot,
+    search_equiv,
+    serialize_script,
+)
 from ribbonlab.cli import generate
 
 
@@ -16,3 +24,34 @@ def test_stabilized_generator_is_certified_equivalent_to_unknot(k, seed):
     assert isinstance(outcome, Equivalent)
     notes = []
     assert certify(data, unknot, outcome, notes), notes
+
+
+def test_torus_needs_one_weak_move_to_reach_the_unknot():
+    torus, unknot = generate("torus:1"), generate("unknot")
+    outcome = search_equiv(torus, unknot, 1, 0, 100)
+    assert outcome == Refuted("genus", 1, 0)
+    found = search_equiv(torus, unknot, 1, 1, 100)
+    assert isinstance(found, Equivalent)
+    assert serialize_script(found.script_a) == "untrivh 1\n"
+    assert (found.weak_used_a, found.weak_used_b) == (1, 0)
+    assert certify(torus, unknot, found)
+
+
+def test_removing_trivial_handles_spends_the_budget():
+    torus, unknot = generate("torus:3"), generate("unknot")
+    # one weak move a side cannot bridge genus 3 and 0; two can
+    assert isinstance(search_equiv(torus, unknot, 4, 1, 10_000), Unknown)
+    found = search_equiv(torus, unknot, 3, 2, 10_000)
+    assert isinstance(found, Equivalent)
+    assert (found.script_a.weak_count, found.script_b.weak_count) == (found.weak_used_a, found.weak_used_b)
+    assert max(found.weak_used_a, found.weak_used_b) <= 2
+    assert certify(torus, unknot, found)
+
+
+def test_certify_rejects_wrong_weak_accounting():
+    torus, unknot = generate("torus:1"), generate("unknot")
+    found = search_equiv(torus, unknot, 1, 1, 100)
+    tampered = Equivalent(found.script_a, found.script_b, found.meet, 0, 0)
+    notes = []
+    assert not certify(torus, unknot, tampered, notes)
+    assert notes == ["weak-handle accounting does not match the scripts"]
