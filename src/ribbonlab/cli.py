@@ -20,6 +20,7 @@ from .moves import (
     ReverseHandle,
     ScriptFormatError,
     Slide,
+    _successors,
     apply_move,
     apply_script,
     apply_stabilize,
@@ -40,6 +41,7 @@ from .ribbon import (
     RibbonData,
     SignedLetter,
     RibbonFormatError,
+    _canonical_reduced,
     canonical_form,
     genus,
     parse_ribbon,
@@ -229,6 +231,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--weak", type=int, required=True)
     p.add_argument("--states", type=int, default=100_000)
+    p.add_argument("--stats", action="store_true", help="print search statistics as JSON on stderr")
 
     p = sub.add_parser("gen", help="emit generated example data")
     p.add_argument("spec")
@@ -314,8 +317,20 @@ def run(argv, out=None) -> int:
         if args.command == "search":
             a = _load_data(args.file_a)
             b = _load_data(args.file_b)
-            outcome = search_equiv(a, b, args.depth, args.weak, args.states)
+            stats = {} if args.stats else None
+            outcome = search_equiv(a, b, args.depth, args.weak, args.states, stats=stats)
             print(serialize_outcome(outcome), end="", file=out)
+            if stats is not None:
+                import json  # only here, so other calls do not pay its import
+
+                stats["caches"] = {
+                    name: {"hits": info.hits, "misses": info.misses}
+                    for name, info in (
+                        ("canonical_form", _canonical_reduced.cache_info()),
+                        ("successors", _successors.cache_info()),
+                    )
+                }
+                print(json.dumps(stats), file=sys.stderr)
             if isinstance(outcome, Equivalent):
                 return 0
             if isinstance(outcome, Refuted):

@@ -23,7 +23,7 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 __all__ = [
@@ -100,6 +100,17 @@ class RibbonData:
 
     def __post_init__(self):
         object.__setattr__(self, "handles", tuple(self.handles))
+
+    @cached_property
+    def _text(self) -> str:
+        """The ``ribbon 1`` text, built on first use; see :func:`serialize`."""
+        lines = ["ribbon 1", f"dim {self.dim}", f"bases {self.base_count}"]
+        for h in self.handles:
+            line = f"handle {h.start} {h.end} :"
+            if h.word:
+                line += " " + " ".join(str(l.sign * l.base) for l in h.word)
+            lines.append(line)
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -193,14 +204,12 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
 def serialize(data: RibbonData) -> str:
     """Deterministic text form: fixed field order, single spaces, one
     newline-terminated line per handle in stored order.  Round-trips
-    through :func:`parse_ribbon` unchanged."""
-    lines = ["ribbon 1", f"dim {data.dim}", f"bases {data.base_count}"]
-    for h in data.handles:
-        line = f"handle {h.start} {h.end} :"
-        if h.word:
-            line += " " + " ".join(str(l.sign * l.base) for l in h.word)
-        lines.append(line)
-    return "\n".join(lines) + "\n"
+    through :func:`parse_ribbon` unchanged.
+
+    The text is built once per record and kept on it, so serializing a
+    record again, such as a canonical state the search meets twice, is a
+    lookup."""
+    return data._text
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +402,8 @@ class _Colouring:
         that reading.  Each round, every cell holding a base on a handle
         through a touched base is split by signature, in signature order;
         the bases that move to a new colour are the next round's touched
-        bases.  No other base's signature can have changed.
+        bases.  No other base's signature can have changed.  Refinement
+        stops early once every cell is a singleton.
         """
         colours, cells = self.colours, self.cells
         memo: dict[int, tuple] = {}
@@ -416,7 +426,7 @@ class _Colouring:
             out.sort()
             return tuple(out)
 
-        while touched:
+        while touched and len(cells) < len(colours):
             affected = {b for t in touched for h in handles_of[t] for b in readings[h][3]}
             memo.clear()
             splits = []
@@ -554,11 +564,11 @@ def _canonical_key(base_count, triples):
 
 
 @lru_cache(maxsize=1 << 15)
-def _canonical_reduced(data: RibbonData) -> RibbonData:
-    triples = tuple((h.start, tuple(h.word), h.end) for h in data.handles)
-    best = _canonical_key(data.base_count, triples)
-    handles = tuple(Handle(s, e, w) for s, w, e in best)
-    return RibbonData(data.dim, data.base_count, handles)
+def _canonical_reduced(dim: int, base_count: int, triples) -> RibbonData:
+    best = _canonical_key(base_count, triples)
+    make = SignedLetter._make
+    handles = tuple([Handle(s, e, tuple(map(make, w))) for s, w, e in best])
+    return RibbonData(dim, base_count, handles)
 
 
 def canonical_form(data: RibbonData) -> RibbonData:
@@ -576,8 +586,14 @@ def canonical_form(data: RibbonData) -> RibbonData:
     when they are equal up to the listed symmetries.  Idempotent.  The
     representative is the least leaf encoding, which need not be the least
     encoding over all relabellings.
+
+    Results are memoized per process in a bounded LRU cache keyed on the
+    dimension, the base count and the freely reduced ``(start, word, end)``
+    triples, so every input that reduces to the same record shares one
+    result object.
     """
-    return _canonical_reduced(free_reduce(data))
+    triples = tuple([(h.start, free_reduce_word(h.word), h.end) for h in data.handles])
+    return _canonical_reduced(data.dim, data.base_count, triples)
 
 
 def canonical_bytes(data: RibbonData) -> bytes:

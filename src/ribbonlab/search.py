@@ -159,6 +159,7 @@ def search_equiv(
     weak_budget: int,
     state_cap: int,
     quandles=None,
+    stats: dict | None = None,
 ) -> SearchOutcome:
     """Decide equivalence at bounded depth.
 
@@ -168,6 +169,15 @@ def search_equiv(
     and ``state_cap`` the total number of canonical states stored.  The
     smaller frontier is expanded level by level and levels are completed
     before meets are resolved.
+
+    When a dict is supplied as ``stats``, it is filled in with how the
+    search went: ``levels``, one ``[side, frontier size]`` pair per
+    expanded level in the order expanded (side ``"a"`` or ``"b"``; the
+    size counts the new states of that level); ``states``, the states
+    stored per side; and ``stop``, why the search ended: ``gate`` (the
+    invariant gate refuted), ``met`` (the sides met), ``depth`` (the depth
+    limit was reached), ``cap`` (the state cap was reached) or
+    ``exhausted`` (both frontiers ran empty).
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -177,12 +187,19 @@ def search_equiv(
         raise ValueError("state cap must be > 0")
     if quandles is None:
         quandles = default_gate_quandles()
+    levels: list[list] = []
+    sides = []
+
+    def stop(reason: str, outcome: SearchOutcome) -> SearchOutcome:
+        if stats is not None:
+            visited = [len(side["visited"]) for side in sides] or [0, 0]
+            stats.update(levels=levels, states={"a": visited[0], "b": visited[1]}, stop=reason)
+        return outcome
 
     refuted = invariant_gate(a, b, quandles, weak_budget=weak_budget)
     if refuted is not None:
-        return refuted
+        return stop("gate", refuted)
 
-    sides = []
     for source in (a, b):
         root = canonical_form(source)
         key = serialize(root)
@@ -197,14 +214,14 @@ def search_equiv(
     key_b = sides[1]["frontier"][0]
     states = 2
     if key_a == key_b:
-        return Equivalent(MoveScript(), MoveScript(), sides[0]["visited"][key_a].data, 0, 0)
+        return stop("met", Equivalent(MoveScript(), MoveScript(), sides[0]["visited"][key_a].data, 0, 0))
 
     while sides[0]["level"] + sides[1]["level"] < depth:
         idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
         if not sides[idx]["frontier"]:
             idx = 1 - idx
         if not sides[idx]["frontier"]:
-            break
+            return stop("exhausted", Unknown(states, sides[0]["level"] + sides[1]["level"]))
         me, other = sides[idx], sides[1 - idx]
         visited = me["visited"]
 
@@ -227,22 +244,26 @@ def search_equiv(
                 break
         me["frontier"] = new_keys
         me["level"] += 1
+        levels.append(["ab"[idx], len(new_keys)])
 
         meets = sorted(k for k in new_keys if k in other["visited"])
         if meets:
             meet_key = meets[0]
             node_a = sides[0]["visited"][meet_key]
             node_b = sides[1]["visited"][meet_key]
-            return Equivalent(
-                _script_to(sides[0]["visited"], meet_key),
-                _script_to(sides[1]["visited"], meet_key),
-                node_a.data,
-                node_a.weak,
-                node_b.weak,
+            return stop(
+                "met",
+                Equivalent(
+                    _script_to(sides[0]["visited"], meet_key),
+                    _script_to(sides[1]["visited"], meet_key),
+                    node_a.data,
+                    node_a.weak,
+                    node_b.weak,
+                ),
             )
         if cap_hit:
-            return Unknown(states, sides[0]["level"] + sides[1]["level"])
-    return Unknown(states, sides[0]["level"] + sides[1]["level"])
+            return stop("cap", Unknown(states, sides[0]["level"] + sides[1]["level"]))
+    return stop("depth", Unknown(states, sides[0]["level"] + sides[1]["level"]))
 
 
 def replay_canonical(data: RibbonData, script: MoveScript) -> RibbonData:

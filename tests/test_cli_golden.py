@@ -4,14 +4,25 @@ Each case runs ``cli.run`` on fixed input files under ``tests/golden`` and
 compares its exit code, stdout and stderr with the recorded
 ``tests/golden/expected/<case>.golden`` byte for byte.  The recordings were
 made before the coloring and Alexander kernels were rewritten, so they pin
-the outputs that rewrite had to keep.
+the outputs that rewrite had to keep.  The ``search-open3-*``,
+``search-weak1-*`` and ``search-stabilized5`` cases were recorded before
+the search's successor cache and one-pass canonical form: an open pair of
+3-base knots searched through depth 4, the same pair cut by a state cap in
+the middle of its last level, weak-1 searches whose certificates attach
+and remove trivial handles, and a 5-fold stabilized unknot (words with
+cancelling pairs) against the unknot.
 """
 
 import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ribbonlab
 from ribbonlab import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -46,6 +57,11 @@ CASES = {
     "search-torus2-genus": ["search", "torus2.ribbon", "unknot.ribbon", "--depth", "2", "--weak", "0"],
     "search-torus2-weak": ["search", "torus2.ribbon", "unknot.ribbon", "--depth", "2", "--weak", "2"],
     "search-unknown": ["search", "spun-stabilized.ribbon", "spun-trefoil.ribbon", "--depth", "0", "--weak", "0"],
+    "search-open3-depth4": ["search", "open3a.ribbon", "open3b.ribbon", "--depth", "4", "--weak", "0"],
+    "search-open3-cap40": ["search", "open3a.ribbon", "open3b.ribbon", "--depth", "4", "--weak", "0", "--states", "40"],
+    "search-weak1-trivh": ["search", "weak-slid.ribbon", "open3a.ribbon", "--depth", "2", "--weak", "1"],
+    "search-weak1-untrivh": ["search", "weak-slid.ribbon", "weak-destab.ribbon", "--depth", "3", "--weak", "1"],
+    "search-stabilized5": ["search", "stabilized5.ribbon", "unknot.ribbon", "--depth", "5", "--weak", "0"],
 }
 
 
@@ -66,3 +82,30 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch):
     expected = (GOLDEN / "expected" / f"{case}.golden").read_text(encoding="utf-8")
     monkeypatch.chdir(GOLDEN)
     assert render(*run_case(CASES[case], capsys)) == expected
+
+
+@pytest.mark.parametrize("case", ["search-open3-cap40", "search-stabilized5", "search-spun-unknot"])
+def test_search_stats_is_one_json_line_on_stderr(case, capsys, monkeypatch):
+    expected = (GOLDEN / "expected" / f"{case}.golden").read_text(encoding="utf-8")
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run_case(CASES[case] + ["--stats"], capsys)
+    assert render(code, out, "") == expected
+    assert err.endswith("\n") and err.count("\n") == 1
+    stats = json.loads(err)
+    assert sorted(stats) == ["caches", "levels", "states", "stop"]
+    assert stats["stop"] in ("gate", "met", "depth", "cap", "exhausted")
+    assert sorted(stats["states"]) == ["a", "b"]
+    assert all(side in ("a", "b") and size >= 0 for side, size in stats["levels"])
+    assert sorted(stats["caches"]) == ["canonical_form", "successors"]
+    for info in stats["caches"].values():
+        assert sorted(info) == ["hits", "misses"]
+
+
+def test_module_entry_point_runs_once_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(Path(ribbonlab.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ribbonlab.cli", "alex", str(GOLDEN / "spun-trefoil.ribbon")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "t^2 - t + 1\n"

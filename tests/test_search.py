@@ -55,3 +55,32 @@ def test_certify_rejects_wrong_weak_accounting():
     notes = []
     assert not certify(torus, unknot, tampered, notes)
     assert notes == ["weak-handle accounting does not match the scripts"]
+
+
+@pytest.mark.parametrize(
+    "spec_a,spec_b,depth,weak,cap,stop",
+    [
+        ("spun-trefoil", "unknot", 3, 0, 1000, "gate"),
+        ("unknot", "unknot", 3, 0, 1000, "met"),
+        ("stabilized:3:1", "unknot", 3, 0, 1000, "met"),
+        ("torus:3", "unknot", 4, 1, 10_000, "depth"),
+        ("torus:3", "unknot", 4, 1, 10, "cap"),
+    ],
+)
+def test_search_stats_account_for_every_state(spec_a, spec_b, depth, weak, cap, stop):
+    a, b = generate(spec_a), generate(spec_b)
+    stats = {}
+    outcome = search_equiv(a, b, depth, weak, cap, stats=stats)
+    assert outcome == search_equiv(a, b, depth, weak, cap)
+    assert stats["stop"] == stop
+    stored = stats["states"]["a"] + stats["states"]["b"]
+    if stop == "gate":
+        assert stats["levels"] == [] and stored == 0
+        return
+    assert stored == 2 + sum(size for _, size in stats["levels"])
+    for side in "ab":
+        assert stats["states"][side] == 1 + sum(size for s, size in stats["levels"] if s == side)
+    if isinstance(outcome, Unknown):
+        assert (outcome.states, outcome.depth) == (stored, len(stats["levels"]))
+    if stop == "cap":
+        assert stored == cap
