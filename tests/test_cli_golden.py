@@ -62,6 +62,36 @@ CASES = {
     "search-weak1-trivh": ["search", "weak-slid.ribbon", "open3a.ribbon", "--depth", "2", "--weak", "1"],
     "search-weak1-untrivh": ["search", "weak-slid.ribbon", "weak-destab.ribbon", "--depth", "3", "--weak", "1"],
     "search-stabilized5": ["search", "stabilized5.ribbon", "unknot.ribbon", "--depth", "5", "--weak", "0"],
+    "apply-all-moves": ["apply", "open3a.ribbon", "--script", "all-moves.script"],
+    "apply-bad-apply": ["apply", "open3a.ribbon", "--script", "bad-apply.script"],
+    "apply-bad-arity": ["apply", "open3a.ribbon", "--script", "bad-arity.script"],
+    "apply-bad-int": ["apply", "open3a.ribbon", "--script", "bad-int.script"],
+    "apply-bad-which": ["apply", "open3a.ribbon", "--script", "bad-which.script"],
+    "apply-bad-slide-dir": ["apply", "open3a.ribbon", "--script", "bad-slide-dir.script"],
+    "apply-bad-xslide-dir": ["apply", "open3a.ribbon", "--script", "bad-xslide-dir.script"],
+    "apply-bad-ins-zero": ["apply", "open3a.ribbon", "--script", "bad-ins-zero.script"],
+    "apply-bad-keyword": ["apply", "open3a.ribbon", "--script", "bad-keyword.script"],
+    "apply-bad-two-faults": ["apply", "open3a.ribbon", "--script", "bad-two-faults.script"],
+    "apply-bad-ins-two-faults": ["apply", "open3a.ribbon", "--script", "bad-ins-two-faults.script"],
+    "gen-unknot": ["gen", "unknot"],
+    "gen-spun-trefoil": ["gen", "spun-trefoil"],
+    "gen-torus3": ["gen", "torus:3"],
+    "gen-stabilized5": ["gen", "stabilized:5:3"],
+    "gen-random": ["gen", "random:4:5:3:7"],
+    "gen-bad-arity": ["gen", "torus"],
+    "gen-bad-int": ["gen", "torus:x"],
+    "gen-bad-genus": ["gen", "torus:-1"],
+    "gen-bad-kind": ["gen", "knot"],
+    "gen-bad-random": ["gen", "random:3:1:2:5"],
+    "gen-bad-stabilized": ["gen", "stabilized:-1:0"],
+    "validate-knot12": ["validate", "knot12.ribbon"],
+    "validate-bad-base": ["validate", "bad-base.ribbon"],
+    "genus-torus2": ["genus", "torus2.ribbon"],
+    "genus-knot12": ["genus", "knot12.ribbon"],
+    "quandle-spun": ["quandle", "spun-trefoil.ribbon"],
+    "quandle-spun-group": ["quandle", "spun-trefoil.ribbon", "--group"],
+    "quandle-knot12": ["quandle", "knot12.ribbon"],
+    "quandle-knot12-group": ["quandle", "knot12.ribbon", "--group"],
 }
 
 
