@@ -3,92 +3,11 @@ ribbon knots: encode presentations, apply equivalence moves, compute
 quandle coloring counts and Alexander polynomials, and search for
 replayable equivalence certificates."""
 
-from .ribbon import (
-    SignedLetter,
-    Handle,
-    RibbonData,
-    Diagnostic,
-    RibbonFormatError,
-    parse_ribbon,
-    serialize,
-    validate,
-    is_valid,
-    component_count,
-    genus,
-    is_sphere_knot,
-    free_reduce_word,
-    free_reduce,
-    reverse_flip,
-    reversed_handle,
-    canonical_form,
-    canonical_bytes,
-)
-from .moves import (
-    Move,
-    MoveError,
-    ScriptFormatError,
-    Stab,
-    Destab,
-    CancelInsert,
-    CancelDelete,
-    Slide,
-    CrossSlide,
-    TrivialHandle,
-    RemoveTrivialHandle,
-    ReverseHandle,
-    MoveScript,
-    parse_script,
-    serialize_script,
-    apply_move,
-    apply_script,
-    apply_stabilize,
-    apply_destabilize,
-    apply_cancel_insert,
-    apply_cancel_delete,
-    apply_slide,
-    apply_cross_slide,
-    apply_trivial_handle,
-    remove_trivial_handle,
-    reverse_handle,
-    enumerate_moves,
-)
-from .quandle import (
-    FiniteQuandle,
-    check_quandle_axioms,
-    dihedral_quandle,
-    trivial_quandle,
-    builtin_quandle,
-    parse_quandle,
-    serialize_quandle,
-    QuandleRelation,
-    QuandlePresentation,
-    quandle_presentation,
-    GroupRelation,
-    GroupPresentation,
-    group_presentation,
-    count_colorings,
-    list_colorings,
-    coloring_profile,
-)
-from .alexander import (
-    LaurentPolynomial,
-    alexander_polynomial,
-)
-from .search import (
-    Equivalent,
-    Refuted,
-    Unknown,
-    SearchOutcome,
-    MergeWitness,
-    default_gate_quandles,
-    invariant_gate,
-    search_equiv,
-    certify,
-    replay_canonical,
-    serialize_outcome,
-    macro_merge_bases,
-    macro_clone_handle,
-    unknotting_drill,
-)
+# Each module's ``__all__`` is the one list of its public names.
+from .ribbon import *
+from .moves import *
+from .quandle import *
+from .alexander import *
+from .search import *
 
 __version__ = "0.1.0"

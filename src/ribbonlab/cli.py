@@ -19,12 +19,12 @@ from .moves import (
     MoveError,
     ReverseHandle,
     ScriptFormatError,
-    Slide,
     _successors,
     apply_move,
     apply_script,
     apply_stabilize,
     parse_script,
+    slides,
 )
 from .quandle import (
     FiniteQuandle,
@@ -88,19 +88,8 @@ def _random_data(bases: int, handles: int, max_len: int, seed: int) -> RibbonDat
 
 
 def _stable_move_pool(data: RibbonData, rng: random.Random):
-    moves = []
+    moves = slides(data)
     n = len(data.handles)
-    for slider in range(1, n + 1):
-        h = data.handles[slider - 1]
-        for which, attached in (("start", h.start), ("end", h.end)):
-            for along in range(1, n + 1):
-                if along == slider:
-                    continue
-                other = data.handles[along - 1]
-                if other.start == attached:
-                    moves.append(Slide(slider, which, along, "fwd"))
-                if other.end == attached:
-                    moves.append(Slide(slider, which, along, "rev"))
     for i in range(1, n + 1):
         moves.append(ReverseHandle(i))
     for i, h in enumerate(data.handles, start=1):

@@ -65,6 +65,7 @@ __all__ = [
     "apply_trivial_handle",
     "remove_trivial_handle",
     "reverse_handle",
+    "slides",
     "enumerate_moves",
     "is_weak",
 ]
@@ -323,25 +324,36 @@ def reverse_handle(data: RibbonData, handle: int) -> RibbonData:
     return _replace_handle(data, handle, reversed_handle(h))
 
 
-_APPLY = {
-    Stab: lambda d, m: apply_stabilize(d, m.base),
-    Destab: lambda d, m: apply_destabilize(d, m.base),
-    CancelInsert: lambda d, m: apply_cancel_insert(d, m.handle, m.position, m.base, m.sign),
-    CancelDelete: lambda d, m: apply_cancel_delete(d, m.handle, m.position),
-    Slide: lambda d, m: apply_slide(d, m.handle, m.which, m.along, m.direction),
-    CrossSlide: lambda d, m: apply_cross_slide(d, m.handle, m.position, m.via, m.direction),
-    TrivialHandle: lambda d, m: apply_trivial_handle(d, m.base),
-    RemoveTrivialHandle: lambda d, m: remove_trivial_handle(d, m.handle),
-    ReverseHandle: lambda d, m: reverse_handle(d, m.handle),
+# The one description of each move kind.  Its script line is the syntax
+# string: the keyword, then one token per field in field order, where
+# ``<name>`` is an integer and ``a|b`` one of the listed words.  The
+# named function applies it and takes the fields in the same order; it is
+# looked up on this module at each call, so rebinding the module attribute
+# reaches every move applied.  ``ins`` alone departs from the field order:
+# its base and sign are written as one signed integer, ``<letter>``.
+_MOVES = {
+    Stab: ("stab <base>", "apply_stabilize"),
+    Destab: ("destab <base>", "apply_destabilize"),
+    CancelInsert: ("ins <handle> <pos> <letter>", "apply_cancel_insert"),
+    CancelDelete: ("del <handle> <pos>", "apply_cancel_delete"),
+    Slide: ("slide <handle> start|end <along> fwd|rev", "apply_slide"),
+    CrossSlide: ("xslide <handle> <pos> <via> fwd|rev", "apply_cross_slide"),
+    TrivialHandle: ("trivh <base>", "apply_trivial_handle"),
+    RemoveTrivialHandle: ("untrivh <handle>", "remove_trivial_handle"),
+    ReverseHandle: ("revh <handle>", "reverse_handle"),
 }
+_KINDS = {syntax.split()[0]: kind for kind, (syntax, _) in _MOVES.items()}
+
+
+def _entry(move: Move) -> tuple[str, str]:
+    try:
+        return _MOVES[type(move)]
+    except KeyError:
+        raise MoveError(f"unknown move {move!r}") from None
 
 
 def apply_move(data: RibbonData, move: Move) -> RibbonData:
-    try:
-        fn = _APPLY[type(move)]
-    except KeyError:
-        raise MoveError(f"unknown move {move!r}") from None
-    return fn(data, move)
+    return globals()[_entry(move)[1]](data, *vars(move).values())
 
 
 # ---------------------------------------------------------------------------
@@ -388,25 +400,12 @@ def apply_script(data: RibbonData, script: MoveScript) -> RibbonData:
 
 
 def _move_line(move: Move) -> str:
-    if isinstance(move, Stab):
-        return f"stab {move.base}"
-    if isinstance(move, Destab):
-        return f"destab {move.base}"
+    keyword = _entry(move)[0].split(maxsplit=1)[0]
     if isinstance(move, CancelInsert):
-        return f"ins {move.handle} {move.position} {move.sign * move.base}"
-    if isinstance(move, CancelDelete):
-        return f"del {move.handle} {move.position}"
-    if isinstance(move, Slide):
-        return f"slide {move.handle} {move.which} {move.along} {move.direction}"
-    if isinstance(move, CrossSlide):
-        return f"xslide {move.handle} {move.position} {move.via} {move.direction}"
-    if isinstance(move, TrivialHandle):
-        return f"trivh {move.base}"
-    if isinstance(move, RemoveTrivialHandle):
-        return f"untrivh {move.handle}"
-    if isinstance(move, ReverseHandle):
-        return f"revh {move.handle}"
-    raise MoveError(f"unknown move {move!r}")
+        values = (move.handle, move.position, move.sign * move.base)
+    else:
+        values = vars(move).values()
+    return " ".join([keyword, *map(str, values)])
 
 
 def serialize_script(script: MoveScript) -> str:
@@ -414,9 +413,17 @@ def serialize_script(script: MoveScript) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token, 10)
+    except ValueError:
+        raise ScriptFormatError(f"non-integer token '{token}'", lineno) from None
+
+
 def parse_script(text: str | bytes) -> MoveScript:
-    """One move per line; handles are 1-indexed in stored order, positions
-    0-indexed, ``#`` comments allowed."""
+    """One move per line, written as in the syntax table ``_MOVES``;
+    handles are 1-indexed in stored order, positions 0-indexed, ``#``
+    comments allowed."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     moves: list[Move] = []
@@ -424,54 +431,24 @@ def parse_script(text: str | bytes) -> MoveScript:
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-
-        def intval(token):
-            try:
-                return int(token, 10)
-            except ValueError:
-                raise ScriptFormatError(f"non-integer token '{token}'", lineno) from None
-
-        def need(n):
-            if len(tokens) != n:
-                raise ScriptFormatError(f"'{tokens[0]}' takes {n - 1} arguments", lineno)
-
-        kind = tokens[0]
-        if kind == "stab":
-            need(2)
-            moves.append(Stab(intval(tokens[1])))
-        elif kind == "destab":
-            need(2)
-            moves.append(Destab(intval(tokens[1])))
-        elif kind == "ins":
-            need(4)
-            v = intval(tokens[3])
-            if v == 0:
+        kind = _KINDS.get(tokens[0])
+        if kind is None:
+            raise ScriptFormatError(f"unknown move '{tokens[0]}'", lineno)
+        syntax = _MOVES[kind][0]
+        slots = syntax.split()
+        if len(tokens) != len(slots):
+            raise ScriptFormatError(f"'{tokens[0]}' takes {len(slots) - 1} arguments", lineno)
+        if any("|" in slot and token not in slot.split("|") for slot, token in zip(slots, tokens)):
+            raise ScriptFormatError(f"expected '{syntax}'", lineno)
+        if kind is CancelInsert:
+            letter = _int(tokens[3], lineno)
+            if letter == 0:
                 raise ScriptFormatError("insert letter must be nonzero", lineno)
-            moves.append(CancelInsert(intval(tokens[1]), intval(tokens[2]), abs(v), 1 if v > 0 else -1))
-        elif kind == "del":
-            need(3)
-            moves.append(CancelDelete(intval(tokens[1]), intval(tokens[2])))
-        elif kind == "slide":
-            need(5)
-            if tokens[2] not in ("start", "end") or tokens[4] not in ("fwd", "rev"):
-                raise ScriptFormatError("expected 'slide <handle> start|end <along> fwd|rev'", lineno)
-            moves.append(Slide(intval(tokens[1]), tokens[2], intval(tokens[3]), tokens[4]))
-        elif kind == "xslide":
-            need(5)
-            if tokens[4] not in ("fwd", "rev"):
-                raise ScriptFormatError("expected 'xslide <handle> <pos> <via> fwd|rev'", lineno)
-            moves.append(CrossSlide(intval(tokens[1]), intval(tokens[2]), intval(tokens[3]), tokens[4]))
-        elif kind == "trivh":
-            need(2)
-            moves.append(TrivialHandle(intval(tokens[1])))
-        elif kind == "untrivh":
-            need(2)
-            moves.append(RemoveTrivialHandle(intval(tokens[1])))
-        elif kind == "revh":
-            need(2)
-            moves.append(ReverseHandle(intval(tokens[1])))
+            handle, position = _int(tokens[1], lineno), _int(tokens[2], lineno)
+            moves.append(CancelInsert(handle, position, abs(letter), 1 if letter > 0 else -1))
         else:
-            raise ScriptFormatError(f"unknown move '{kind}'", lineno)
+            fields = zip(slots[1:], tokens[1:])
+            moves.append(kind(*(token if "|" in slot else _int(token, lineno) for slot, token in fields)))
     return MoveScript(tuple(moves))
 
 
@@ -494,6 +471,24 @@ def _destab_target(data: RibbonData, base: int):
     if any(l.base == base for g in data.handles for l in g.word):
         return None
     return incident[0][0]
+
+
+def slides(data: RibbonData) -> list[Slide]:
+    """Every slide that applies to ``data``: for each handle in stored
+    order, its start end and then its end end, slid along each other handle
+    in stored order, ``fwd`` (along a handle starting where the end sits)
+    before ``rev`` (along one ending there)."""
+    found = []
+    for slider, h in enumerate(data.handles, start=1):
+        for which, attached in (("start", h.start), ("end", h.end)):
+            for along, g in enumerate(data.handles, start=1):
+                if along == slider:
+                    continue
+                if g.start == attached:
+                    found.append(Slide(slider, which, along, "fwd"))
+                if g.end == attached:
+                    found.append(Slide(slider, which, along, "rev"))
+    return found
 
 
 def enumerate_moves(data: RibbonData, weak_budget: int):
@@ -534,13 +529,6 @@ def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], 
             results.append((move, state))
 
     handles = data.handles
-    # (direction, near, far, word as traversed, its reverse_flip) of each
-    # handle's two traversals, read once
-    traversals = []
-    for h in handles:
-        rf = reverse_flip(h.word)
-        traversals.append((("fwd", h.start, h.end, h.word, rf), ("rev", h.end, h.start, rf, h.word)))
-
     for base in range(1, data.base_count + 1):
         if _destab_target(data, base) is not None:
             push(Destab(base), apply_destabilize(data, base))
@@ -550,17 +538,15 @@ def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], 
             if h.start == h.end and not h.word:
                 push(RemoveTrivialHandle(i), remove_trivial_handle(data, i))
 
-    for slider, h in enumerate(handles, start=1):
-        for which, attached in (("start", h.start), ("end", h.end)):
-            for along, ways in enumerate(traversals, start=1):
-                if along == slider:
-                    continue
-                for direction, near, _, _, _ in ways:
-                    if attached == near:
-                        push(
-                            Slide(slider, which, along, direction),
-                            apply_slide(data, slider, which, along, direction),
-                        )
+    for move in slides(data):
+        push(move, apply_slide(data, move.handle, move.which, move.along, move.direction))
+
+    # (direction, near, far, word as traversed, its reverse_flip) of each
+    # handle's two traversals, read once
+    traversals = []
+    for h in handles:
+        rf = reverse_flip(h.word)
+        traversals.append((("fwd", h.start, h.end, h.word, rf), ("rev", h.end, h.start, rf, h.word)))
 
     for idx, h in enumerate(handles, start=1):
         word = h.word

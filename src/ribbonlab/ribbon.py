@@ -35,7 +35,6 @@ __all__ = [
     "parse_ribbon",
     "serialize",
     "validate",
-    "is_valid",
     "component_count",
     "genus",
     "is_sphere_knot",
@@ -91,7 +90,7 @@ class RibbonData:
     ``dim`` is the ambient knot dimension; it is carried as metadata,
     validated to be at least 2, and does not influence any computation.
     Bases are numbered 1..base_count.  All values are immutable; operations
-    on them are pure functions, so sharing across threads is safe.
+    on them are pure functions.
     """
 
     dim: int
@@ -240,10 +239,6 @@ def validate(data: RibbonData) -> list[Diagnostic]:
             if not 1 <= letter.base <= data.base_count:
                 err(f"letter {j} base {letter.base} out of range 1..{data.base_count}", where)
     return diags
-
-
-def is_valid(data: RibbonData) -> bool:
-    return not validate(data)
 
 
 def component_count(data: RibbonData) -> int:
@@ -597,6 +592,8 @@ def canonical_form(data: RibbonData) -> RibbonData:
 
 
 def canonical_bytes(data: RibbonData) -> bytes:
-    """Serialized canonical form; the comparison and hash key used by the
-    search layer."""
+    """The serialized canonical form as ASCII bytes, for comparing two
+    presentations: equal exactly when they share a canonical form.  The
+    search keys its states on the same text, ``serialize(canonical_form(..))``,
+    as a string."""
     return serialize(canonical_form(data)).encode("ascii")

@@ -65,7 +65,6 @@ __all__ = [
     "serialize_outcome",
     "macro_merge_bases",
     "macro_clone_handle",
-    "unknotting_drill",
 ]
 
 
@@ -91,6 +90,9 @@ class Refuted:
 
 @dataclass(frozen=True)
 class Unknown:
+    """The caps ran out: ``states`` canonical states were stored and
+    ``depth`` levels completed, both sides together."""
+
     states: int
     depth: int
 
@@ -140,7 +142,6 @@ class _Node:
     parent: str | None
     move: Move | None
     weak: int
-    depth: int
 
 
 def _script_to(visited: dict[str, _Node], key: str) -> MoveScript:
@@ -178,6 +179,10 @@ def search_equiv(
     invariant gate refuted), ``met`` (the sides met), ``depth`` (the depth
     limit was reached), ``cap`` (the state cap was reached) or
     ``exhausted`` (both frontiers ran empty).
+
+    An ``Unknown`` outcome's ``depth`` counts the levels completed on both
+    sides.  A level the state cap stopped is listed in ``levels`` but not
+    counted, even when the cap fell on its last new state.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -205,7 +210,7 @@ def search_equiv(
         key = serialize(root)
         sides.append(
             {
-                "visited": {key: _Node(root, None, None, 0, 0)},
+                "visited": {key: _Node(root, None, None, 0)},
                 "frontier": [key],
                 "level": 0,
             }
@@ -234,7 +239,7 @@ def search_equiv(
                 if child_key in visited:
                     continue
                 weak = node.weak + is_weak(move)
-                visited[child_key] = _Node(child, key, move, weak, node.depth + 1)
+                visited[child_key] = _Node(child, key, move, weak)
                 new_keys.append(child_key)
                 states += 1
                 if states >= state_cap:
@@ -243,7 +248,8 @@ def search_equiv(
             if cap_hit:
                 break
         me["frontier"] = new_keys
-        me["level"] += 1
+        if not cap_hit:
+            me["level"] += 1
         levels.append(["ab"[idx], len(new_keys)])
 
         meets = sorted(k for k in new_keys if k in other["visited"])
@@ -489,18 +495,3 @@ def macro_clone_handle(data: RibbonData, template: Handle):
     do(Slide(len(data.handles) + 1, "end", along, direction))
     return current(), MoveScript(tuple(script))
 
-
-def unknotting_drill(
-    data: RibbonData,
-    budget: int,
-    depth: int | None = None,
-    state_cap: int | None = None,
-    quandles=None,
-) -> SearchOutcome:
-    """Search toward the one-base presentation with the given weak budget."""
-    if depth is None:
-        depth = 2 * (data.base_count + len(data.handles)) + 2
-    if state_cap is None:
-        state_cap = 50_000
-    target = RibbonData(data.dim, 1, ())
-    return search_equiv(data, target, depth, budget, state_cap, quandles=quandles)

@@ -23,12 +23,12 @@ from ribbonlab import (
     ReverseHandle,
     RibbonData,
     SignedLetter,
-    Slide,
     Stab,
     TrivialHandle,
     apply_destabilize,
     free_reduce_word,
     group_presentation,
+    slides,
 )
 
 
@@ -382,23 +382,6 @@ def shuffled(data, rng):
     return RibbonData(data.dim, data.base_count, tuple(handles))
 
 
-def _slides(data):
-    moves = []
-    n = len(data.handles)
-    for slider in range(1, n + 1):
-        h = data.handles[slider - 1]
-        for which, attached in (("start", h.start), ("end", h.end)):
-            for along in range(1, n + 1):
-                if along == slider:
-                    continue
-                other = data.handles[along - 1]
-                if other.start == attached:
-                    moves.append(Slide(slider, which, along, "fwd"))
-                if other.end == attached:
-                    moves.append(Slide(slider, which, along, "rev"))
-    return moves
-
-
 def stable_walk_pool(data, rng, weak_left=0):
     """Applicable moves whose inverses the search neighbor set can always
     traverse: stabilizations, destabilizations, slides, reversals, free
@@ -413,7 +396,7 @@ def stable_walk_pool(data, rng, weak_left=0):
             moves.append(Destab(b))
         except MoveError:
             pass
-    moves.extend(_slides(data))
+    moves.extend(slides(data))
     for i, h in enumerate(data.handles, start=1):
         moves.append(ReverseHandle(i))
         if h.start == h.end and not h.word:
@@ -440,7 +423,7 @@ def all_moves_pool(data, rng, weak_left=1, max_bases=7):
             moves.append(Destab(b))
         except MoveError:
             pass
-    moves.extend(_slides(data))
+    moves.extend(slides(data))
     n = len(data.handles)
     for i, h in enumerate(data.handles, start=1):
         moves.append(ReverseHandle(i))

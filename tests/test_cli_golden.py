@@ -10,7 +10,13 @@ the search's successor cache and one-pass canonical form: an open pair of
 3-base knots searched through depth 4, the same pair cut by a state cap in
 the middle of its last level, weak-1 searches whose certificates attach
 and remove trivial handles, and a 5-fold stabilized unknot (words with
-cancelling pairs) against the unknot.
+cancelling pairs) against the unknot.  The ``apply-*``, ``gen-*``,
+``validate-*``, ``genus-*`` and ``quandle-*`` cases were recorded before
+script parsing and move application were made to read one table: a
+script using every move kind, malformed script lines, the example
+generators and their bad specs.  ``search-open3-cap40`` was re-recorded
+once, when a level cut short by the state cap stopped counting towards
+the reported depth.
 """
 
 import io

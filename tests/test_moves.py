@@ -37,6 +37,7 @@ from ribbonlab import (
     remove_trivial_handle,
     reverse_handle,
     serialize_script,
+    slides,
     trivial_quandle,
 )
 from ribbonlab.cli import generate
@@ -207,6 +208,24 @@ def test_slides_preserve_coloring_profile():
         out = apply_move(data, move)
         assert brute_profile(out, ORACLE_QUANDLES) == brute_profile(data, ORACLE_QUANDLES)
         applied += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_slides_lists_every_applicable_slide_in_order(seed):
+    data = random_ribbon(random.Random(seed), max_handles=6)
+    n = len(data.handles)
+    applicable = []
+    for h in range(1, n + 1):
+        for which in ("start", "end"):
+            for along in range(1, n + 1):
+                for direction in ("fwd", "rev"):
+                    try:
+                        apply_slide(data, h, which, along, direction)
+                    except MoveError:
+                        continue
+                    applicable.append(Slide(h, which, along, direction))
+    assert slides(data) == applicable
 
 
 # ---------------------------------------------------------------------------
