@@ -15,7 +15,9 @@ via the Euler characteristic, and a canonical form that quotients out base
 relabelling, handle order, handle orientation, and cancelling crossing
 pairs.  The canonical form picks its base numbering by
 individualization-refinement, the canonical labelling scheme of nauty and
-Traces, so it is canonical at every size with no exhaustive limit.
+Traces, so it is canonical at every size with no exhaustive limit; what
+it reads from one handle alone is kept per process, so records built from
+handles met before cost little more than a sort of their bases.
 Serialized canonical forms are the state identity used by the equivalence
 search.
 """
@@ -326,42 +328,73 @@ def reversed_handle(h: Handle) -> Handle:
 # set of leaf encodings, and with it the least one, is the same for every
 # relabelling.  Leaves with equal encodings give automorphisms, which prune
 # the tree without changing its least encoding.
+#
+# A search canonicalizes many records built from few distinct handles: the
+# 216 open searches of one block of the benchmark read 56 000 handles, only
+# 1 135 of them distinct.  So what depends on one handle alone is computed
+# once per process and kept in ``_reading``, a bounded LRU cache keyed on the
+# freely reduced (start, word, end) triple: the handle's bases, signs and
+# base positions, and each of its bases' incidence in the first refinement
+# round.  The first round starts from the unit colouring, where every base
+# reads the same colour, so a base's signature there is made of those
+# cached incidences alone; the round is one sort of the bases, and
+# refinement goes on from the bases it moved.  The canonical record and its
+# ``ribbon 1`` text are put together from the winning leaf's handles, each
+# one's ``Handle`` and text line kept in a second such cache,
+# ``_canonical_handle``.
 
 
-def _oriented(triple):
+class _Reading(NamedTuple):
+    """What one freely reduced handle gives the labelling, whatever the
+    rest of the record: its bases in order (start, crossings, end; numbered
+    from 0), the crossing signs read forwards and backwards, each base's
+    positions on it read forwards and backwards, each base's incidence in
+    the first refinement round, and its largest base number."""
+
+    ids: tuple[int, ...]
+    signs: tuple[int, ...]
+    rev_signs: tuple[int, ...]
+    spots: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+    first: tuple[tuple[int, tuple], ...]
+    top: int
+
+
+# A reading with its cache entry takes about 1.7 kB, so a full cache holds
+# about 14 MB.  A 25000-state search of two 3-base knots
+# (tests/golden/open3a.ribbon and open3b.ribbon, depth 30) read 5 073
+# distinct handles, so the bound keeps every handle of a search that size.
+@lru_cache(maxsize=1 << 13)
+def _reading(triple) -> _Reading:
+    """The reading of a freely reduced ``(start, word, end)`` triple.
+    Raises ``ValueError`` on a base below 1 or a sign other than +1 or -1;
+    the caller compares ``top`` with the base count."""
     s, w, e = triple
-    rev = (e, tuple((b, -sg) for b, sg in reversed(w)), s)
-    return triple if triple <= rev else rev
-
-
-def _relabel_key(handle_triples, perm):
-    out = []
-    for s, w, e in handle_triples:
-        out.append(
-            _oriented((perm[s], tuple((perm[b], sg) for b, sg in w), perm[e]))
-        )
-    out.sort()
-    return tuple(out)
-
-
-def _handle_readings(triples):
-    """Per handle: its bases in order (start, crossings, end; numbered
-    from 0), the crossing signs read forwards and backwards, and for each
-    base on it the base's positions read forwards and backwards."""
-    out = []
-    for s, w, e in triples:
-        ids = [s - 1, *[b - 1 for b, _ in w], e - 1]
-        last = len(ids) - 1
-        at: dict[int, list[int]] = {}
-        for i, b in enumerate(ids):
-            if b in at:
-                at[b].append(i)
-            else:
-                at[b] = [i]
-        spots = {b: (tuple(where), tuple([last - i for i in where[::-1]])) for b, where in at.items()}
-        signs = tuple([sg for _, sg in w])
-        out.append((ids, signs, tuple([-sg for sg in signs[::-1]]), spots))
-    return out
+    ids = (s - 1, *[b - 1 for b, _ in w], e - 1)
+    if min(ids) < 0:
+        raise ValueError(f"base index {min(ids) + 1} out of range, bases are numbered from 1")
+    signs = tuple([sg for _, sg in w])
+    for sg in signs:
+        if sg != 1 and sg != -1:
+            raise ValueError(f"crossing sign {sg}, expected +1 or -1")
+    rev_signs = tuple([-sg for sg in signs[::-1]])
+    last = len(ids) - 1
+    at: dict[int, list[int]] = {}
+    for i, b in enumerate(ids):
+        if b in at:
+            at[b].append(i)
+        else:
+            at[b] = [i]
+    spots = {b: (tuple(where), tuple([last - i for i in where[::-1]])) for b, where in at.items()}
+    # Under the unit colouring both orientations read the same colours, so
+    # the signs alone pick the reading, as ``_Colouring.refine`` would.
+    zeros = (0,) * len(ids)
+    if signs < rev_signs:
+        first = tuple([(b, ((zeros, signs), here)) for b, (here, _) in spots.items()])
+    elif rev_signs < signs:
+        first = tuple([(b, ((zeros, rev_signs), there)) for b, (_, there) in spots.items()])
+    else:
+        first = tuple([(b, ((zeros, signs), min(here, there))) for b, (here, there) in spots.items()])
+    return _Reading(ids, signs, rev_signs, spots, first, max(ids) + 1)
 
 
 class _Colouring:
@@ -375,6 +408,25 @@ class _Colouring:
         self.colours = colours  # base -> colour
         self.cells = cells  # colour -> the bases of that cell
 
+    @classmethod
+    def first_round(cls, readings, base_count):
+        """The unit colouring after one round of refinement, and the bases
+        that round moved.
+
+        Under the unit colouring a base's signature (see :meth:`refine`) is
+        the sorted multiset of the first-round incidences its handles'
+        readings hold, so the round is one sort of the bases."""
+        incidences: list[list[tuple]] = [[] for _ in range(base_count)]
+        for reading in readings:
+            for b, incidence in reading.first:
+                incidences[b].append(incidence)
+        ranked = sorted([(tuple(sorted(found)), b) for b, found in enumerate(incidences)])
+        colouring = cls([0] * base_count, {0: [b for _, b in ranked]})
+        touched: list[int] = []
+        if ranked[0][0] != ranked[-1][0]:
+            colouring.split(0, ranked, touched)
+        return colouring, touched
+
     def individualized(self, v):
         """A copy with base ``v`` split off as the last base of its cell."""
         c = self.colours[v]
@@ -385,6 +437,24 @@ class _Colouring:
         colours[v] = c + len(cell) - 1
         cells[colours[v]] = [v]
         return _Colouring(colours, cells)
+
+    def split(self, c, ranked, touched):
+        """Split cell ``c`` into runs of equal signature, in the order of
+        ``ranked`` (its bases as sorted ``(signature, base)`` pairs), and
+        append the bases that move to a new colour to ``touched``."""
+        colours, cells = self.colours, self.cells
+        start = c
+        run: list[int] = []
+        for i, (sig, b) in enumerate(ranked):
+            run.append(b)
+            if i + 1 == len(ranked) or ranked[i + 1][0] != sig:
+                cells[start] = run
+                if start != c:
+                    for x in run:
+                        colours[x] = start
+                    touched.extend(run)
+                start += len(run)
+                run = []
 
     def refine(self, readings, handles_of, touched):
         """Split cells in place until stable, starting from the bases in
@@ -409,12 +479,12 @@ class _Colouring:
                 if h in memo:
                     reading, way = memo[h]
                 else:
-                    ids, signs, rev_signs, _ = readings[h]
+                    ids, signs, rev_signs = readings[h][:3]
                     seen = tuple([colours[x] for x in ids])
                     fwd = (seen, signs)
                     rev = (seen[::-1], rev_signs)
                     reading, way = memo[h] = (fwd, 0) if fwd < rev else (rev, 1) if rev < fwd else (fwd, 2)
-                here, there = readings[h][3][b]
+                here, there = readings[h].spots[b]
                 # a reading equal to its reverse leaves the direction open,
                 # so the base takes the smaller of its two position lists
                 out.append((reading, here if way == 0 else there if way == 1 else min(here, there)))
@@ -422,7 +492,7 @@ class _Colouring:
             return tuple(out)
 
         while touched and len(cells) < len(colours):
-            affected = {b for t in touched for h in handles_of[t] for b in readings[h][3]}
+            affected = {b for t in touched for h in handles_of[t] for b in readings[h].spots}
             memo.clear()
             splits = []
             for c in sorted({colours[b] for b in affected}):
@@ -432,18 +502,7 @@ class _Colouring:
                         splits.append((c, ranked))
             touched = []
             for c, ranked in splits:
-                start = c
-                run: list[int] = []
-                for i, (sig, b) in enumerate(ranked):
-                    run.append(b)
-                    if i + 1 == len(ranked) or ranked[i + 1][0] != sig:
-                        cells[start] = run
-                        if start != c:
-                            for x in run:
-                                colours[x] = start
-                            touched.extend(run)
-                        start += len(run)
-                        run = []
+                self.split(c, ranked, touched)
         return self
 
 
@@ -503,19 +562,32 @@ class _TreeNode:
 def _canonical_key(base_count, triples):
     """The least relabelled encoding over the leaves of the
     individualization-refinement tree."""
-    if base_count <= 1:
-        return _relabel_key(triples, (0, 1))
-    readings = _handle_readings(triples)
-    handles_of: list[list[int]] = [[] for _ in range(base_count)]
-    for h, (_, _, _, spots) in enumerate(readings):
-        for b in spots:
-            handles_of[b].append(h)
+    readings = [_reading(t) for t in triples]
+    for reading in readings:
+        if reading.top > base_count:
+            raise ValueError(f"base index {reading.top} out of range 1..{base_count}")
 
     def leaf_key(colours):
-        return _relabel_key(triples, (0, *[c + 1 for c in colours]))
+        labels = [c + 1 for c in colours]
+        out = []
+        for ids, signs, rev_signs, *_ in readings:
+            at = [labels[x] for x in ids]
+            fwd = (at[0], tuple(zip(at[1:-1], signs)), at[-1])
+            rev = (at[-1], tuple(zip(at[-2:0:-1], rev_signs)), at[0])
+            out.append(fwd if fwd <= rev else rev)
+        out.sort()
+        return tuple(out)
 
-    everything = list(range(base_count))
-    root = _Colouring([0] * base_count, {0: everything}).refine(readings, handles_of, everything)
+    if base_count <= 1:
+        return leaf_key([0] * base_count)
+    root, touched = _Colouring.first_round(readings, base_count)
+    if len(root.cells) == base_count:
+        return leaf_key(root.colours)
+    handles_of: list[list[int]] = [[] for _ in range(base_count)]
+    for h, reading in enumerate(readings):
+        for b in reading.spots:
+            handles_of[b].append(h)
+    root.refine(readings, handles_of, touched)
     if len(root.cells) == base_count:
         return leaf_key(root.colours)
     first = best = None  # (key, colours, path) of the first and the least leaf
@@ -558,12 +630,29 @@ def _canonical_key(base_count, triples):
     return best[0]
 
 
+# Kept apart from ``_reading``: a record canonicalized once, with no search
+# after it, would otherwise pay for a full reading of every output handle.
+# An entry takes about 0.6 kB.
+@lru_cache(maxsize=1 << 13)
+def _canonical_handle(triple) -> tuple[Handle, str]:
+    """The ``Handle`` and the ``ribbon 1`` line of a handle of a canonical
+    form, given as a ``(start, word, end)`` triple of plain tuples."""
+    s, w, e = triple
+    line = f"handle {s} {e} :" + "".join([f" {sg * b}" for b, sg in w]) + "\n"
+    return Handle(s, e, tuple(map(SignedLetter._make, w))), line
+
+
 @lru_cache(maxsize=1 << 15)
 def _canonical_reduced(dim: int, base_count: int, triples) -> RibbonData:
-    best = _canonical_key(base_count, triples)
-    make = SignedLetter._make
-    handles = tuple([Handle(s, e, tuple(map(make, w))) for s, w, e in best])
-    return RibbonData(dim, base_count, handles)
+    handles = []
+    text = f"ribbon 1\ndim {dim}\nbases {base_count}\n"
+    for handle, line in map(_canonical_handle, _canonical_key(base_count, triples)):
+        handles.append(handle)
+        text += line
+    data = RibbonData(dim, base_count, tuple(handles))
+    # the text ``serialize`` would build, stored where ``_text`` keeps it
+    data.__dict__["_text"] = text
+    return data
 
 
 def canonical_form(data: RibbonData) -> RibbonData:
@@ -585,7 +674,16 @@ def canonical_form(data: RibbonData) -> RibbonData:
     Results are memoized per process in a bounded LRU cache keyed on the
     dimension, the base count and the freely reduced ``(start, word, end)``
     triples, so every input that reduces to the same record shares one
-    result object.
+    result object.  Two more bounded caches work per handle: one keeps
+    what the labelling reads from a freely reduced handle alone, down to
+    its bases' signatures in the first refinement round, and one keeps
+    each handle of a result with its line of the result's ``ribbon 1``
+    text.  A new record built from handles met before then mostly sorts
+    its bases and looks the rest up.
+
+    Raises ``ValueError`` when a handle end or a letter of a freely
+    reduced word names a base outside 1..``base_count``, or such a
+    letter's sign is not +1 or -1.
     """
     triples = tuple([(h.start, free_reduce_word(h.word), h.end) for h in data.handles])
     return _canonical_reduced(data.dim, data.base_count, triples)

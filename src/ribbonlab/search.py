@@ -177,8 +177,7 @@ def search_equiv(
     size counts the new states of that level); ``states``, the states
     stored per side; and ``stop``, why the search ended: ``gate`` (the
     invariant gate refuted), ``met`` (the sides met), ``depth`` (the depth
-    limit was reached), ``cap`` (the state cap was reached) or
-    ``exhausted`` (both frontiers ran empty).
+    limit was reached) or ``cap`` (the state cap was reached).
 
     An ``Unknown`` outcome's ``depth`` counts the levels completed on both
     sides.  A level the state cap stopped is listed in ``levels`` but not
@@ -223,10 +222,6 @@ def search_equiv(
 
     while sides[0]["level"] + sides[1]["level"] < depth:
         idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
-        if not sides[idx]["frontier"]:
-            idx = 1 - idx
-        if not sides[idx]["frontier"]:
-            return stop("exhausted", Unknown(states, sides[0]["level"] + sides[1]["level"]))
         me, other = sides[idx], sides[1 - idx]
         visited = me["visited"]
 

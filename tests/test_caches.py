@@ -1,7 +1,10 @@
 """The per-process caches of the search inner loop: memoized successors,
-the canonical form keyed on freely reduced words, and the serialized text
-kept on each record.  Each must give what an uncached computation gives."""
+the canonical form keyed on freely reduced words, the per-handle readings
+it labels bases from, and the serialized text kept on each record.  Each
+must give what an uncached computation gives."""
 
+import hashlib
+import json
 import random
 
 from hypothesis import given, settings
@@ -11,15 +14,20 @@ from ribbonlab import (
     Handle,
     RibbonData,
     SignedLetter,
+    canonical_bytes,
     canonical_form,
     enumerate_moves,
     free_reduce,
     parse_ribbon,
+    search_equiv,
     serialize,
+    serialize_outcome,
 )
+from ribbonlab import ribbon
+from ribbonlab.cli import _random_data, generate
 from ribbonlab.moves import _successors
 
-from oracles import random_knot
+from oracles import random_knot, random_regular, random_ribbon, shuffled
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -119,3 +127,75 @@ def test_canonical_form_keeps_the_dimension():
     assert [form.dim for form in forms] == [2, 3, 4]
     assert len({serialize(form) for form in forms}) == 3
     assert all(form.handles == forms[0].handles for form in forms)
+
+
+def canonical_memos():
+    """Every memo of ``ribbon`` (each function with ``cache_clear``)."""
+    return [f for f in vars(ribbon).values() if callable(getattr(f, "cache_clear", None))]
+
+
+def digest_corpus(rng):
+    """Records of 1-12 bases: random knots and ribbons with cancelling
+    pairs left in their words, and ``random_regular`` shapes, on which
+    refinement splits little."""
+    for i in range(480):
+        bases = 1 + i % 12
+        kind = i % 4
+        if kind == 0:
+            data = random_knot(rng, bases, extra=rng.randint(0, 3), max_len=rng.randint(0, 4))
+        elif kind == 1:
+            data = random_ribbon(rng, max_bases=bases, max_handles=bases + 2, max_len=4)
+        else:
+            data = random_regular(rng, bases, layers=kind - 2 + rng.randint(0, 1))
+        yield with_cancelling_pairs(rng, data, rng.randint(0, 3))
+
+
+def digest_searches():
+    """(outcome text, stats) of seeded searches: open pairs of random
+    3-base knots, and stabilized unknots against the unknot."""
+    runs = [(_random_data(3, 2, 2, 100 + s), _random_data(3, 2, 2, 200 + s), 4, 0, 3000) for s in range(6)]
+    runs += [(generate(f"stabilized:{k}:{s}"), generate("unknot"), k, 0, 20_000) for k in (2, 3, 4) for s in range(2)]
+    runs.append((generate("torus:2"), generate("unknot"), 3, 1, 2000))
+    for a, b, depth, weak, cap in runs:
+        stats = {}
+        outcome = search_equiv(a, b, depth, weak, cap, stats=stats)
+        yield serialize_outcome(outcome), json.dumps(stats, sort_keys=True)
+
+
+# Recorded before canonical_form's per-handle memo and first-round
+# shortcut: the labelling may get faster, but not change one byte.
+DIGEST = "113517ce7564d9e0e4412ff5f615b1e4a27d41fde1433c91db79a8c2e6827310"
+
+
+def test_canonical_bytes_and_search_outputs_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for data in digest_corpus(random.Random(1702)):
+        h.update(canonical_bytes(data) + b"\0")
+        h.update(canonical_bytes(shuffled(data, random.Random(7))) + b"\0")
+    for text, stats in digest_searches():
+        h.update(f"{text}\0{stats}\0".encode("ascii"))
+    assert h.hexdigest() == DIGEST
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds, bases=st.integers(1, 12), regular=st.booleans())
+def test_canonical_bytes_do_not_depend_on_what_the_memos_hold(seed, bases, regular):
+    rng = random.Random(seed)
+    if regular:
+        data = random_regular(rng, bases, layers=rng.randint(0, 2))
+    else:
+        data = random_knot(rng, bases, extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
+    data = with_cancelling_pairs(rng, data, rng.randint(0, 2))
+    family = [shuffled(data, rng) for _ in range(3)]
+    memos = canonical_memos()
+    for memo in memos:
+        memo.cache_clear()
+    cold = canonical_bytes(rebuilt(data))
+    for other in family:  # warm every memo with relabellings of the same record
+        assert canonical_bytes(other) == cold
+    assert canonical_bytes(rebuilt(data)) == cold
+    for memo in memos:  # each memo cold while the others stay warm
+        memo.cache_clear()
+        assert canonical_bytes(rebuilt(data)) == cold
+        for other in family:
+            assert canonical_bytes(other) == cold

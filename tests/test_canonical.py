@@ -89,6 +89,26 @@ def test_symmetric_shapes_have_one_form(shape):
 
 
 @pytest.mark.parametrize(
+    "base_count,handle,message",
+    [
+        (2, Handle(1, 3, ()), "base index 3 out of range 1..2"),
+        (1, Handle(1, 2, ()), "base index 2 out of range 1..1"),
+        (2, Handle(0, 2, ()), "base index 0 out of range"),
+        (2, Handle(1, 2, (SignedLetter(3, 1),)), "base index 3 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(0, -1),)), "base index 0 out of range"),
+        (2, Handle(1, 2, (SignedLetter(1, 2),)), "crossing sign 2"),
+        (2, Handle(1, 1, (SignedLetter(2, 0),)), "crossing sign 0"),
+    ],
+)
+def test_canonical_form_rejects_bases_out_of_range_and_bad_signs(base_count, handle, message):
+    data = RibbonData(2, base_count, (Handle(1, base_count, ()), handle))
+    for _ in range(2):  # a rejected record must not be remembered as valid
+        with pytest.raises(ValueError, match=message):
+            canonical_form(data)
+    assert canonical_form(RibbonData(2, base_count, (Handle(1, base_count, ()),))).base_count == base_count
+
+
+@pytest.mark.parametrize(
     "data",
     [star(40), cycle(40), path(40), generate("torus:50"), random_knot(random.Random(1000), 1000)],
     ids=["star40", "cycle40", "path40", "torus50", "random1000"],

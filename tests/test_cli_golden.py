@@ -129,10 +129,10 @@ def test_search_stats_is_one_json_line_on_stderr(case, capsys, monkeypatch):
     assert err.endswith("\n") and err.count("\n") == 1
     stats = json.loads(err)
     assert sorted(stats) == ["caches", "levels", "states", "stop"]
-    assert stats["stop"] in ("gate", "met", "depth", "cap", "exhausted")
+    assert stats["stop"] in ("gate", "met", "depth", "cap")
     assert sorted(stats["states"]) == ["a", "b"]
     assert all(side in ("a", "b") and size >= 0 for side, size in stats["levels"])
-    assert sorted(stats["caches"]) == ["canonical_form", "successors"]
+    assert sorted(stats["caches"]) == ["canonical_form", "canonical_handles", "handle_readings", "successors"]
     for info in stats["caches"].values():
         assert sorted(info) == ["hits", "misses"]
 

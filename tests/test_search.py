@@ -16,7 +16,6 @@ from ribbonlab import (
     macro_clone_handle,
     macro_merge_bases,
     reversed_handle,
-    search,
     search_equiv,
     serialize_script,
 )
@@ -100,17 +99,6 @@ def test_search_stats_account_for_every_state(spec_a, spec_b, depth, weak, cap, 
         assert (outcome.states, outcome.depth) == (stored, len(stats["levels"]) - (stop == "cap"))
     if stop == "cap":
         assert stored == cap
-
-
-def test_search_that_runs_out_of_moves_counts_its_empty_levels(monkeypatch):
-    # every real state has a Stab successor on a new base count, so only a
-    # move set without one can run both frontiers empty
-    monkeypatch.setattr(search, "enumerate_moves", lambda data, weak_budget: [])
-    stats = {}
-    outcome = search_equiv(generate("torus:1"), generate("unknot"), 5, 1, 100, stats=stats)
-    assert stats["stop"] == "exhausted"
-    assert stats["levels"] == [["a", 0], ["b", 0]]
-    assert outcome == Unknown(2, len(stats["levels"]))
 
 
 def merge_routes(data, doomed):
