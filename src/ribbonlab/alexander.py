@@ -10,15 +10,27 @@ taken over the rationals and cleared to primitive integer form, making
 the output bytes canonical.  It is invariant under every move in
 ``ribbonlab.moves``.
 
-Two facts keep the computation polynomial in the number of bases.  By the
-fundamental formula of Fox calculus, each relator r satisfies
+Three facts keep the computation polynomial in the number of bases.
+First, by the fundamental formula of Fox calculus, each relator r satisfies
 ``sum_j (dr/dx_j)(x_j - 1) = r - 1 = 0``, so with every x_j sent to t the
 columns of the matrix sum to zero; every maximal minor of one row pick is
 therefore, up to sign, the minor that deletes the last column, and only
-row picks are enumerated.  Each minor is a determinant over Z[t] (rows
-first shifted by a power of t, a unit), computed by fraction-free Bareiss
-elimination (Bareiss, Math. Comp. 1968) in O(k^3) ring operations with
-exact divisions.
+row picks of the matrix without it are needed.
+
+Second, every nonzero monomial c*t^e is a unit of Q[t^-1, t].  Clearing
+the row and column of a monomial entry by row and column operations that
+are invertible over that ring leaves a block matrix with the unit in one
+block, so the ideal of maximal minors is the unit times the ideal of the
+matrix with that row and column deleted (Fitting ideals do not change
+under invertible operations).  The gcd depends only on that ideal, and
+normalization takes out units, so the rows are eliminated on monomial
+pivots, least fill first, until none is left; on Fox matrices of knots
+that leaves a handful of columns, often none.
+
+Third, the row picks of what remains are enumerated, and each minor is a
+determinant over Z[t] (rows first shifted by a power of t, a unit),
+computed by fraction-free Bareiss elimination (Bareiss, Math. Comp. 1968)
+in O(k^3) ring operations with exact divisions.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ from itertools import combinations
 from math import gcd
 
 from .quandle import GroupPresentation, group_presentation
-from .ribbon import RibbonData, component_count
+from .ribbon import RibbonData, _require_valid, component_count
 
 __all__ = [
     "LaurentPolynomial",
@@ -92,34 +104,135 @@ class LaurentPolynomial:
         return " ".join(parts)
 
 
-def _fox_rows(pres: GroupPresentation) -> list[list[list[int]]]:
-    """Free-derivative rows with every generator sent to t, as dense
-    coefficient lists (lowest power first, trailing zeros trimmed), each
-    row multiplied by the power of t that makes its least exponent zero.
+def _sparse_fox_rows(pres: GroupPresentation) -> list[dict[int, dict[int, int]]]:
+    """Free-derivative rows with every generator sent to t, each as
+    ``{column: {exponent: coefficient}}`` holding only nonzero entries,
+    with the last generator's column left out (it is minus the sum of the
+    others).  Rows with no entry left are dropped.
 
     Walking the relator left to right: a positive letter g contributes
     t^p to column g and raises the running abelianized prefix p by one; a
     negative letter lowers p first and contributes -t^p.
     """
+    last = pres.generators
     rows = []
     for rel in pres.relations:
-        terms: list[dict[int, int]] = [{} for _ in range(pres.generators)]
+        row: dict[int, dict[int, int]] = {}
         p = 0
         for x in rel.relator():
-            col = terms[abs(x) - 1]
             if x > 0:
-                col[p] = col.get(p, 0) + 1
+                e, c = p, 1
                 p += 1
             else:
                 p -= 1
-                col[p] = col.get(p, 0) - 1
-        lo = min((e for col in terms for e, c in col.items() if c), default=0)
-        rows.append([_trim([col.get(e, 0) for e in range(lo, max(col, default=lo) + 1)]) for col in terms])
+                e, c = p, -1
+            if abs(x) != last:
+                entry = row.setdefault(abs(x) - 1, {})
+                v = entry.get(e, 0) + c
+                if v:
+                    entry[e] = v
+                else:
+                    del entry[e]
+        row = {j: entry for j, entry in row.items() if entry}
+        if row:
+            rows.append(row)
     return rows
+
+
+def _sub_product(entry: dict[int, int] | None, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """entry - a*b for Laurent polynomials held as {exponent: coefficient}."""
+    out = dict(entry) if entry else {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            v = out.get(e, 0) - ca * cb
+            if v:
+                out[e] = v
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _eliminate_units(rows: list[dict[int, dict[int, int]]], columns: int):
+    """Eliminate on monomial entries until none is left; returns the rows
+    and the columns of what remains.
+
+    A monomial c*t^e is a unit over Q[t^-1, t].  Each step takes the one
+    of least Markowitz cost (row entries - 1) * (column entries - 1),
+    subtracts multiples of its row from every other row with an entry in
+    its column (``row_i -= (a_ic / pivot) * row_r`` for pivot +-t^e, else
+    ``row_i := c * row_i - (a_ic / t^e) * row_r``), and drops its row and
+    column.  Column entry counts and the set of monomial entries are
+    updated only where a row changes; rows left empty are dropped.
+    """
+    rows = list(rows)
+    col_rows: dict[int, set[int]] = {j: set() for j in range(columns)}
+    units = set()
+    for i, row in enumerate(rows):
+        for j, entry in row.items():
+            col_rows[j].add(i)
+            if len(entry) == 1:
+                units.add((i, j))
+    while units:
+        best = None
+        for i, j in units:
+            cost = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
+            if best is None or cost < best[0]:
+                best = (cost, i, j)
+                if not cost:
+                    break
+        _, r, c = best
+        pivot_row = rows[r]
+        ((e0, c0),) = pivot_row[c].items()
+        for i in col_rows.pop(c):
+            if i == r:
+                continue
+            row = rows[i]
+            a = row.pop(c)
+            units.discard((i, c))
+            if c0 in (1, -1):
+                factor = {e - e0: c0 * v for e, v in a.items()}
+            else:
+                factor = {e - e0: v for e, v in a.items()}
+                for j, entry in row.items():
+                    row[j] = {e: c0 * v for e, v in entry.items()}
+            for j, entry in pivot_row.items():
+                if j == c:
+                    continue
+                new = _sub_product(row.get(j), factor, entry)
+                if new:
+                    row[j] = new
+                    col_rows[j].add(i)
+                    if len(new) == 1:
+                        units.add((i, j))
+                    else:
+                        units.discard((i, j))
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+                    units.discard((i, j))
+            if not row:
+                rows[i] = None
+        for j in pivot_row:
+            if j != c:
+                col_rows[j].discard(r)
+            units.discard((r, j))
+        rows[r] = None
+    return [row for row in rows if row], sorted(col_rows)
 
 
 # Dense polynomials over Z: coefficient lists, lowest power first, with no
 # trailing zeros, so the zero polynomial is [].
+
+
+def _dense(entry: dict[int, int] | None, lo: int) -> list[int]:
+    """The coefficient list of t^-lo * entry; [] for no entry."""
+    if not entry:
+        return []
+    out = [0] * (max(entry) - lo + 1)
+    for e, c in entry.items():
+        out[e - lo] = c
+    return out
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -236,19 +349,25 @@ def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
 
 def alexander_polynomial(data: RibbonData) -> LaurentPolynomial:
     """Normalized gcd of the maximal proper minors of the free-derivative
-    matrix.  Raises on disconnected data; the single-base case is 1."""
+    matrix.  Raises on invalid or disconnected data; the single-base case
+    is 1."""
+    _require_valid(data)
     if component_count(data) != 1:
         raise ValueError("disconnected data has no Alexander polynomial")
     pres = group_presentation(data)
-    k = pres.generators - 1
+    rows, cols = _eliminate_units(_sparse_fox_rows(pres), pres.generators - 1)
+    k = len(cols)
     if k == 0:
         return LaurentPolynomial.one()
-    rows = [row[:k] for row in _fox_rows(pres) if any(row)]
     if len(rows) < k:
         return LaurentPolynomial.zero()
+    dense = []
+    for row in rows:
+        lo = min(min(entry) for entry in row.values())
+        dense.append([_dense(row.get(j), lo) for j in cols])
 
     result: list[int] | None = None
-    for row_pick in combinations(rows, k):
+    for row_pick in combinations(dense, k):
         minor = _det(row_pick)
         if not minor:
             continue

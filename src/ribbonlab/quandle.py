@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ribbon import Diagnostic, Handle, RibbonData
+from .ribbon import Diagnostic, Handle, RibbonData, _require_valid
 
 __all__ = [
     "FiniteQuandle",
@@ -476,7 +476,15 @@ def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> i
 def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
     """Exact number of assignments of quandle elements to bases satisfying
     every handle relation.  Alexander quandles are counted by linear
-    algebra mod m, every other quandle by backtracking."""
+    algebra mod m, every other quandle by backtracking.  Raises on an
+    invalid record or quandle."""
+    _require_valid(data)
+    return _count_valid(data, q)
+
+
+def _count_valid(data: RibbonData, q: FiniteQuandle) -> int:
+    """``count_colorings`` on a record already validated, as the search
+    gate's are, which count each side over several quandles."""
     _require_quandle(q)
     affine = q._affine
     if affine is not None:
@@ -492,6 +500,7 @@ def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
 
 def list_colorings(data: RibbonData, q: FiniteQuandle) -> list[tuple[int, ...]]:
     """All satisfying assignments, sorted."""
+    _require_valid(data)
     _require_quandle(q)
     _, found = _solve_colorings(data, q, collect=True)
     return sorted(found)
@@ -500,4 +509,5 @@ def list_colorings(data: RibbonData, q: FiniteQuandle) -> list[tuple[int, ...]]:
 def coloring_profile(data: RibbonData, quandles) -> tuple[tuple[str, int], ...]:
     """Counts over a fixed quandle family, in input order.  Differing
     profiles certify that no move sequence relates two presentations."""
-    return tuple((q.name, count_colorings(data, q)) for q in quandles)
+    _require_valid(data)
+    return tuple((q.name, _count_valid(data, q)) for q in quandles)

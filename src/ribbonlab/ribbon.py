@@ -243,6 +243,13 @@ def validate(data: RibbonData) -> list[Diagnostic]:
     return diags
 
 
+def _require_valid(data: RibbonData) -> None:
+    """Raise ValueError with the first problem ``validate`` reports."""
+    problems = validate(data)
+    if problems:
+        raise ValueError(f"invalid data: {problems[0].message}")
+
+
 def component_count(data: RibbonData) -> int:
     """Number of link components: connected components of the graph whose
     vertices are bases and whose edges are handle end attachments.

@@ -39,10 +39,11 @@ from .moves import (
     is_weak,
     serialize_script,
 )
-from .quandle import FiniteQuandle, count_colorings, dihedral_quandle
+from .quandle import FiniteQuandle, _count_valid, dihedral_quandle
 from .ribbon import (
     Handle,
     RibbonData,
+    _require_valid,
     canonical_form,
     component_count,
     genus,
@@ -125,8 +126,8 @@ def invariant_gate(a: RibbonData, b: RibbonData, quandles, weak_budget: int | No
     separates."""
     _require_comparable(a, b)
     for q in quandles:
-        ca = count_colorings(a, q)
-        cb = count_colorings(b, q)
+        ca = _count_valid(a, q)
+        cb = _count_valid(b, q)
         if ca != cb:
             return Refuted(q.name, ca, cb)
     if weak_budget == 0:
@@ -364,9 +365,7 @@ def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
     itself rendered trivial are removed.  Returns the transformed data and
     the replayable script.
     """
-    problems = validate(data)
-    if problems:
-        raise ValueError(f"invalid data: {problems[0].message}")
+    _require_valid(data)
     if not 1 <= doomed <= data.base_count:
         raise ValueError(f"doomed base {doomed} out of range")
     if not 1 <= witness.survivor <= data.base_count:
@@ -463,9 +462,7 @@ def macro_clone_handle(data: RibbonData, template: Handle):
     consequence, so every coloring count is preserved while the genus goes
     up by one.
     """
-    problems = validate(data)
-    if problems:
-        raise ValueError(f"invalid data: {problems[0].message}")
+    _require_valid(data)
     for v in (template.start, template.end):
         if not 1 <= v <= data.base_count:
             raise ValueError(f"invalid template: base {v} out of range")

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,10 +10,16 @@ from ribbonlab import (
     Handle,
     LaurentPolynomial,
     RibbonData,
+    SignedLetter,
     alexander_polynomial,
     apply_stabilize,
+    count_colorings,
+    dihedral_quandle,
+    genus,
+    group_presentation,
     is_sphere_knot,
 )
+from ribbonlab.alexander import _eliminate_units, _sparse_fox_rows
 from ribbonlab.cli import generate
 
 from oracles import (
@@ -53,6 +60,22 @@ def test_torus_presentations_are_one():
 def test_rejects_disconnected():
     with pytest.raises(ValueError, match="disconnected"):
         alexander_polynomial(RibbonData(2, 2, ()))
+
+
+@pytest.mark.parametrize(
+    "handle, diagnostic",
+    [
+        (Handle(1, 2, (SignedLetter(5, 1),)), "letter 0 base 5 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(0, 1),)), "letter 0 base 0 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(2, 2),)), "letter 0 has sign 2, expected +1 or -1"),
+        (Handle(1, 3, ()), "end base 3 out of range 1..2"),
+    ],
+)
+def test_invalid_records_raise_with_the_first_diagnostic(handle, diagnostic):
+    data = RibbonData(2, 2, (handle,))
+    for compute in (alexander_polynomial, lambda d: count_colorings(d, dihedral_quandle(3))):
+        with pytest.raises(ValueError, match=f"^{re.escape('invalid data: ' + diagnostic)}$"):
+            compute(data)
 
 
 def test_normalization_invariants():
@@ -111,16 +134,17 @@ def test_evaluate():
 
 
 # ---------------------------------------------------------------------------
-# Bareiss minors against every minor by Laplace expansion, and against sympy
+# Monomial-pivot elimination and Bareiss minors against every minor by
+# Laplace expansion, and against sympy
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
 def random_connected(seed, max_bases):
-    """Connected data of genus 0-2."""
+    """Connected data of genus 0-3."""
     rng = random.Random(seed)
     bases = rng.randint(1, max_bases)
-    return random_knot(rng, bases, extra=rng.randint(0, 2), max_len=rng.randint(1, 4))
+    return random_knot(rng, bases, extra=rng.randint(0, 3), max_len=rng.randint(1, 4))
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,28 +161,65 @@ def test_matches_sympy(seed):
     assert alexander_polynomial(data).as_dict() == sympy_alexander(data)
 
 
+def polynomial_product(polys):
+    product = {0: 1}
+    for poly in polys:
+        out = {}
+        for e1, c1 in product.items():
+            for e2, c2 in poly.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        product = {e: c for e, c in out.items() if c}
+    return product
+
+
+def test_residual_of_several_columns_goes_through_every_row_pick():
+    # Neither piece's Fox entries include a monomial, so the only pivot is
+    # on the handle that joins them, and four columns of five rows are
+    # left to the row-pick gcd.
+    sphere = RibbonData(2, 3, (Handle(1, 2, ((2, 1), (1, 1))), Handle(1, 3, ((3, 1), (1, 1)))))
+    torus = RibbonData(
+        2, 3, (Handle(3, 3, ((1, -1),)), Handle(1, 3, ((3, -1), (1, -1))), Handle(1, 2, ((2, 1), (1, 1))))
+    )
+    data = connected_sum([sphere, torus])
+    rows, cols = _eliminate_units(_sparse_fox_rows(group_presentation(data)), data.base_count - 1)
+    assert (len(rows), len(cols)) == (5, 4)
+    expected = polynomial_product([laplace_alexander(sphere), laplace_alexander(torus)])
+    assert expected == {0: 1, 1: -3, 2: 6, 3: -7, 4: 6, 5: -3, 6: 1}
+    assert alexander_polynomial(data).as_dict() == laplace_alexander(data) == expected
+
+
+def test_forty_base_genus_one_connected_sum():
+    # Ten 4-base pieces, one of genus 1 with a nontrivial polynomial, so
+    # the gcd never reaches 1 and all 40 row picks of 39 rows matter.
+    rng = random.Random(33)
+    torus = random_knot(rng, 4, extra=1, max_len=3)
+    while laplace_alexander(torus) == {0: 1}:
+        torus = random_knot(rng, 4, extra=1, max_len=3)
+    pieces = [torus] + [random_knot(rng, 4, max_len=3) for _ in range(9)]
+    data = shuffled(connected_sum(pieces), rng)
+    assert (data.base_count, genus(data)) == (40, 1)
+    expected = polynomial_product(laplace_alexander(piece) for piece in pieces)
+    assert max(expected) >= 9
+    assert alexander_polynomial(data).as_dict() == expected
+
+
 def test_forty_bases():
     # The polynomial of a connected sum is the product of the summands'
     # polynomials; each summand's comes from the Laplace oracle.
     rng = random.Random(32)
-    expected = {0: 1}
-    pieces = []
+    pieces, polys = [], []
     while len(pieces) < 8:
         knot = random_knot(rng, 5, max_len=3)
         poly = laplace_alexander(knot)
         if poly == {0: 1}:
             continue
         pieces.append(shuffled(knot, rng))
-        product = {}
-        for e1, c1 in expected.items():
-            for e2, c2 in poly.items():
-                product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
-        expected = {e: c for e, c in product.items() if c}
+        polys.append(poly)
+    expected = polynomial_product(polys)
     data = shuffled(connected_sum(pieces), rng)
     assert data.base_count == 40
     assert max(expected) >= 16
     assert alexander_polynomial(data).as_dict() == expected
-
 
 
 # ---------------------------------------------------------------------------
