@@ -17,15 +17,19 @@ columns of the matrix sum to zero; every maximal minor of one row pick is
 therefore, up to sign, the minor that deletes the last column, and only
 row picks of the matrix without it are needed.
 
-Second, every nonzero monomial c*t^e is a unit of Q[t^-1, t].  Clearing
-the row and column of a monomial entry by row and column operations that
-are invertible over that ring leaves a block matrix with the unit in one
-block, so the ideal of maximal minors is the unit times the ideal of the
-matrix with that row and column deleted (Fitting ideals do not change
-under invertible operations).  The gcd depends only on that ideal, and
-normalization takes out units, so the rows are eliminated on monomial
+Second, every entry +-t^e is a unit of Z[t^-1, t].  Clearing the row and
+column of such an entry by row and column operations that are invertible
+over that ring leaves a block matrix with the unit in one block, so the
+ideal of maximal minors is the unit times the ideal of the matrix with
+that row and column deleted (Fitting ideals do not change under
+invertible operations).  The gcd depends only on that ideal, and
+normalization takes out units, so the rows are eliminated on such
 pivots, least fill first, until none is left; on Fox matrices of knots
-that leaves a handful of columns, often none.
+that leaves a handful of columns, often none.  Other monomials c*t^e,
+which would need rational row operations, do not arise: at t = 1 a row is +1 at its handle's start and -1 at its end
+(0 for a handle from a base to itself), so the matrix there is a graph
+incidence matrix, which is totally unimodular and stays so under
+pivoting on +-1, and a monomial's value at t = 1 is its coefficient.
 
 Third, the row picks of what remains are enumerated, and each minor is a
 determinant over Z[t] (rows first shifted by a power of t, a unit),
@@ -153,25 +157,31 @@ def _sub_product(entry: dict[int, int] | None, a: dict[int, int], b: dict[int, i
     return out
 
 
-def _eliminate_units(rows: list[dict[int, dict[int, int]]], columns: int):
-    """Eliminate on monomial entries until none is left; returns the rows
-    and the columns of what remains.
+def _is_unit(entry: dict[int, int]) -> bool:
+    """True for +-t^e, a unit of Z[t^-1, t]."""
+    if len(entry) != 1:
+        return False
+    (c,) = entry.values()
+    return c == 1 or c == -1
 
-    A monomial c*t^e is a unit over Q[t^-1, t].  Each step takes the one
-    of least Markowitz cost (row entries - 1) * (column entries - 1),
-    subtracts multiples of its row from every other row with an entry in
-    its column (``row_i -= (a_ic / pivot) * row_r`` for pivot +-t^e, else
-    ``row_i := c * row_i - (a_ic / t^e) * row_r``), and drops its row and
-    column.  Column entry counts and the set of monomial entries are
-    updated only where a row changes; rows left empty are dropped.
+
+def _eliminate_units(rows: list[dict[int, dict[int, int]]], columns: int):
+    """Eliminate on entries +-t^e until none is left, editing the rows in
+    place; returns the rows and the columns of what remains.
+
+    Each step takes the unit entry of least Markowitz cost
+    (row entries - 1) * (column entries - 1), subtracts
+    ``(a_ic / pivot) * row_r`` from every other row i with an entry in its
+    column, and drops the pivot's row and column.  Column entry counts and
+    the set of unit entries are updated only where a row changes; rows
+    left empty are dropped.
     """
-    rows = list(rows)
     col_rows: dict[int, set[int]] = {j: set() for j in range(columns)}
     units = set()
     for i, row in enumerate(rows):
         for j, entry in row.items():
             col_rows[j].add(i)
-            if len(entry) == 1:
+            if _is_unit(entry):
                 units.add((i, j))
     while units:
         best = None
@@ -188,14 +198,8 @@ def _eliminate_units(rows: list[dict[int, dict[int, int]]], columns: int):
             if i == r:
                 continue
             row = rows[i]
-            a = row.pop(c)
             units.discard((i, c))
-            if c0 in (1, -1):
-                factor = {e - e0: c0 * v for e, v in a.items()}
-            else:
-                factor = {e - e0: v for e, v in a.items()}
-                for j, entry in row.items():
-                    row[j] = {e: c0 * v for e, v in entry.items()}
+            factor = {e - e0: c0 * v for e, v in row.pop(c).items()}  # a_ic / (c0 t^e0), as 1/c0 = c0
             for j, entry in pivot_row.items():
                 if j == c:
                     continue
@@ -203,7 +207,7 @@ def _eliminate_units(rows: list[dict[int, dict[int, int]]], columns: int):
                 if new:
                     row[j] = new
                     col_rows[j].add(i)
-                    if len(new) == 1:
+                    if _is_unit(new):
                         units.add((i, j))
                     else:
                         units.discard((i, j))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from ribbonlab import (
     FiniteQuandle,
     Handle,
     RibbonData,
+    SignedLetter,
     builtin_quandle,
     check_quandle_axioms,
     coloring_profile,
@@ -203,6 +205,27 @@ def test_invalid_quandle_rejected():
     bad = FiniteQuandle("bad", ((2, 2), (1, 1)))
     with pytest.raises(ValueError, match="invalid quandle"):
         count_colorings(UNKNOT, bad)
+
+
+@pytest.mark.parametrize(
+    "handle, diagnostic",
+    [
+        (Handle(1, 2, (SignedLetter(5, 1),)), "letter 0 base 5 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(0, 1),)), "letter 0 base 0 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(2, 2),)), "letter 0 has sign 2, expected +1 or -1"),
+        (Handle(1, 3, ()), "end base 3 out of range 1..2"),
+    ],
+)
+def test_invalid_records_raise_with_the_first_diagnostic(handle, diagnostic):
+    data = RibbonData(2, 2, (handle,))
+    pattern = f"^{re.escape('invalid data: ' + diagnostic)}$"
+    for q in (dihedral_quandle(3), s4_transpositions()):  # affine and backtracking counts
+        with pytest.raises(ValueError, match=pattern):
+            count_colorings(data, q)
+        with pytest.raises(ValueError, match=pattern):
+            list_colorings(data, q)
+        with pytest.raises(ValueError, match=pattern):
+            coloring_profile(data, [q])
 
 
 def test_list_colorings_matches_count_and_relations():
