@@ -31,6 +31,7 @@ from .ribbon import (
     Handle,
     RibbonData,
     SignedLetter,
+    _token_lines,
     canonical_form,
     free_reduce_word,
     reverse_flip,
@@ -39,7 +40,6 @@ from .ribbon import (
 )
 
 __all__ = [
-    "Move",
     "MoveError",
     "ScriptFormatError",
     "Stab",
@@ -67,7 +67,6 @@ __all__ = [
     "reverse_handle",
     "slides",
     "enumerate_moves",
-    "is_weak",
 ]
 
 
@@ -116,23 +115,13 @@ class Slide:
     along: int
     direction: str  # "fwd" | "rev"
 
-    def __post_init__(self):
-        if self.which not in ("start", "end"):
-            raise ValueError(f"slide end must be 'start' or 'end', got {self.which!r}")
-        if self.direction not in ("fwd", "rev"):
-            raise ValueError(f"direction must be 'fwd' or 'rev', got {self.direction!r}")
-
 
 @dataclass(frozen=True)
 class CrossSlide:
     handle: int
     position: int
     via: int
-    direction: str
-
-    def __post_init__(self):
-        if self.direction not in ("fwd", "rev"):
-            raise ValueError(f"direction must be 'fwd' or 'rev', got {self.direction!r}")
+    direction: str  # "fwd" | "rev"
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,28 @@ def _traversal(data: RibbonData, index: int, direction: str):
     h = _get_handle(data, index)
     if direction == "fwd":
         return h.start, h.end, h.word
-    return h.end, h.start, reverse_flip(h.word)
+    if direction == "rev":
+        return h.end, h.start, reverse_flip(h.word)
+    raise MoveError(f"direction must be 'fwd' or 'rev', got {direction!r}")
+
+
+def _destab_problem(data: RibbonData, base: int) -> str | None:
+    """Why ``base`` cannot be destabilized, or None when it can: it must
+    lie on exactly one handle end, that handle must cross nothing, and no
+    handle may cross it."""
+    found = None
+    for h in data.handles:
+        if h.start == base or h.end == base:
+            if found is not None or h.start == h.end:
+                return "degree != 1"
+            found = h
+    if found is None:
+        return "degree != 1"
+    if found.word:
+        return "handle word not empty"
+    if any(l.base == base for h in data.handles for l in h.word):
+        return "base occurs in handle words"
+    return None
 
 
 def apply_stabilize(data: RibbonData, target: int) -> RibbonData:
@@ -203,34 +213,19 @@ def apply_destabilize(data: RibbonData, base: int) -> RibbonData:
     """Remove a base of degree one whose handle crosses nothing, together
     with that handle.  Remaining bases are renumbered order-preservingly."""
     _check_base(data, base)
-    incident = [
-        (i, h)
-        for i, h in enumerate(data.handles, start=1)
-        if h.start == base or h.end == base
-    ]
-    degree = sum((h.start == base) + (h.end == base) for _, h in incident)
-    if degree != 1:
-        raise MoveError(f"destab {base}: degree != 1")
-    index, handle = incident[0]
-    if handle.word:
-        raise MoveError(f"destab {base}: handle word not empty")
-    other = handle.end if handle.start == base else handle.start
-    if other == base:
-        raise MoveError(f"destab {base}: degree != 1")
-    for h in data.handles:
-        if any(l.base == base for l in h.word):
-            raise MoveError(f"destab {base}: base occurs in handle words")
+    problem = _destab_problem(data, base)
+    if problem:
+        raise MoveError(f"destab {base}: {problem}")
 
     def remap(b):
         return b if b < base else b - 1
 
-    handles = []
-    for i, h in enumerate(data.handles, start=1):
-        if i == index:
-            continue
-        word = tuple(SignedLetter(remap(l.base), l.sign) for l in h.word)
-        handles.append(Handle(remap(h.start), remap(h.end), word))
-    return RibbonData(data.dim, data.base_count - 1, tuple(handles))
+    handles = tuple(
+        Handle(remap(h.start), remap(h.end), tuple(SignedLetter(remap(l.base), l.sign) for l in h.word))
+        for h in data.handles
+        if h.start != base and h.end != base
+    )
+    return RibbonData(data.dim, data.base_count - 1, handles)
 
 
 def apply_cancel_insert(data: RibbonData, handle: int, position: int, base: int, sign: int) -> RibbonData:
@@ -261,8 +256,6 @@ def apply_slide(data: RibbonData, handle: int, which: str, along: int, direction
     composing the traversed crossing word into the slid handle."""
     if which not in ("start", "end"):
         raise MoveError(f"slide end must be 'start' or 'end', got {which!r}")
-    if direction not in ("fwd", "rev"):
-        raise MoveError(f"direction must be 'fwd' or 'rev', got {direction!r}")
     if handle == along:
         raise MoveError("cannot slide a handle along itself")
     h = _get_handle(data, handle)
@@ -284,8 +277,6 @@ def apply_cross_slide(data: RibbonData, handle: int, position: int, via: int, di
     """Reroute one crossing of ``handle`` through ``via``: the letter at
     ``position`` (which must cross the base where the chosen traversal of
     ``via`` begins) is pushed along ``via`` to its far base."""
-    if direction not in ("fwd", "rev"):
-        raise MoveError(f"direction must be 'fwd' or 'rev', got {direction!r}")
     if via == handle:
         raise MoveError("cannot cross-slide a handle through itself")
     h = _get_handle(data, handle)
@@ -424,13 +415,8 @@ def parse_script(text: str | bytes) -> MoveScript:
     """One move per line, written as in the syntax table ``_MOVES``;
     handles are 1-indexed in stored order, positions 0-indexed, ``#``
     comments allowed."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     moves: list[Move] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for lineno, tokens in _token_lines(text):
         kind = _KINDS.get(tokens[0])
         if kind is None:
             raise ScriptFormatError(f"unknown move '{tokens[0]}'", lineno)
@@ -454,23 +440,6 @@ def parse_script(text: str | bytes) -> MoveScript:
 
 # ---------------------------------------------------------------------------
 # neighbor enumeration
-
-
-def _destab_target(data: RibbonData, base: int):
-    incident = []
-    for i, h in enumerate(data.handles, start=1):
-        if h.start == base or h.end == base:
-            incident.append((i, h))
-            if len(incident) > 1:
-                return None
-    if len(incident) != 1:
-        return None
-    _, h = incident[0]
-    if h.word or h.start == h.end:
-        return None
-    if any(l.base == base for g in data.handles for l in g.word):
-        return None
-    return incident[0][0]
 
 
 def slides(data: RibbonData) -> list[Slide]:
@@ -530,7 +499,7 @@ def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], 
 
     handles = data.handles
     for base in range(1, data.base_count + 1):
-        if _destab_target(data, base) is not None:
+        if _destab_problem(data, base) is None:
             push(Destab(base), apply_destabilize(data, base))
 
     if weak:

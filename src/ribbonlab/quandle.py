@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ribbon import Diagnostic, Handle, RibbonData, _require_valid
+from .ribbon import Diagnostic, Handle, RibbonData, _require_valid, _token_lines
 
 __all__ = [
     "FiniteQuandle",
@@ -44,11 +44,7 @@ __all__ = [
     "builtin_quandle",
     "parse_quandle",
     "serialize_quandle",
-    "QuandleRelation",
-    "QuandlePresentation",
     "quandle_presentation",
-    "GroupRelation",
-    "GroupPresentation",
     "group_presentation",
     "count_colorings",
     "list_colorings",
@@ -191,13 +187,7 @@ def builtin_quandle(spec: str) -> FiniteQuandle | None:
 def parse_quandle(text: str | bytes, name: str = "quandle") -> FiniteQuandle:
     """Quandle file format: ``quandle 1``, ``size <m>``, then m rows of m
     integers (row x lists x * y for y = 1..m)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            rows.append((lineno, tokens))
+    rows = _token_lines(text)
     if not rows or rows[0][1] != ["quandle", "1"]:
         raise ValueError("malformed quandle file: expected 'quandle 1' header")
     if len(rows) < 2 or rows[1][1][0] != "size" or len(rows[1][1]) != 2:

@@ -32,7 +32,6 @@ __all__ = [
     "SignedLetter",
     "Handle",
     "RibbonData",
-    "Diagnostic",
     "RibbonFormatError",
     "parse_ribbon",
     "serialize",
@@ -133,6 +132,20 @@ class RibbonFormatError(ValueError):
 # file format
 
 
+def _token_lines(text: str | bytes) -> list[tuple[int, list[str]]]:
+    """The nonblank lines of a text format as (line number, tokens) pairs.
+    Bytes are decoded as UTF-8; ``#`` starts a comment running to the end
+    of the line.  The ``ribbon 1``, script and quandle formats share it."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
+            rows.append((lineno, tokens))
+    return rows
+
+
 def parse_ribbon(text: str | bytes) -> RibbonData:
     """Parse the ``ribbon 1`` text format.
 
@@ -143,14 +156,7 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     negative crossing of base 2).  No normalization is performed; the
     returned record is exactly what was written.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            rows.append((lineno, tokens))
-
+    rows = _token_lines(text)
     if not rows:
         raise RibbonFormatError("malformed header, expected 'ribbon 1'", 1)
 
@@ -688,12 +694,19 @@ def canonical_form(data: RibbonData) -> RibbonData:
     text.  A new record built from handles met before then mostly sorts
     its bases and looks the rest up.
 
-    Raises ``ValueError`` when a handle end or a letter of a freely
-    reduced word names a base outside 1..``base_count``, or such a
-    letter's sign is not +1 or -1.
+    Raises ``ValueError`` when a handle end or a letter names a base
+    outside 1..``base_count``, or a letter's sign is not +1 or -1, also
+    when free reduction would delete that letter.
     """
-    triples = tuple([(h.start, free_reduce_word(h.word), h.end) for h in data.handles])
-    return _canonical_reduced(data.dim, data.base_count, triples)
+    n = data.base_count
+    triples = []
+    for h in data.handles:
+        word = free_reduce_word(h.word)
+        if len(word) < len(h.word) and not all(0 < b <= n and (sg == 1 or sg == -1) for b, sg in h.word):
+            # a bad letter that reduction deletes raises what it would if kept
+            _canonical_key(n, ((h.start, h.word, h.end),))
+        triples.append((h.start, word, h.end))
+    return _canonical_reduced(data.dim, n, tuple(triples))
 
 
 def canonical_bytes(data: RibbonData) -> bytes:

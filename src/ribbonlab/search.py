@@ -56,10 +56,7 @@ __all__ = [
     "Equivalent",
     "Refuted",
     "Unknown",
-    "SearchOutcome",
     "MergeWitness",
-    "default_gate_quandles",
-    "invariant_gate",
     "search_equiv",
     "certify",
     "replay_canonical",

@@ -98,6 +98,10 @@ def test_symmetric_shapes_have_one_form(shape):
         (2, Handle(1, 2, (SignedLetter(0, -1),)), "base index 0 out of range"),
         (2, Handle(1, 2, (SignedLetter(1, 2),)), "crossing sign 2"),
         (2, Handle(1, 1, (SignedLetter(2, 0),)), "crossing sign 0"),
+        # bad letters that free reduction would delete
+        (2, Handle(1, 2, (SignedLetter(5, 1), SignedLetter(5, -1))), "base index 5 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(1, 2), SignedLetter(1, -2))), "crossing sign 2"),
+        (2, Handle(1, 2, (SignedLetter(0, 1), SignedLetter(0, -1))), "base index 0 out of range"),
     ],
 )
 def test_canonical_form_rejects_bases_out_of_range_and_bad_signs(base_count, handle, message):

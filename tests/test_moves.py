@@ -195,6 +195,19 @@ def test_slide_rejects_self_and_wrong_base():
         apply_slide(data, 1, "start", 2, "fwd")
 
 
+def test_bad_end_and_direction_words_raise_move_error():
+    data = RibbonData(2, 2, (Handle(1, 2, ((1, 1),)), Handle(1, 2, ())))
+    with pytest.raises(MoveError, match="slide end must be 'start' or 'end', got 'middle'"):
+        apply_slide(data, 1, "middle", 2, "fwd")
+    for call in (
+        lambda: apply_slide(data, 1, "start", 2, "up"),
+        lambda: apply_cross_slide(data, 1, 0, 2, "up"),
+        lambda: apply_move(data, Slide(1, "start", 2, "up")),
+    ):
+        with pytest.raises(MoveError, match="direction must be 'fwd' or 'rev', got 'up'"):
+            call()
+
+
 def test_slides_preserve_coloring_profile():
     # validates the slide word convention against the enumeration oracle
     rng = random.Random(45)
@@ -495,6 +508,28 @@ def test_only_weak_moves_change_genus_and_only_under_budget(seed, budget):
             assert budget > 0 and genus(succ) == genus(data) - 1
         else:
             assert genus(succ) == genus(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), budget=st.integers(0, 2))
+def test_enumerated_moves_replay_to_their_states(seed, budget):
+    rng = random.Random(seed)
+    knot = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
+    data = canonical_form(with_trivial_handles(rng, knot, rng.randint(0, 2)))
+    successors = enumerate_moves(data, budget)
+    for move, state in successors:
+        assert state == canonical_form(apply_move(data, move))
+    # a Destab is listed for each base it applies to, unless an earlier
+    # Destab already gave the same state
+    applies = {}
+    for base in range(1, data.base_count + 1):
+        try:
+            applies[base] = canonical_form(apply_destabilize(data, base))
+        except MoveError:
+            pass
+    listed = {m.base: state for m, state in successors if isinstance(m, Destab)}
+    assert listed.keys() <= applies.keys()
+    assert set(listed.values()) == set(applies.values())
 
 
 def test_enumerate_successors_are_canonical_and_unique():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,9 +7,11 @@ from ribbonlab import (
     Equivalent,
     Handle,
     MergeWitness,
+    MoveScript,
     Refuted,
     Unknown,
     apply_script,
+    canonical_form,
     certify,
     dihedral_quandle,
     genus,
@@ -62,13 +65,34 @@ def test_removing_trivial_handles_spends_the_budget():
     assert certify(torus, unknot, found)
 
 
-def test_certify_rejects_wrong_weak_accounting():
-    torus, unknot = generate("torus:1"), generate("unknot")
-    found = search_equiv(torus, unknot, 1, 1, 100)
-    tampered = Equivalent(found.script_a, found.script_b, found.meet, 0, 0)
+@pytest.mark.parametrize(
+    "spec,tamper,note",
+    [
+        (
+            "torus:1",
+            lambda found: replace(found, weak_used_a=0, weak_used_b=0),
+            "weak-handle accounting does not match the scripts",
+        ),
+        (
+            "stabilized:3:1",
+            lambda found: replace(found, script_b=MoveScript(found.script_b.moves[1:])),
+            "script B does not reach the meeting form",
+        ),
+        (
+            "stabilized:3:1",
+            lambda found: replace(found, meet=canonical_form(generate("spun-trefoil"))),
+            "script A does not reach the meeting form",
+        ),
+    ],
+    ids=["weak-accounting", "move-dropped", "wrong-meet"],
+)
+def test_certify_rejects_tampered_certificates(spec, tamper, note):
+    data, unknot = generate(spec), generate("unknot")
+    found = search_equiv(data, unknot, 3, 1, 1000)
+    assert certify(data, unknot, found)
     notes = []
-    assert not certify(torus, unknot, tampered, notes)
-    assert notes == ["weak-handle accounting does not match the scripts"]
+    assert not certify(data, unknot, tamper(found), notes)
+    assert notes == [note]
 
 
 @pytest.mark.parametrize(
