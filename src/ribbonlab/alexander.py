@@ -44,7 +44,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .quandle import GroupPresentation, group_presentation
 from .ribbon import RibbonData, _require_valid, component_count
 
 __all__ = [
@@ -108,22 +107,25 @@ class LaurentPolynomial:
         return " ".join(parts)
 
 
-def _sparse_fox_rows(pres: GroupPresentation) -> list[dict[int, dict[int, int]]]:
+def _sparse_fox_rows(data: RibbonData) -> list[dict[int, dict[int, int]]]:
     """Free-derivative rows with every generator sent to t, each as
     ``{column: {exponent: coefficient}}`` holding only nonzero entries,
     with the last generator's column left out (it is minus the sum of the
     others).  Rows with no entry left are dropped.
 
-    Walking the relator left to right: a positive letter g contributes
-    t^p to column g and raises the running abelianized prefix p by one; a
+    A handle's relator is ``end^-1 W^-1 start W``, with W its crossing word
+    read as conjugators: a crossing of sign s is the letter ``-s * base``.
+    Walking it left to right, a positive letter g contributes t^p to
+    column g and raises the running abelianized prefix p by one; a
     negative letter lowers p first and contributes -t^p.
     """
-    last = pres.generators
+    last = data.base_count
     rows = []
-    for rel in pres.relations:
+    for h in data.handles:
+        conjugator = [-l.sign * l.base for l in h.word]
         row: dict[int, dict[int, int]] = {}
         p = 0
-        for x in rel.relator():
+        for x in (-h.end, *[-x for x in reversed(conjugator)], h.start, *conjugator):
             if x > 0:
                 e, c = p, 1
                 p += 1
@@ -358,8 +360,7 @@ def alexander_polynomial(data: RibbonData) -> LaurentPolynomial:
     _require_valid(data)
     if component_count(data) != 1:
         raise ValueError("disconnected data has no Alexander polynomial")
-    pres = group_presentation(data)
-    rows, cols = _eliminate_units(_sparse_fox_rows(pres), pres.generators - 1)
+    rows, cols = _eliminate_units(_sparse_fox_rows(data), data.base_count - 1)
     k = len(cols)
     if k == 0:
         return LaurentPolynomial.one()

@@ -22,7 +22,15 @@ is measured by elimination mod each prime power of m, and the counts are
 multiplied (Chinese remaindering); this is polynomial in the number of
 bases.  Every other table, and every listing of colorings, goes through
 a backtracking search with unit propagation, which is exponential in the
-number of bases it has to branch on.
+number of bases it has to branch on.  A count branches on base 1 only
+once per orbit of the inner automorphism group Inn(Q), generated by the
+right translations ``x -> x * y``, and weights each solution by the
+orbit's size.  This is exact: the axioms make every right translation an
+automorphism, and composing one with a coloring is a bijection from the
+colorings that give base 1 the color a to those that give it a * y, so
+every color of one orbit starts the same number of colorings.  On a
+connected quandle such as the transpositions of S4 that is one branch
+instead of m.
 
 The parallel group-presentation reading (crossings become conjugations)
 lives here too; the Alexander polynomial derived from it is in
@@ -107,6 +115,31 @@ class FiniteQuandle:
                 if v - 1 != (a * x + (1 - a) * y) % m:
                     return None
         return m, a
+
+    @cached_property
+    def _orbits(self) -> tuple[tuple[int, int], ...]:
+        # (least element, size) for each orbit of Inn(Q), the group the
+        # right translations x -> x * y generate: the components of the
+        # graph joining every x to every x * y, found by union-find.
+        m = self.size
+        parent = list(range(m + 1))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for x, row in enumerate(self.table, start=1):
+            for v in row:
+                rx, rv = find(x), find(v)
+                if rx != rv:
+                    parent[max(rx, rv)] = min(rx, rv)
+        sizes: dict[int, int] = {}
+        for x in range(1, m + 1):
+            root = find(x)
+            sizes[root] = sizes.get(root, 0) + 1
+        return tuple(sizes.items())
 
     @cached_property
     def _axiom_problems(self) -> tuple[Diagnostic, ...]:
@@ -291,80 +324,86 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
 
     A relation whose start and crossing bases are all assigned forces the
     end generator; one assigned the other way round forces the start
-    through the inverse operation.  Counts are exact integers.
+    through the inverse operation.  Each relation is compiled once into
+    steps ``(base, rows)`` with ``rows[v][c]`` the running color after
+    crossing a base colored c, read from the table or its inverse.
+
+    A count branches on base 1 once per orbit of the inner automorphism
+    group Inn(Q) and weights what it finds by the orbit's size: a right
+    translation ``x -> x * y`` is an automorphism (the axioms, checked
+    before any count, say so), so composing it with a coloring gives a
+    coloring, and this is a bijection from the colorings with base 1
+    colored a to those with base 1 colored a * y.  A listing branches on
+    every color of base 1.  Counts are exact integers.
     """
     n = data.base_count
     m = q.size
-    relations = [
-        (h.end, h.start, tuple((l.base, -l.sign) for l in h.word))
-        for h in data.handles
-    ]
-    watching: list[list[int]] = [[] for _ in range(n + 1)]
-    for ri, (end, start, ops) in enumerate(relations):
-        for b in {end, start, *(g for g, _ in ops)}:
-            watching[b].append(ri)
+    star = [None] + [[0, *row] for row in q.table]  # star[x][y] = x * y
+    under = [None] + [[0, *row] for row in q._inverse]  # under[a][y] * y = a
+    watching: list[list[tuple]] = [[] for _ in range(n + 1)]
+    for h in data.handles:
+        forward = tuple((l.base, under if l.sign > 0 else star) for l in h.word)
+        backward = tuple((l.base, star if l.sign > 0 else under) for l in reversed(h.word))
+        bases = tuple({l.base for l in h.word})
+        relation = (h.end, h.start, bases, forward, backward)
+        for b in {h.end, h.start, *bases}:
+            watching[b].append(relation)
 
     color = [0] * (n + 1)
     found: list[tuple[int, ...]] = []
     count = 0
 
-    def forward(start_value, ops):
-        v = start_value
-        for g, e in ops:
-            c = color[g]
-            v = q.op(v, c) if e > 0 else q.op_inv(v, c)
-        return v
-
-    def backward(end_value, ops):
-        v = end_value
-        for g, e in reversed(ops):
-            c = color[g]
-            v = q.op_inv(v, c) if e > 0 else q.op(v, c)
-        return v
-
     def propagate(trail, queue):
         while queue:
             b = queue.pop()
-            for ri in watching[b]:
-                end, start, ops = relations[ri]
-                ops_ready = all(color[g] for g, _ in ops)
-                if not ops_ready:
-                    continue
-                if color[start]:
-                    v = forward(color[start], ops)
-                    if color[end]:
-                        if color[end] != v:
-                            return False
-                    else:
-                        color[end] = v
-                        trail.append(end)
-                        queue.append(end)
-                elif color[end]:
-                    v = backward(color[end], ops)
-                    color[start] = v
-                    trail.append(start)
-                    queue.append(start)
+            for end, start, bases, forward, backward in watching[b]:
+                for g in bases:
+                    if not color[g]:
+                        break
+                else:
+                    v = color[start]
+                    if v:
+                        for g, rows in forward:
+                            v = rows[v][color[g]]
+                        if color[end]:
+                            if color[end] != v:
+                                return False
+                        else:
+                            color[end] = v
+                            trail.append(end)
+                            queue.append(end)
+                    elif color[end]:
+                        v = color[end]
+                        for g, rows in backward:
+                            v = rows[v][color[g]]
+                        color[start] = v
+                        trail.append(start)
+                        queue.append(start)
         return True
 
-    def solve(next_base):
+    def assign(b, v, weight):
+        color[b] = v
+        trail = [b]
+        if propagate(trail, [b]):
+            solve(b + 1, weight)
+        for t in trail:
+            color[t] = 0
+
+    def solve(b, weight):
         nonlocal count
-        b = next_base
         while b <= n and color[b]:
             b += 1
         if b > n:
-            count += 1
+            count += weight
             if collect:
                 found.append(tuple(color[1 : n + 1]))
             return
         for v in range(1, m + 1):
-            color[b] = v
-            trail = [b]
-            if propagate(trail, [b]):
-                solve(b + 1)
-            for t in trail:
-                color[t] = 0
+            assign(b, v, weight)
 
-    solve(1)
+    roots = [(v, 1) for v in range(1, m + 1)] if collect else q._orbits
+    for v, weight in roots:
+        assign(1, v, weight)
     return count, found
 
 

@@ -32,24 +32,27 @@ from ribbonlab import (
 )
 
 
+def satisfies_relations(data, q, assign):
+    """True when the colors ``assign`` (base b colored assign[b-1]) satisfy
+    every handle relation, each checked directly."""
+    for h in data.handles:
+        v = assign[h.start - 1]
+        for letter in h.word:
+            c = assign[letter.base - 1]
+            # a crossing of sign s acts with quandle exponent -s
+            v = q.op(v, c) if letter.sign < 0 else q.op_inv(v, c)
+        if v != assign[h.end - 1]:
+            return False
+    return True
+
+
 def brute_force_colorings(data, q):
     """Count colorings by enumerating every assignment of quandle elements
     to bases and checking each handle relation directly."""
-    count = 0
-    for assign in itertools.product(range(1, q.size + 1), repeat=data.base_count):
-        ok = True
-        for h in data.handles:
-            v = assign[h.start - 1]
-            for letter in h.word:
-                c = assign[letter.base - 1]
-                # a crossing of sign s acts with quandle exponent -s
-                v = q.op(v, c) if letter.sign < 0 else q.op_inv(v, c)
-            if v != assign[h.end - 1]:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return sum(
+        satisfies_relations(data, q, assign)
+        for assign in itertools.product(range(1, q.size + 1), repeat=data.base_count)
+    )
 
 
 def brute_profile(data, quandles):
@@ -86,6 +89,36 @@ def s4_transpositions():
         tuple(elems.index(tuple(y[x[y[i]]] for i in range(4))) + 1 for y in elems) for x in elems
     )
     return FiniteQuandle("s4-transpositions", table)
+
+
+def s3_conjugation():
+    """Conjugation x * y = y^-1 x y on all six permutations of three
+    points, in ``itertools.permutations`` order.  Not connected: its
+    orbits are the identity, the three transpositions and the two
+    3-cycles."""
+    elems = list(itertools.permutations(range(3)))
+
+    def conjugate(x, y):  # y^-1 x y, composing right to left
+        y_inv = tuple(y.index(i) for i in range(3))
+        return tuple(y_inv[x[y[i]]] for i in range(3))
+
+    table = tuple(tuple(elems.index(conjugate(x, y)) + 1 for y in elems) for x in elems)
+    return FiniteQuandle("s3-conjugation", table)
+
+
+def disjoint_union(a, b, name=None):
+    """a on 1..m, b on m+1..m+n, and x * y = x across the two parts."""
+    m, size = a.size, a.size + b.size
+
+    def op(x, y):
+        if x <= m and y <= m:
+            return a.op(x, y)
+        if x > m and y > m:
+            return b.op(x - m, y - m) + m
+        return x
+
+    table = tuple(tuple(op(x, y) for y in range(1, size + 1)) for x in range(1, size + 1))
+    return FiniteQuandle(name or f"{a.name}+{b.name}", table)
 
 
 # Laurent polynomials as {exponent: coefficient} dicts with no zero entries.

@@ -29,11 +29,14 @@ from oracles import (
     alexander_quandle,
     brute_force_colorings,
     connected_sum,
+    disjoint_union,
     graph_components,
     random_knot,
     random_ribbon,
     relabelled_quandle,
+    s3_conjugation,
     s4_transpositions,
+    satisfies_relations,
     shuffled,
 )
 
@@ -277,7 +280,10 @@ AFFINE = [dihedral_quandle(m) for m in (2, 4, 6, 8, 9, 12)] + [
 ]
 # A dihedral table under a relabelling that is not an affine map of Z/5.
 RELABELLED_DIHEDRAL = relabelled_quandle(dihedral_quandle(5), (1, 2, 4, 3, 5))
-NOT_AFFINE = [s4_transpositions(), RELABELLED_DIHEDRAL]
+# Two quandles that are not connected, so the backtracker's orbit weights
+# differ from orbit to orbit and from m.
+D3_PLUS_T2 = disjoint_union(dihedral_quandle(3), trivial_quandle(2))
+NOT_AFFINE = [s4_transpositions(), RELABELLED_DIHEDRAL, s3_conjugation(), D3_PLUS_T2]
 
 
 def test_affine_detection():
@@ -288,6 +294,16 @@ def test_affine_detection():
     for q in NOT_AFFINE:
         assert q._affine is None
         assert check_quandle_axioms(q) == []
+
+
+def test_orbits_of_the_inner_automorphism_group():
+    # (least element, orbit size), worked out by hand
+    assert s4_transpositions()._orbits == ((1, 6),)
+    assert RELABELLED_DIHEDRAL._orbits == ((1, 5),)
+    # identity; (1 2), (0 1), (0 2); the two 3-cycles
+    assert s3_conjugation()._orbits == ((1, 1), (2, 3), (4, 2))
+    assert D3_PLUS_T2._orbits == ((1, 3), (4, 1), (5, 1))
+    assert trivial_quandle(3)._orbits == ((1, 1), (2, 1), (3, 1))
 
 
 def knot_for(seed, q, max_assignments=3000):
@@ -314,6 +330,37 @@ def test_other_quandles_take_the_backtracker_and_match(seed, which):
     q = NOT_AFFINE[which]
     data = knot_for(seed, q, max_assignments=1500)
     assert count_colorings(data, q) == brute_force_colorings(data, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), which=st.integers(0, len(NOT_AFFINE) - 1))
+def test_listed_colorings_are_the_counted_ones(seed, which):
+    # The listing branches on every color of base 1, the count once per
+    # orbit; both run the same propagation.
+    q = NOT_AFFINE[which]
+    data = knot_for(seed, q, max_assignments=1500)
+    found = list_colorings(data, q)
+    assert len(found) == len(set(found)) == count_colorings(data, q)
+    assert all(satisfies_relations(data, q, colors) for colors in found)
+
+
+def test_orbit_weights_on_knots_with_nontrivial_colorings():
+    # Random small knots mostly have constant colorings only, where a
+    # count that weighted each orbit by m instead of its size would still
+    # be right; these knots have dihedral:3 colorings that are not.
+    s3, d3_t2 = s3_conjugation(), D3_PLUS_T2
+    # identity 1 + transpositions 3 * 3 + 3-cycles 2; dihedral 9 + trivial 2
+    assert (brute_force_colorings(SPUN_TREFOIL, s3), brute_force_colorings(SPUN_TREFOIL, d3_t2)) == (12, 11)
+    assert (count_colorings(SPUN_TREFOIL, s3), count_colorings(SPUN_TREFOIL, d3_t2)) == (12, 11)
+    rng = random.Random(27)
+    knots = []
+    while len(knots) < 5:
+        knot = random_knot(rng, rng.randint(2, 4), extra=rng.randint(0, 2), max_len=3)
+        if count_colorings(knot, dihedral_quandle(3)) > 3:
+            knots.append(knot)
+    for q in NOT_AFFINE:
+        for knot in knots:
+            assert count_colorings(knot, q) == brute_force_colorings(knot, q)
 
 
 def test_alexander_quandle_tells_a_from_its_inverse():
