@@ -25,7 +25,7 @@ from ribbonlab import (
 )
 from ribbonlab import ribbon
 from ribbonlab.cli import _random_data, generate
-from ribbonlab.moves import _successors
+from ribbonlab.moves import _move_line, _successors
 
 from oracles import random_knot, random_regular, random_ribbon, shuffled
 
@@ -175,6 +175,35 @@ def test_canonical_bytes_and_search_outputs_match_the_recorded_digest():
     for text, stats in digest_searches():
         h.update(f"{text}\0{stats}\0".encode("ascii"))
     assert h.hexdigest() == DIGEST
+
+
+def successor_corpus(rng):
+    """Records of 1-7 bases: raw random knots, some with an extra or a
+    trivial handle, each also as its canonical form and with cancelling
+    pairs inserted under a random numbering, handle order and orientation."""
+    for i in range(240):
+        bases = 1 + i % 7
+        knot = random_knot(rng, bases, extra=rng.randint(0, 1), max_len=rng.randint(0, 3))
+        trivial = tuple(Handle(b, b, ()) for b in rng.choices(range(1, bases + 1), k=rng.randint(0, 1)))
+        raw = RibbonData(knot.dim, bases, knot.handles + trivial)
+        yield raw
+        yield canonical_form(raw)
+        yield shuffled(with_cancelling_pairs(rng, raw, rng.randint(1, 3)), rng)
+
+
+# Recorded before successors were built on freely reduced triples: the
+# expansion may get faster, but its moves and states must not change.
+SUCCESSOR_DIGEST = "edd54cc839d69457225667416625ffc0852229ebd474b6e2ebd8f8637f72899d"
+
+
+def test_successors_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for data in successor_corpus(random.Random(1703)):
+        for budget in (0, 1):
+            for move, state in enumerate_moves(data, budget):
+                h.update(f"{_move_line(move)}|{serialize(state)}".encode("ascii"))
+            h.update(b"\0")
+    assert h.hexdigest() == SUCCESSOR_DIGEST
 
 
 @settings(max_examples=80, deadline=None)
