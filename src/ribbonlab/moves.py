@@ -31,11 +31,11 @@ from .ribbon import (
     Handle,
     RibbonData,
     SignedLetter,
+    _canonical_reduced,
+    _require_valid,
     _token_lines,
-    canonical_form,
     free_reduce_word,
     reverse_flip,
-    reversed_handle,
     serialize,
 )
 
@@ -153,6 +153,70 @@ Move = Union[
 
 
 # ---------------------------------------------------------------------------
+# kernels
+#
+# What each move does to the handles, written once on ``(start, word, end)``
+# triples.  The ``apply_*`` functions check a move's preconditions and run
+# its kernel on the record's own words, which stay as they are, unreduced
+# too.  ``_successors`` runs the same kernels on the moves it lists, which
+# are valid by construction, on freely reduced triples.
+
+
+def _ways(triple):
+    """A handle's two traversals, fwd then rev, each as (near base, far
+    base, word as traversed, its reverse_flip)."""
+    s, w, e = triple
+    rf = reverse_flip(w)
+    return (s, e, w, rf), (e, s, rf, w)
+
+
+def _destabilized(triples, base: int):
+    """The handles that do not end on ``base``, with the bases above it
+    renumbered one down.  The renumbering keeps the order of the bases, so
+    it keeps freely reduced words reduced."""
+
+    def remap(b):
+        return b if b < base else b - 1
+
+    return tuple(
+        (remap(s), tuple([SignedLetter(remap(b), sg) for b, sg in w]), remap(e))
+        for s, w, e in triples
+        if s != base and e != base
+    )
+
+
+def _slid(triple, which: str, way):
+    """The handle with its ``which`` end slid along the traversal ``way``
+    to the far base: the end appends the traversed word, the start
+    prepends its reverse_flip."""
+    s, word, e = triple
+    _, far, w, rf = way
+    return (s, word + w, far) if which == "end" else (far, rf + word, e)
+
+
+def _rerouted(word, position: int, way):
+    """``word`` with the letter at ``position`` pushed along the traversal
+    ``way`` to its far base."""
+    _, far, w, rf = way
+    return word[:position] + w + (SignedLetter(far, word[position].sign),) + rf + word[position + 1 :]
+
+
+def _stabilizing(base_count: int, target: int):
+    """The empty-word handle from a new base ``base_count + 1`` to ``target``."""
+    return base_count + 1, (), target
+
+
+def _trivial(base: int):
+    """The trivial handle on ``base``."""
+    return base, (), base
+
+
+def _removed(handles, index: int):
+    """``handles`` without the ``index``-th (1-indexed)."""
+    return handles[: index - 1] + handles[index:]
+
+
+# ---------------------------------------------------------------------------
 # application
 
 
@@ -167,19 +231,26 @@ def _get_handle(data: RibbonData, index: int) -> Handle:
     return data.handles[index - 1]
 
 
-def _replace_handle(data: RibbonData, index: int, new: Handle) -> RibbonData:
-    handles = data.handles[: index - 1] + (new,) + data.handles[index:]
+def _triple(h: Handle):
+    return h.start, h.word, h.end
+
+
+def _handle(triple) -> Handle:
+    s, w, e = triple
+    return Handle(s, e, w)
+
+
+def _replace_handle(data: RibbonData, index: int, triple) -> RibbonData:
+    handles = data.handles[: index - 1] + (_handle(triple),) + data.handles[index:]
     return RibbonData(data.dim, data.base_count, handles)
 
 
 def _traversal(data: RibbonData, index: int, direction: str):
-    """(near, far, word-as-traversed) for walking a handle fwd or rev."""
+    """The way of walking a handle fwd or rev; see :func:`_ways`."""
     h = _get_handle(data, index)
-    if direction == "fwd":
-        return h.start, h.end, h.word
-    if direction == "rev":
-        return h.end, h.start, reverse_flip(h.word)
-    raise MoveError(f"direction must be 'fwd' or 'rev', got {direction!r}")
+    if direction not in ("fwd", "rev"):
+        raise MoveError(f"direction must be 'fwd' or 'rev', got {direction!r}")
+    return _ways(_triple(h))[direction == "rev"]
 
 
 def _destab_problem(data: RibbonData, base: int) -> str | None:
@@ -204,9 +275,8 @@ def _destab_problem(data: RibbonData, base: int) -> str | None:
 def apply_stabilize(data: RibbonData, target: int) -> RibbonData:
     """Add a fresh base joined to ``target`` by an empty-word handle."""
     _check_base(data, target)
-    new_base = data.base_count + 1
-    handles = data.handles + (Handle(new_base, target, ()),)
-    return RibbonData(data.dim, new_base, handles)
+    handles = data.handles + (_handle(_stabilizing(data.base_count, target)),)
+    return RibbonData(data.dim, data.base_count + 1, handles)
 
 
 def apply_destabilize(data: RibbonData, base: int) -> RibbonData:
@@ -216,15 +286,7 @@ def apply_destabilize(data: RibbonData, base: int) -> RibbonData:
     problem = _destab_problem(data, base)
     if problem:
         raise MoveError(f"destab {base}: {problem}")
-
-    def remap(b):
-        return b if b < base else b - 1
-
-    handles = tuple(
-        Handle(remap(h.start), remap(h.end), tuple(SignedLetter(remap(l.base), l.sign) for l in h.word))
-        for h in data.handles
-        if h.start != base and h.end != base
-    )
+    handles = tuple(map(_handle, _destabilized(map(_triple, data.handles), base)))
     return RibbonData(data.dim, data.base_count - 1, handles)
 
 
@@ -236,8 +298,7 @@ def apply_cancel_insert(data: RibbonData, handle: int, position: int, base: int,
     if not 0 <= position <= len(h.word):
         raise MoveError(f"insert position {position} out of range 0..{len(h.word)}")
     pair = (SignedLetter(base, sign), SignedLetter(base, -sign))
-    word = h.word[:position] + pair + h.word[position:]
-    return _replace_handle(data, handle, Handle(h.start, h.end, word))
+    return _replace_handle(data, handle, (h.start, h.word[:position] + pair + h.word[position:], h.end))
 
 
 def apply_cancel_delete(data: RibbonData, handle: int, position: int) -> RibbonData:
@@ -247,8 +308,7 @@ def apply_cancel_delete(data: RibbonData, handle: int, position: int) -> RibbonD
     a, b = h.word[position], h.word[position + 1]
     if a.base != b.base or a.sign != -b.sign:
         raise MoveError(f"letters at position {position} do not cancel")
-    word = h.word[:position] + h.word[position + 2 :]
-    return _replace_handle(data, handle, Handle(h.start, h.end, word))
+    return _replace_handle(data, handle, (h.start, h.word[:position] + h.word[position + 2 :], h.end))
 
 
 def apply_slide(data: RibbonData, handle: int, which: str, along: int, direction: str) -> RibbonData:
@@ -259,18 +319,14 @@ def apply_slide(data: RibbonData, handle: int, which: str, along: int, direction
     if handle == along:
         raise MoveError("cannot slide a handle along itself")
     h = _get_handle(data, handle)
-    near, far, w = _traversal(data, along, direction)
+    way = _traversal(data, along, direction)
     attached = h.start if which == "start" else h.end
-    if attached != near:
+    if attached != way[0]:
         raise MoveError(
             f"slide: {which} of handle {handle} is on base {attached}, "
-            f"not on the traversal start {near}"
+            f"not on the traversal start {way[0]}"
         )
-    if which == "end":
-        new = Handle(h.start, far, h.word + w)
-    else:
-        new = Handle(far, h.end, reverse_flip(w) + h.word)
-    return _replace_handle(data, handle, new)
+    return _replace_handle(data, handle, _slid(_triple(h), which, way))
 
 
 def apply_cross_slide(data: RibbonData, handle: int, position: int, via: int, direction: str) -> RibbonData:
@@ -282,37 +338,32 @@ def apply_cross_slide(data: RibbonData, handle: int, position: int, via: int, di
     h = _get_handle(data, handle)
     if not 0 <= position < len(h.word):
         raise MoveError(f"position {position} out of range 0..{len(h.word) - 1}")
-    near, far, w = _traversal(data, via, direction)
-    letter = h.word[position]
-    if letter.base != near:
+    way = _traversal(data, via, direction)
+    if h.word[position].base != way[0]:
         raise MoveError(
-            f"cross-slide: letter crosses base {letter.base}, "
-            f"but the traversal of handle {via} starts at {near}"
+            f"cross-slide: letter crosses base {h.word[position].base}, "
+            f"but the traversal of handle {via} starts at {way[0]}"
         )
-    replacement = w + (SignedLetter(far, letter.sign),) + reverse_flip(w)
-    word = h.word[:position] + replacement + h.word[position + 1 :]
-    return _replace_handle(data, handle, Handle(h.start, h.end, word))
+    return _replace_handle(data, handle, (h.start, _rerouted(h.word, position, way), h.end))
 
 
 def apply_trivial_handle(data: RibbonData, base: int) -> RibbonData:
     """Attach a trivial handle (both ends on ``base``, crossing nothing).
     Raises the genus by one; the weak-stabilization move."""
     _check_base(data, base)
-    handles = data.handles + (Handle(base, base, ()),)
-    return RibbonData(data.dim, data.base_count, handles)
+    return RibbonData(data.dim, data.base_count, data.handles + (_handle(_trivial(base)),))
 
 
 def remove_trivial_handle(data: RibbonData, handle: int) -> RibbonData:
     h = _get_handle(data, handle)
     if h.start != h.end or h.word:
         raise MoveError(f"handle {handle} is not a trivial handle")
-    handles = data.handles[: handle - 1] + data.handles[handle:]
-    return RibbonData(data.dim, data.base_count, handles)
+    return RibbonData(data.dim, data.base_count, _removed(data.handles, handle))
 
 
 def reverse_handle(data: RibbonData, handle: int) -> RibbonData:
     h = _get_handle(data, handle)
-    return _replace_handle(data, handle, reversed_handle(h))
+    return _replace_handle(data, handle, (h.end, reverse_flip(h.word), h.start))
 
 
 # The one description of each move kind.  Its script line is the syntax
@@ -461,8 +512,8 @@ def slides(data: RibbonData) -> list[Slide]:
 
 
 def enumerate_moves(data: RibbonData, weak_budget: int):
-    """All canonical successors of a canonical state, as a new list of
-    (move, state) pairs with duplicates removed.
+    """All canonical successors of a state, as a new list of (move, state)
+    pairs with duplicates removed.
 
     Includes every applicable destabilization and slide, the crossing
     reroutes that do not lengthen the freely reduced word, a stabilization
@@ -473,10 +524,22 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
     insertions arise implicitly through slides followed by reduction.
     Order is fixed, so the result is deterministic.
 
-    The pairs are memoized per process in a bounded LRU cache keyed on the
-    state and on whether any weak budget remains, which is all they depend
-    on; searches that meet a state again, in the same search or in a later
-    one, do not re-apply its moves.
+    Each successor is built as it would be by :func:`apply_move`, by the
+    same per-move kernel, but on freely reduced ``(start, word, end)``
+    triples: the words of ``data`` are reduced once, each move rebuilds and
+    reduces only the handle it changes (a destabilization's renumbering
+    keeps reduced words reduced), and the triples go to the canonical
+    labelling directly, with no intermediate record.  Moves are numbered
+    on the stored handles and letters of ``data``, which need not be
+    canonical or reduced: each listed state is
+    ``canonical_form(apply_move(data, move))``.
+
+    Raises ``ValueError`` with the first problem :func:`validate` finds
+    when ``data`` is not a valid record.  The pairs are memoized per
+    process in a bounded LRU cache keyed on the state and on whether any
+    weak budget remains, which is all they depend on; searches that meet a
+    state again, in the same search or in a later one, neither check it
+    nor re-apply its moves.
     """
     return list(_successors(data, weak_budget > 0))
 
@@ -487,61 +550,63 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
 # held 64 MB more at peak in a 25000-state search, 1 << 10 held 3 MB more.
 @lru_cache(maxsize=1 << 10)
 def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], ...]:
+    _require_valid(data)
+    dim, n = data.dim, data.base_count
+    raw = [_triple(h) for h in data.handles]
+    reduced = tuple([(s, free_reduce_word(w), e) for s, w, e in raw])
     results: list[tuple[Move, RibbonData]] = []
     seen: set[str] = set()
 
-    def push(move, new_data):
-        state = canonical_form(new_data)
+    def push(move, base_count, triples):
+        state = _canonical_reduced(dim, base_count, triples)
         key = serialize(state)
         if key not in seen:
             seen.add(key)
             results.append((move, state))
 
-    handles = data.handles
-    for base in range(1, data.base_count + 1):
+    def push_changed(move, index, triple):
+        """Push the parent with handle ``index`` (1-indexed) replaced by
+        ``triple``, whose word is freely reduced."""
+        push(move, n, reduced[: index - 1] + (triple,) + reduced[index:])
+
+    for base in range(1, n + 1):
         if _destab_problem(data, base) is None:
-            push(Destab(base), apply_destabilize(data, base))
+            push(Destab(base), n - 1, _destabilized(reduced, base))
 
     if weak:
-        for i, h in enumerate(handles, start=1):
+        for i, h in enumerate(data.handles, start=1):
             if h.start == h.end and not h.word:
-                push(RemoveTrivialHandle(i), remove_trivial_handle(data, i))
+                push(RemoveTrivialHandle(i), n, _removed(reduced, i))
 
+    # Reducing a concatenation gives the same word whether or not its parts
+    # were reduced first, so handles are slid and rerouted along the reduced
+    # traversals.  A cross-slide names its letter by the stored position,
+    # so it reroutes the stored word.
+    ways = [_ways(t) for t in reduced]
     for move in slides(data):
-        push(move, apply_slide(data, move.handle, move.which, move.along, move.direction))
+        s, word, e = _slid(reduced[move.handle - 1], move.which, ways[move.along - 1][move.direction == "rev"])
+        push_changed(move, move.handle, (s, free_reduce_word(word), e))
 
-    # (direction, near, far, word as traversed, its reverse_flip) of each
-    # handle's two traversals, read once
-    traversals = []
-    for h in handles:
-        rf = reverse_flip(h.word)
-        traversals.append((("fwd", h.start, h.end, h.word, rf), ("rev", h.end, h.start, rf, h.word)))
-
-    for idx, h in enumerate(handles, start=1):
-        word = h.word
+    for idx, (s, word, e) in enumerate(raw, start=1):
         if not word:
             continue
-        for via, ways in enumerate(traversals, start=1):
+        for via, pair in enumerate(ways, start=1):
             if via == idx:
                 continue
-            for direction, near, far, w, rf in ways:
+            for direction, way in zip(("fwd", "rev"), pair):
+                near = way[0]
                 for pos, letter in enumerate(word):
                     if letter.base != near:
                         continue
-                    spliced = (
-                        word[:pos] + w + (SignedLetter(far, letter.sign),) + rf + word[pos + 1 :]
-                    )
-                    if len(free_reduce_word(spliced)) <= len(word):
-                        push(
-                            CrossSlide(idx, pos, via, direction),
-                            apply_cross_slide(data, idx, pos, via, direction),
-                        )
+                    spliced = free_reduce_word(_rerouted(word, pos, way))
+                    if len(spliced) <= len(word):
+                        push_changed(CrossSlide(idx, pos, via, direction), idx, (s, spliced, e))
 
-    for base in range(1, data.base_count + 1):
-        push(Stab(base), apply_stabilize(data, base))
+    for base in range(1, n + 1):
+        push(Stab(base), n + 1, reduced + (_stabilizing(n, base),))
 
     if weak:
-        for base in range(1, data.base_count + 1):
-            push(TrivialHandle(base), apply_trivial_handle(data, base))
+        for base in range(1, n + 1):
+            push(TrivialHandle(base), n, reduced + (_trivial(base),))
 
     return tuple(results)

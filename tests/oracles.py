@@ -415,6 +415,19 @@ def shuffled(data, rng):
     return RibbonData(data.dim, data.base_count, tuple(handles))
 
 
+def with_cancelling_pairs(rng, data, pairs):
+    """``data`` with ``pairs`` cancelling letter pairs inserted at random
+    places in its words; it freely reduces back to ``data`` reduced."""
+    words = [list(h.word) for h in data.handles]
+    for _ in range(pairs if words else 0):
+        word = rng.choice(words)
+        base, sign = rng.randint(1, data.base_count), rng.choice((1, -1))
+        at = rng.randint(0, len(word))
+        word[at:at] = [SignedLetter(base, sign), SignedLetter(base, -sign)]
+    handles = tuple(Handle(h.start, h.end, tuple(w)) for h, w in zip(data.handles, words))
+    return RibbonData(data.dim, data.base_count, handles)
+
+
 def stable_walk_pool(data, rng, weak_left=0):
     """Applicable moves whose inverses the search neighbor set can always
     traverse: stabilizations, destabilizations, slides, reversals, free

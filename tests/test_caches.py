@@ -27,7 +27,7 @@ from ribbonlab import ribbon
 from ribbonlab.cli import _random_data, generate
 from ribbonlab.moves import _move_line, _successors
 
-from oracles import random_knot, random_regular, random_ribbon, shuffled
+from oracles import random_knot, random_regular, random_ribbon, shuffled, with_cancelling_pairs
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -38,19 +38,6 @@ def random_state(rng):
     knot = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
     trivial = tuple(Handle(b, b, ()) for b in rng.choices(range(1, knot.base_count + 1), k=rng.randint(0, 2)))
     return canonical_form(RibbonData(knot.dim, knot.base_count, knot.handles + trivial))
-
-
-def with_cancelling_pairs(rng, data, pairs):
-    """``data`` with ``pairs`` cancelling letter pairs inserted at random
-    places in its words; it freely reduces back to ``data`` reduced."""
-    words = [list(h.word) for h in data.handles]
-    for _ in range(pairs if words else 0):
-        word = rng.choice(words)
-        base, sign = rng.randint(1, data.base_count), rng.choice((1, -1))
-        at = rng.randint(0, len(word))
-        word[at:at] = [SignedLetter(base, sign), SignedLetter(base, -sign)]
-    handles = tuple(Handle(h.start, h.end, tuple(w)) for h, w in zip(data.handles, words))
-    return RibbonData(data.dim, data.base_count, handles)
 
 
 def rebuilt(data):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +49,9 @@ from oracles import (
     graph_components,
     random_ribbon,
     random_knot,
+    shuffled,
     stable_walk_pool,
+    with_cancelling_pairs,
 )
 
 UNKNOT = generate("unknot")
@@ -511,11 +514,23 @@ def test_only_weak_moves_change_genus_and_only_under_budget(seed, budget):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), budget=st.integers(0, 2))
-def test_enumerated_moves_replay_to_their_states(seed, budget):
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    budget=st.integers(0, 2),
+    kind=st.sampled_from(["canonical", "raw", "noisy"]),
+)
+def test_enumerated_moves_replay_to_their_states(seed, budget, kind):
+    """Also from records that are not canonical: as generated, and with
+    cancelling pairs under a random numbering, handle order and
+    orientation, where a move leaves words unreduced that its state has
+    reduced."""
     rng = random.Random(seed)
     knot = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
-    data = canonical_form(with_trivial_handles(rng, knot, rng.randint(0, 2)))
+    data = with_trivial_handles(rng, knot, rng.randint(0, 2))
+    if kind == "canonical":
+        data = canonical_form(data)
+    elif kind == "noisy":
+        data = shuffled(with_cancelling_pairs(rng, data, rng.randint(1, 3)), rng)
     successors = enumerate_moves(data, budget)
     for move, state in successors:
         assert state == canonical_form(apply_move(data, move))
@@ -530,6 +545,22 @@ def test_enumerated_moves_replay_to_their_states(seed, budget):
     listed = {m.base: state for m, state in successors if isinstance(m, Destab)}
     assert listed.keys() <= applies.keys()
     assert set(listed.values()) == set(applies.values())
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+@pytest.mark.parametrize(
+    "handle, diagnostic",
+    [
+        (Handle(1, 3, ()), "end base 3 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(5, 1),)), "letter 0 base 5 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(5, 1), SignedLetter(5, -1))), "letter 0 base 5 out of range 1..2"),
+        (Handle(1, 2, (SignedLetter(2, 2),)), "letter 0 has sign 2, expected +1 or -1"),
+        (Handle(1, 2, (SignedLetter(0, 1),)), "letter 0 base 0 out of range 1..2"),
+    ],
+)
+def test_enumerate_moves_rejects_invalid_records_with_the_first_diagnostic(handle, diagnostic, budget):
+    with pytest.raises(ValueError, match=f"^{re.escape('invalid data: ' + diagnostic)}$"):
+        enumerate_moves(RibbonData(2, 2, (handle,)), budget)
 
 
 def test_enumerate_successors_are_canonical_and_unique():
