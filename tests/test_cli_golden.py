@@ -16,7 +16,9 @@ script parsing and move application were made to read one table: a
 script using every move kind, malformed script lines, the example
 generators and their bad specs.  ``search-open3-cap40`` was re-recorded
 once, when a level cut short by the state cap stopped counting towards
-the reported depth.
+the reported depth.  ``search-open3-depth0`` (an open pair at depth 0)
+and ``search-open3-cap20`` (the open pair cut by a state cap in its
+third level) were recorded before the search reduced each side first.
 """
 
 import io
@@ -65,6 +67,8 @@ CASES = {
     "search-unknown": ["search", "spun-stabilized.ribbon", "spun-trefoil.ribbon", "--depth", "0", "--weak", "0"],
     "search-open3-depth4": ["search", "open3a.ribbon", "open3b.ribbon", "--depth", "4", "--weak", "0"],
     "search-open3-cap40": ["search", "open3a.ribbon", "open3b.ribbon", "--depth", "4", "--weak", "0", "--states", "40"],
+    "search-open3-depth0": ["search", "open3a.ribbon", "open3b.ribbon", "--depth", "0", "--weak", "0"],
+    "search-open3-cap20": ["search", "open3a.ribbon", "open3b.ribbon", "--depth", "4", "--weak", "0", "--states", "20"],
     "search-weak1-trivh": ["search", "weak-slid.ribbon", "open3a.ribbon", "--depth", "2", "--weak", "1"],
     "search-weak1-untrivh": ["search", "weak-slid.ribbon", "weak-destab.ribbon", "--depth", "3", "--weak", "1"],
     "search-stabilized5": ["search", "stabilized5.ribbon", "unknot.ribbon", "--depth", "5", "--weak", "0"],
