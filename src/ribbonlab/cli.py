@@ -50,7 +50,7 @@ from .ribbon import (
     serialize,
     validate,
 )
-from .search import Equivalent, Refuted, search_equiv, serialize_outcome
+from .search import Equivalent, Refuted, _reduction_step, search_equiv, serialize_outcome
 
 __all__ = ["run", "main", "generate"]
 
@@ -73,6 +73,8 @@ def _random_data(bases: int, handles: int, max_len: int, seed: int) -> RibbonDat
         raise ValueError("random: need at least one base")
     if handles < bases - 1:
         raise ValueError("random: need at least bases-1 handles for connectivity")
+    if max_len < 0:
+        raise ValueError("random: word length must be >= 0")
     rng = random.Random(seed)
     ends = []
     for i in range(2, bases + 1):
@@ -219,7 +221,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("search", help="search for an equivalence certificate")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument(
+        "--depth",
+        type=int,
+        required=True,
+        help="breadth-first levels of both sides together; each side is reduced first, and its "
+        "script is that reduction followed by its search moves, so scripts can be longer",
+    )
     p.add_argument("--weak", type=int, required=True)
     p.add_argument("--states", type=int, default=100_000)
     p.add_argument("--stats", action="store_true", help="print search statistics as JSON on stderr")
@@ -321,6 +329,7 @@ def run(argv, out=None) -> int:
                         ("handle_readings", _reading.cache_info()),
                         ("canonical_handles", _canonical_handle.cache_info()),
                         ("successors", _successors.cache_info()),
+                        ("reduction_steps", _reduction_step.cache_info()),
                     )
                 }
                 print(json.dumps(stats), file=sys.stderr)

@@ -550,33 +550,43 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
 # held 64 MB more at peak in a 25000-state search, 1 << 10 held 3 MB more.
 @lru_cache(maxsize=1 << 10)
 def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], ...]:
-    _require_valid(data)
-    dim, n = data.dim, data.base_count
-    raw = [_triple(h) for h in data.handles]
-    reduced = tuple([(s, free_reduce_word(w), e) for s, w, e in raw])
+    """The labelled successors of ``_successor_triples``, first of each
+    canonical state kept."""
     results: list[tuple[Move, RibbonData]] = []
     seen: set[str] = set()
-
-    def push(move, base_count, triples):
-        state = _canonical_reduced(dim, base_count, triples)
+    for move, base_count, triples in _successor_triples(data, weak):
+        state = _canonical_reduced(data.dim, base_count, triples)
         key = serialize(state)
         if key not in seen:
             seen.add(key)
             results.append((move, state))
+    return tuple(results)
 
-    def push_changed(move, index, triple):
-        """Push the parent with handle ``index`` (1-indexed) replaced by
-        ``triple``, whose word is freely reduced."""
-        push(move, n, reduced[: index - 1] + (triple,) + reduced[index:])
+
+def _successor_triples(data: RibbonData, weak: bool):
+    """Yield ``(move, base_count, triples)`` for each move
+    ``enumerate_moves`` lists, in its order and with repeats: the
+    successor's freely reduced ``(start, word, end)`` triples, not yet
+    labelled.  A relabelling keeps their sizes, so a caller can compare
+    successors by size before labelling any."""
+    _require_valid(data)
+    n = data.base_count
+    raw = [_triple(h) for h in data.handles]
+    reduced = tuple([(s, free_reduce_word(w), e) for s, w, e in raw])
+
+    def changed(index, triple):
+        """The parent's triples with handle ``index`` (1-indexed) replaced
+        by ``triple``, whose word is freely reduced."""
+        return reduced[: index - 1] + (triple,) + reduced[index:]
 
     for base in range(1, n + 1):
         if _destab_problem(data, base) is None:
-            push(Destab(base), n - 1, _destabilized(reduced, base))
+            yield Destab(base), n - 1, _destabilized(reduced, base)
 
     if weak:
         for i, h in enumerate(data.handles, start=1):
             if h.start == h.end and not h.word:
-                push(RemoveTrivialHandle(i), n, _removed(reduced, i))
+                yield RemoveTrivialHandle(i), n, _removed(reduced, i)
 
     # Reducing a concatenation gives the same word whether or not its parts
     # were reduced first, so handles are slid and rerouted along the reduced
@@ -585,7 +595,7 @@ def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], 
     ways = [_ways(t) for t in reduced]
     for move in slides(data):
         s, word, e = _slid(reduced[move.handle - 1], move.which, ways[move.along - 1][move.direction == "rev"])
-        push_changed(move, move.handle, (s, free_reduce_word(word), e))
+        yield move, n, changed(move.handle, (s, free_reduce_word(word), e))
 
     for idx, (s, word, e) in enumerate(raw, start=1):
         if not word:
@@ -600,13 +610,11 @@ def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], 
                         continue
                     spliced = free_reduce_word(_rerouted(word, pos, way))
                     if len(spliced) <= len(word):
-                        push_changed(CrossSlide(idx, pos, via, direction), idx, (s, spliced, e))
+                        yield CrossSlide(idx, pos, via, direction), n, changed(idx, (s, spliced, e))
 
     for base in range(1, n + 1):
-        push(Stab(base), n + 1, reduced + (_stabilizing(n, base),))
+        yield Stab(base), n + 1, reduced + (_stabilizing(n, base),)
 
     if weak:
         for base in range(1, n + 1):
-            push(TrivialHandle(base), n, reduced + (_trivial(base),))
-
-    return tuple(results)
+            yield TrivialHandle(base), n, reduced + (_trivial(base),)

@@ -19,6 +19,10 @@ once, when a level cut short by the state cap stopped counting towards
 the reported depth.  ``search-open3-depth0`` (an open pair at depth 0)
 and ``search-open3-cap20`` (the open pair cut by a state cap in its
 third level) were recorded before the search reduced each side first.
+That change re-recorded every search golden whose bytes it moved:
+certificates now start with each side's reduction, ``UNKNOWN`` counts
+include the reduction paths and ``search-unknown`` (depth 0) became
+``EQUIVALENT``.
 """
 
 import io
@@ -93,6 +97,7 @@ CASES = {
     "gen-bad-genus": ["gen", "torus:-1"],
     "gen-bad-kind": ["gen", "knot"],
     "gen-bad-random": ["gen", "random:3:1:2:5"],
+    "gen-bad-random-len": ["gen", "random:2:1:-1:1"],
     "gen-bad-stabilized": ["gen", "stabilized:-1:0"],
     "validate-knot12": ["validate", "knot12.ribbon"],
     "validate-bad-base": ["validate", "bad-base.ribbon"],
@@ -124,7 +129,9 @@ def test_cli_output_matches_golden(case, capsys, monkeypatch):
     assert render(*run_case(CASES[case], capsys)) == expected
 
 
-@pytest.mark.parametrize("case", ["search-open3-cap40", "search-stabilized5", "search-spun-unknot"])
+@pytest.mark.parametrize(
+    "case", ["search-open3-cap40", "search-open3-cap20", "search-stabilized5", "search-spun-unknot"]
+)
 def test_search_stats_is_one_json_line_on_stderr(case, capsys, monkeypatch):
     expected = (GOLDEN / "expected" / f"{case}.golden").read_text(encoding="utf-8")
     monkeypatch.chdir(GOLDEN)
@@ -132,11 +139,23 @@ def test_search_stats_is_one_json_line_on_stderr(case, capsys, monkeypatch):
     assert render(code, out, "") == expected
     assert err.endswith("\n") and err.count("\n") == 1
     stats = json.loads(err)
-    assert sorted(stats) == ["caches", "levels", "states", "stop"]
+    assert sorted(stats) == ["caches", "levels", "reduced", "states", "stop"]
     assert stats["stop"] in ("gate", "met", "depth", "cap")
     assert sorted(stats["states"]) == ["a", "b"]
+    assert sorted(stats["reduced"]) == ["a", "b"]
     assert all(side in ("a", "b") and size >= 0 for side, size in stats["levels"])
-    assert sorted(stats["caches"]) == ["canonical_form", "canonical_handles", "handle_readings", "successors"]
+    # levels describe the breadth-first search alone: past the gate, each
+    # side stores its root, one state per reduction move and the new
+    # states of its levels
+    for side in "ab":
+        new = sum(size for s, size in stats["levels"] if s == side)
+        stored = 0 if stats["stop"] == "gate" else 1 + stats["reduced"][side] + new
+        assert stats["states"][side] == stored
+    if out.startswith("UNKNOWN"):
+        assert out.split("\n")[0] == f"UNKNOWN {sum(stats['states'].values())} {len(stats['levels']) - (stats['stop'] == 'cap')}"
+    assert sorted(stats["caches"]) == [
+        "canonical_form", "canonical_handles", "handle_readings", "reduction_steps", "successors"
+    ]
     for info in stats["caches"].values():
         assert sorted(info) == ["hits", "misses"]
 
