@@ -168,8 +168,10 @@ def _record_size(data: RibbonData) -> tuple[int, int, int]:
 
 
 # How many levels past a state with no smaller successor the reduction
-# looks for a smaller one.  Greedy descent alone (one level) decided 10 of
-# 16 scrambled pairs that two levels decide.
+# looks for a smaller one.  Random 3-base knots stabilized 6 or 15 times and
+# scrambled by 12 or 30 moves, 8 of each, searched at depth 26 or 62: by
+# greedy steps alone (one level adds nothing to them) the search decided 14
+# of the 16 in 14 s, with two levels all 16 in 0.2 s.
 _PLATEAU_LEVELS = 2
 
 

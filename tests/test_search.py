@@ -31,7 +31,7 @@ from ribbonlab import (
 )
 from ribbonlab.cli import _random_data, _scramble, generate
 from ribbonlab.moves import is_weak
-from ribbonlab.search import default_gate_quandles
+from ribbonlab.search import _reduce, default_gate_quandles
 
 from oracles import brute_profile, random_knot, stable_walk_pool
 
@@ -195,12 +195,19 @@ def stable_walk(rng, data, steps, weak):
     return data, used
 
 
-# The examples are derandomized: a few random walks in a thousand end
-# Unknown, because both sides reduce onto forms whose crossings sit next to
-# their handle's own end, the gap of the missing end-crossing move, which
-# no depth here leaves (see CHANGES.md).  A fixed example set keeps the
-# test deterministic while that gap stays open.
-@settings(max_examples=40, deadline=None, derandomize=True)
+def reduced_form(data):
+    """The form the search's reduction takes ``data`` to."""
+    path = _reduce(canonical_form(data))
+    return path[-1][1] if path else canonical_form(data)
+
+
+def has_end_crossing(data):
+    """True when a handle's first letter crosses its start base or its
+    last letter its end base."""
+    return any(h.word and (h.word[0].base == h.start or h.word[-1].base == h.end) for h in data.handles)
+
+
+@settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), weak=st.integers(0, 1))
 def test_stable_walks_are_certified_and_refutations_recompute(seed, weak):
     rng = random.Random(seed)
@@ -208,9 +215,16 @@ def test_stable_walks_are_certified_and_refutations_recompute(seed, weak):
     steps = rng.randint(2, 6)
     walked, used = stable_walk(rng, knot, steps, weak)
     outcome = search_equiv(walked, knot, 2 * steps + 2, used, 20_000)
-    assert isinstance(outcome, Equivalent)
-    notes = []
-    assert certify(walked, knot, outcome, notes), notes
+    if isinstance(outcome, Unknown):
+        # About 3 walks in 1000 end here: reduction lands a side on a form
+        # with a crossing next to its handle's own end, which the move set,
+        # lacking an end-crossing move, does not leave within the depth
+        # (ROADMAP item 3).  No other cause is allowed.
+        assert has_end_crossing(reduced_form(walked)) or has_end_crossing(reduced_form(knot))
+    else:
+        assert isinstance(outcome, Equivalent)
+        notes = []
+        assert certify(walked, knot, outcome, notes), notes
 
     # against an unrelated knot, a refutation recomputes by brute force
     other = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
