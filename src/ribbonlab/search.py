@@ -231,8 +231,8 @@ def _reduction_step(state: RibbonData) -> tuple[tuple[Move, RibbonData], ...]:
     enumeration order on ties.  Sizes are read from the unlabelled
     successor triples, so the step labels only the successor it takes; the
     states are canonical, so the choice does not depend on how the input
-    was numbered.  When no successor is smaller, :func:`_plateau_exit`
-    looks further."""
+    was numbered.  When no successor is smaller but some are no larger,
+    :func:`_plateau_exit` looks further."""
     size = _record_size(state)
     best = None
     for move, base_count, triples in _successor_triples(state, False):
@@ -242,6 +242,8 @@ def _reduction_step(state: RibbonData) -> tuple[tuple[Move, RibbonData], ...]:
     if best[0] < size:
         _, move, base_count, triples = best
         return ((move, _canonical_reduced(state.dim, base_count, triples)),)
+    if best[0] > size:  # every successor is larger: there is no plateau
+        return ()
     return tuple(_plateau_exit(state, size))
 
 
