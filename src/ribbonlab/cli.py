@@ -50,7 +50,7 @@ from .ribbon import (
     serialize,
     validate,
 )
-from .search import Equivalent, Refuted, _reduction_step, search_equiv, serialize_outcome
+from .search import Equivalent, Refuted, _steps_info, search_equiv, serialize_outcome
 
 __all__ = ["run", "main", "generate"]
 
@@ -330,9 +330,9 @@ def run(argv, out=None) -> int:
                         ("handle_readings", _reading.cache_info()),
                         ("canonical_handles", _canonical_handle.cache_info()),
                         ("successors", _successors.cache_info()),
-                        ("reduction_steps", _reduction_step.cache_info()),
                     )
                 }
+                stats["caches"]["reduction_steps"] = dict(_steps_info)
                 print(json.dumps(stats), file=sys.stderr)
             if isinstance(outcome, Equivalent):
                 return 0

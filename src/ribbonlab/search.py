@@ -6,10 +6,11 @@ Two presentations are compared in four stages.  An invariant gate
 budget is allowed) can refute immediately.  A reduction then simplifies
 each side's canonical form by moves that lower its size (bases, then total
 word letters, then handles), looking two levels past a plateau.  A
-bidirectional breadth-first search over canonical forms, seeded with both
-reduction paths, can certify equivalence by exhibiting move scripts from
-both inputs to a common canonical meeting form.  Failing that, an Unknown
-outcome carries the exploration statistics when the caps run out.
+bidirectional breadth-first search from both canonical forms, which may
+also meet on either reduction path, can certify equivalence by exhibiting
+move scripts from both inputs to a common canonical meeting form.  Failing
+that, an Unknown outcome carries the exploration statistics when the caps
+run out.
 Unknown is a first-class answer: the neighbor set is deliberately finite,
 so the search is incomplete by design and never claims a negative beyond
 what the gate recomputes.
@@ -24,7 +25,7 @@ broken by serialized canonical byte order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from typing import Union
 
 from .moves import (
@@ -175,18 +176,24 @@ def _record_size(data: RibbonData) -> tuple[int, int, int]:
 _PLATEAU_LEVELS = 2
 
 
-def _plateau_exit(state: RibbonData, size) -> list[tuple[Move, RibbonData]]:
+def _plateau_exit(state: RibbonData, size, limit: int):
     """The moves from ``state`` to the least (size, serialized form) state
     smaller than ``size``, found by a breadth-first search over states no
-    larger, at the first level that has one; empty when no level up to
-    ``_PLATEAU_LEVELS`` has one."""
+    larger, at the first level that has one, with the successors it
+    labelled; the moves are empty when no level up to ``_PLATEAU_LEVELS``
+    has one.  None when more than ``limit`` successors would be labelled."""
     parents: dict[str, tuple | None] = {serialize(state): None}
     frontier = [state]
+    labelled = 0
     for _ in range(_PLATEAU_LEVELS):
         level = []
         for parent in frontier:
             parent_key = serialize(parent)
-            for move, child in enumerate_moves(parent, 0):
+            successors = enumerate_moves(parent, 0)
+            labelled += len(successors)
+            if labelled > limit:
+                return None
+            for move, child in successors:
                 key = serialize(child)
                 child_size = _record_size(child)
                 if key in parents or child_size > size:
@@ -200,32 +207,43 @@ def _plateau_exit(state: RibbonData, size) -> list[tuple[Move, RibbonData]]:
             while parents[key] is not None:
                 key, move, child = parents[key]
                 steps.append((move, child))
-            return steps[::-1]
+            return tuple(steps[::-1]), labelled
         frontier = [child for _, _, child in level]
-    return []
+    return (), labelled
 
 
-def _reduce(root: RibbonData) -> list[tuple[Move, RibbonData]]:
+def _reduce(root: RibbonData, limit: int) -> tuple[list[tuple[Move, RibbonData]], int]:
     """The reduction of a canonical record, as (move, state reached)
-    pairs: :func:`_reduction_step` repeated until it finds nothing.  Every
-    step lowers the size, so the reduction ends."""
+    pairs, and the states it labelled: :func:`_reduction_step` repeated
+    until it finds nothing or would label more than ``limit`` states in
+    all.  Every step lowers the size, so the reduction ends."""
     path: list[tuple[Move, RibbonData]] = []
+    spent = 0
     state = root
     while True:
-        steps = _reduction_step(state)
-        if not steps:
-            return path
-        path += steps
-        state = steps[-1][1]
+        step = _reduction_step(state, limit - spent)
+        if step is None or not step[0]:
+            return path, spent
+        path += step[0]
+        spent += step[1]
+        state = path[-1][1]
 
 
 # Reductions of different inputs run into the same small states (the
 # trees a stabilized unknot destabilizes through, say), so each state's
-# step is memoized per process, as its successors are.
-@lru_cache(maxsize=1 << 10)
-def _reduction_step(state: RibbonData) -> tuple[tuple[Move, RibbonData], ...]:
+# finished step is memoized per process with the states it labelled, as
+# successors are; a step the limit cut is not.  The memo is emptied when
+# it holds _STEPS_HELD states.
+_STEPS: dict[RibbonData, tuple[tuple[tuple[Move, RibbonData], ...], int]] = {}
+_STEPS_HELD = 1 << 10
+_steps_info = {"hits": 0, "misses": 0}
+
+
+def _reduction_step(state: RibbonData, limit: int):
     """The moves of one reduction step from a canonical record, each with
-    the state it reaches; empty when nothing smaller is found.
+    the state it reaches, and the states the step labelled; the moves are
+    empty when nothing smaller is found.  None when the step would label
+    more than ``limit`` states.
 
     The step takes the smallest successor at weak budget 0, the first in
     enumeration order on ties.  Sizes are read from the unlabelled
@@ -233,18 +251,30 @@ def _reduction_step(state: RibbonData) -> tuple[tuple[Move, RibbonData], ...]:
     states are canonical, so the choice does not depend on how the input
     was numbered.  When no successor is smaller but some are no larger,
     :func:`_plateau_exit` looks further."""
+    found = _STEPS.get(state)
+    if found is not None:
+        _steps_info["hits"] += 1
+        return found if found[1] <= limit else None
+    _steps_info["misses"] += 1
     size = _record_size(state)
     best = None
     for move, base_count, triples in _successor_triples(state, False):
-        found = _size(base_count, [w for _, w, _ in triples])
-        if best is None or found < best[0]:
-            best = (found, move, base_count, triples)
+        candidate = _size(base_count, [w for _, w, _ in triples])
+        if best is None or candidate < best[0]:
+            best = (candidate, move, base_count, triples)
     if best[0] < size:
         _, move, base_count, triples = best
-        return ((move, _canonical_reduced(state.dim, base_count, triples)),)
-    if best[0] > size:  # every successor is larger: there is no plateau
-        return ()
-    return tuple(_plateau_exit(state, size))
+        found = ((move, _canonical_reduced(state.dim, base_count, triples)),), 1
+    elif best[0] > size:  # every successor is larger: there is no plateau
+        found = (), 0
+    else:
+        found = _plateau_exit(state, size, limit)
+    if found is None or found[1] > limit:
+        return None
+    if len(_STEPS) >= _STEPS_HELD:
+        _STEPS.clear()
+    _STEPS[state] = found
+    return found
 
 
 def search_equiv(
@@ -259,23 +289,26 @@ def search_equiv(
     """Decide equivalence at bounded depth.
 
     Each side's canonical form is first reduced (see :func:`_reduce`) at
-    weak budget 0, whatever ``weak_budget`` is, and the breadth-first
-    search starts from the two reduced forms.  Every state on a reduction
-    path is stored, so the sides may meet anywhere on either path; when
-    the paths themselves share states, the least serialized one is the
-    meet.  A path state the search reaches joins the next frontier as a
-    new state would, so each side explores what a search from its reduced
-    form alone would.  A certificate script is its side's reduction
-    followed by its side's search moves, so it can be longer than
-    ``depth``.
+    weak budget 0, whatever ``weak_budget`` is.  Every state on a
+    reduction path is stored, so the sides may meet anywhere on either
+    path; when the paths themselves share states, the least serialized one
+    is the meet.  The breadth-first search then starts from each side's
+    root, and a path state it reaches joins the next frontier as a new
+    state would: each side explores what a search from its root alone
+    would, and the sides also meet where one reaches the other's path.  A
+    certificate script is its side's reduction, or the part of it up to
+    the state the search left from, followed by its side's search moves,
+    so it can be longer than ``depth``.
 
     ``depth`` caps the breadth-first levels of both sides together,
     ``weak_budget`` the weak moves (trivial handles attached or removed)
     on each side separately, and ``state_cap`` the canonical states
-    stored, reduction paths included: the cap is tested before each new
-    state, so a search stores at most the larger of the cap and the two
-    reduction paths.  The smaller frontier is expanded level by level and
-    levels are completed before meets are resolved.
+    stored, reduction paths included.  The reductions label at most the
+    cap less the two roots, side A first, and stop where the next step
+    would label more; the search tests the cap before each new state.  So
+    a search stores at most the larger of the cap and 2.  The smaller
+    frontier is expanded level by level and levels are completed before
+    meets are resolved.
 
     When a dict is supplied as ``stats``, it is filled in with how the
     search went: ``reduced``, the reduction moves per side; ``levels``,
@@ -334,16 +367,19 @@ def search_equiv(
 
     roots = [canonical_form(a), canonical_form(b)]
     same = serialize(roots[0]) == serialize(roots[1])
+    labelled = 2  # the roots
     for root in roots:
-        key = serialize(root)
+        key = root_key = serialize(root)
         visited = {key: _Node(root, None, None, 0)}
-        path = [] if same else _reduce(root)
+        path, spent = ([], 0) if same else _reduce(root, state_cap - labelled)
         for move, state in path:
             parent, key = key, serialize(state)
             visited[key] = _Node(state, parent, move, 0)
-        # the path states before the reduced form are stored, not expanded
-        unexpanded = set(visited) - {key}
-        sides.append({"visited": visited, "frontier": [key], "unexpanded": unexpanded, "level": 0, "reduced": len(path)})
+        # the search starts from the root; a path state joins a frontier
+        # when the search reaches it
+        unexpanded = set(visited) - {root_key}
+        sides.append({"visited": visited, "frontier": [root_key], "unexpanded": unexpanded, "level": 0, "reduced": len(path)})
+        labelled += spent
     states = len(sides[0]["visited"]) + len(sides[1]["visited"])
     meets = sorted(sides[0]["visited"].keys() & sides[1]["visited"].keys())
     if meets:

@@ -19,10 +19,10 @@ once, when a level cut short by the state cap stopped counting towards
 the reported depth.  ``search-open3-depth0`` (an open pair at depth 0)
 and ``search-open3-cap20`` (the open pair cut by a state cap in its
 third level) were recorded before the search reduced each side first.
-That change re-recorded every search golden whose bytes it moved:
-certificates now start with each side's reduction, ``UNKNOWN`` counts
-include the reduction paths and ``search-unknown`` (depth 0) became
-``EQUIVALENT``.
+That change re-recorded every search golden whose bytes it moved: a
+certificate may start with its side's reduction, ``UNKNOWN`` counts
+include the reduction path states the search did not reach, and
+``search-unknown`` (depth 0) became ``EQUIVALENT``.
 """
 
 import io

@@ -27,10 +27,11 @@ from ribbonlab import (
     parse_ribbon,
     reversed_handle,
     search_equiv,
+    serialize,
     serialize_script,
 )
 from ribbonlab.cli import _random_data, _scramble, generate
-from ribbonlab.moves import is_weak
+from ribbonlab.moves import _successors, enumerate_moves, is_weak
 from ribbonlab.search import _reduce, default_gate_quandles
 
 from oracles import brute_profile, random_knot, stable_walk_pool
@@ -139,7 +140,7 @@ def test_search_stats_account_for_every_state(spec_a, spec_b, depth, weak, cap, 
         # a level the cap stopped is listed but not counted as reached
         assert (outcome.states, outcome.depth) == (stored, len(stats["levels"]) - (stop == "cap"))
     if stop == "cap":
-        assert stored == max(cap, 2 + stats["reduced"]["a"] + stats["reduced"]["b"])
+        assert stored == cap
 
 
 OPEN3 = [parse_ribbon((GOLDEN / name).read_text()) for name in ("open3a.ribbon", "open3b.ribbon")]
@@ -149,10 +150,23 @@ OPEN3 = [parse_ribbon((GOLDEN / name).read_text()) for name in ("open3a.ribbon",
 def test_state_cap_is_tested_before_each_new_state(cap):
     stats = {}
     outcome = search_equiv(*OPEN3, 4, 0, cap, stats=stats)
-    seeded = 2 + stats["reduced"]["a"] + stats["reduced"]["b"]
-    assert outcome == Unknown(max(cap, seeded), 0)
+    # the two roots are always stored; the reductions spend the rest
+    assert outcome == Unknown(max(cap, 2), 0)
     assert stats["stop"] == "cap"
-    assert sum(stats["states"].values()) == max(cap, seeded)
+    assert sum(stats["states"].values()) == max(cap, 2)
+
+
+def test_the_state_cap_bounds_the_reductions():
+    """A 30-base knot at cap 10: a plateau search there labels hundreds
+    of successors per state it expands, so the reductions stop where the
+    cap runs out, having expanded at most one state past it."""
+    knot = canonical_form(_random_data(30, 31, 3, 5))
+    expanded = _successors.cache_info().misses
+    stats = {}
+    search_equiv(knot, apply_stabilize(knot, 1), 0, 0, 10, stats=stats)
+    assert sum(stats["states"].values()) <= 10
+    assert _successors.cache_info().misses - expanded <= 1
+    assert stats["reduced"]["a"] + stats["reduced"]["b"] <= 8
 
 
 def test_deep_scrambles_reduce_before_they_meet():
@@ -171,19 +185,6 @@ def test_deep_scrambles_reduce_before_they_meet():
         assert certify(data, knot, outcome, notes), notes
 
 
-def test_the_search_expands_each_reduction_path_state_it_reaches():
-    """A 2-base tree reduces onto the unknot, whose one successor is the
-    tree again, stored on the path: the search expands it as it would a new
-    state, so the tree explores what the unknot does."""
-    open_knot = parse_ribbon("ribbon 1\ndim 2\nbases 3\nhandle 1 3 : -2 -2\nhandle 2 3 : -2 1\n")
-    runs = []
-    for start in (generate("unknot"), generate("stabilized:1:0")):
-        stats = {}
-        outcome = search_equiv(start, open_knot, 4, 0, 2000, stats=stats)
-        runs.append((outcome, [side for side, _ in stats["levels"]], stats["reduced"]["a"]))
-    assert runs == [(Unknown(11, 4), ["a", "a", "a", "b"], 0), (Unknown(11, 4), ["a", "a", "a", "b"], 1)]
-
-
 def stable_walk(rng, data, steps, weak):
     """``data`` after ``steps`` random moves from ``stable_walk_pool``
     spending at most ``weak`` weak moves, and the weak moves spent."""
@@ -195,36 +196,84 @@ def stable_walk(rng, data, steps, weak):
     return data, used
 
 
-def reduced_form(data):
-    """The form the search's reduction takes ``data`` to."""
-    path = _reduce(canonical_form(data))
-    return path[-1][1] if path else canonical_form(data)
+def walk_pair(rng, weak):
+    """A random knot, a stable walk from it, the walk's length and the
+    weak moves it spent."""
+    knot = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
+    steps = rng.randint(2, 6)
+    walked, used = stable_walk(rng, knot, steps, weak)
+    return knot, walked, steps, used
 
 
-def has_end_crossing(data):
-    """True when a handle's first letter crosses its start base or its
-    last letter its end base."""
-    return any(h.word and (h.word[0].base == h.start or h.word[-1].base == h.end) for h in data.handles)
+def ball(data, levels):
+    """The canonical states within ``levels`` moves of ``data`` at weak
+    budget 0: what a plain breadth-first search from it stores."""
+    found = {serialize(canonical_form(data)): canonical_form(data)}
+    frontier = list(found.values())
+    for _ in range(levels):
+        frontier = [
+            child
+            for state in frontier
+            for _, child in enumerate_moves(state, 0)
+            if found.setdefault(serialize(child), child) is child
+        ]
+    return set(found)
+
+
+@pytest.mark.parametrize("case", ["open3", "tree-open", "walk-949"])
+def test_each_side_explores_what_a_search_from_its_root_would(case):
+    """The search stores each side's reduction path and the states a
+    plain search from that side's root reaches in as many levels: a path
+    state the search reaches is expanded as a new state would be."""
+    if case == "open3":
+        (a, b), depth = OPEN3, 4
+    elif case == "tree-open":
+        a, depth = generate("stabilized:1:0"), 4
+        b = parse_ribbon("ribbon 1\ndim 2\nbases 3\nhandle 1 3 : -2 -2\nhandle 2 3 : -2 1\n")
+    else:
+        b, a, depth, _ = walk_pair(random.Random(949), 0)
+    stats = {}
+    search_equiv(a, b, depth, 0, 10_000, stats=stats)
+    assert stats["stop"] in ("depth", "met") and stats["levels"]
+    stored = 0
+    for side, data in zip("ab", (a, b)):
+        path, _ = _reduce(canonical_form(data), 10_000)
+        levels = sum(s == side for s, _ in stats["levels"])
+        stored += len(ball(data, levels) | {serialize(state) for _, state in path})
+    assert sum(stats["states"].values()) == stored
+
+
+# Walks (seeded with random.Random(seed)) that a search starting from the
+# reduced forms alone, not from the roots, left Unknown at depth = walk
+# length: reduction took a side to a form with a crossing next to its
+# handle's own end, which the move set does not leave within the depth.
+STRANDED_WALKS = {
+    0: [347, 652, 749, 825, 873, 998, 1005, 1116, 1338, 1365, 1453, 1484, 1559, 1584, 1627],
+    1: [38, 155, 236, 271, 311, 347, 369, 381, 400, 460, 493, 533, 565, 726, 729, 790, 798, 802, 825, 833,
+        853, 945, 1005, 1089, 1108, 1138, 1144, 1248, 1275, 1297, 1453, 1484, 1559, 1627, 1657, 1671, 1735,
+        1755, 1756, 1770, 1790, 1956, 1993],
+}
+
+
+@pytest.mark.parametrize("weak", [0, 1])
+def test_walks_whose_reductions_strand_are_still_certified(weak):
+    for seed in STRANDED_WALKS[weak]:
+        knot, walked, steps, used = walk_pair(random.Random(seed), weak)
+        outcome = search_equiv(walked, knot, steps, used, 20_000)
+        assert isinstance(outcome, Equivalent), seed
+        notes = []
+        assert certify(walked, knot, outcome, notes), (seed, notes)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), weak=st.integers(0, 1))
 def test_stable_walks_are_certified_and_refutations_recompute(seed, weak):
     rng = random.Random(seed)
-    knot = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
-    steps = rng.randint(2, 6)
-    walked, used = stable_walk(rng, knot, steps, weak)
-    outcome = search_equiv(walked, knot, 2 * steps + 2, used, 20_000)
-    if isinstance(outcome, Unknown):
-        # About 3 walks in 1000 end here: reduction lands a side on a form
-        # with a crossing next to its handle's own end, which the move set,
-        # lacking an end-crossing move, does not leave within the depth
-        # (ROADMAP item 3).  No other cause is allowed.
-        assert has_end_crossing(reduced_form(walked)) or has_end_crossing(reduced_form(knot))
-    else:
-        assert isinstance(outcome, Equivalent)
-        notes = []
-        assert certify(walked, knot, outcome, notes), notes
+    knot, walked, steps, used = walk_pair(rng, weak)
+    outcome = search_equiv(walked, knot, steps, used, 20_000)
+    assert isinstance(outcome, Equivalent)
+    notes = []
+    assert certify(walked, knot, outcome, notes), notes
 
     # against an unrelated knot, a refutation recomputes by brute force
     other = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
