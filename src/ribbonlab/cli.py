@@ -225,9 +225,9 @@ def _build_parser() -> _Parser:
         "--depth",
         type=int,
         required=True,
-        help="breadth-first levels of both sides together; each side is reduced first, its "
-        "script is that reduction followed by its search moves, so scripts can be longer, and "
-        "an UNKNOWN state count includes the reduction paths",
+        help="breadth-first levels of both sides together; each side is reduced first and a "
+        "script may start with part of that reduction, so scripts can be longer, and an "
+        "UNKNOWN state count includes the reduction paths",
     )
     p.add_argument("--weak", type=int, required=True)
     p.add_argument("--states", type=int, default=100_000)
