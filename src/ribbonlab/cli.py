@@ -41,8 +41,6 @@ from .ribbon import (
     RibbonData,
     SignedLetter,
     RibbonFormatError,
-    _canonical_handle,
-    _canonical_reduced,
     _reading,
     canonical_form,
     genus,
@@ -326,9 +324,7 @@ def run(argv, out=None) -> int:
                 stats["caches"] = {
                     name: {"hits": info.hits, "misses": info.misses}
                     for name, info in (
-                        ("canonical_form", _canonical_reduced.cache_info()),
                         ("handle_readings", _reading.cache_info()),
-                        ("canonical_handles", _canonical_handle.cache_info()),
                         ("successors", _successors.cache_info()),
                     )
                 }

@@ -31,12 +31,15 @@ from .ribbon import (
     Handle,
     RibbonData,
     SignedLetter,
-    _canonical_reduced,
+    _canonical_key,
+    _coded,
+    _flipped,
+    _free_reduced,
+    _letters,
+    _record,
     _require_valid,
     _token_lines,
-    free_reduce_word,
     reverse_flip,
-    serialize,
 )
 
 __all__ = [
@@ -155,31 +158,34 @@ Move = Union[
 # ---------------------------------------------------------------------------
 # kernels
 #
-# What each move does to the handles, written once on ``(start, word, end)``
-# triples.  The ``apply_*`` functions check a move's preconditions and run
-# its kernel on the record's own words, which stay as they are, unreduced
-# too.  ``_successors`` runs the same kernels on the moves it lists, which
-# are valid by construction, on freely reduced triples.
+# What each move does to the handles, written once on ``(start, word,
+# end)`` triples whose words are coded (see ``ribbon._coded``: the letter
+# (base, sign) is 2 * base + (sign > 0)).  The ``apply_*`` functions check a
+# move's preconditions, code the words the move reads, run its kernel and
+# decode the handle it changes; the record's other words stay as they are,
+# unreduced too.  ``_successor_triples`` runs the same kernels on the moves
+# it lists, which are valid by construction, on freely reduced triples.
 
 
 def _ways(triple):
     """A handle's two traversals, fwd then rev, each as (near base, far
     base, word as traversed, its reverse_flip)."""
     s, w, e = triple
-    rf = reverse_flip(w)
+    rf = _flipped(w)
     return (s, e, w, rf), (e, s, rf, w)
 
 
 def _destabilized(triples, base: int):
     """The handles that do not end on ``base``, with the bases above it
-    renumbered one down.  The renumbering keeps the order of the bases, so
-    it keeps freely reduced words reduced."""
-
-    def remap(b):
-        return b if b < base else b - 1
-
+    renumbered one down (a letter's code two down).  The renumbering keeps
+    the order of the bases, so it keeps freely reduced words reduced."""
+    cut = 2 * base  # the codes of letters on bases below ``base`` are less
     return tuple(
-        (remap(s), tuple([SignedLetter(remap(b), sg) for b, sg in w]), remap(e))
+        (
+            s if s < base else s - 1,
+            tuple([x if x < cut else x - 2 for x in w]),
+            e if e < base else e - 1,
+        )
         for s, w, e in triples
         if s != base and e != base
     )
@@ -198,7 +204,7 @@ def _rerouted(word, position: int, way):
     """``word`` with the letter at ``position`` pushed along the traversal
     ``way`` to its far base."""
     _, far, w, rf = way
-    return word[:position] + w + (SignedLetter(far, word[position].sign),) + rf + word[position + 1 :]
+    return word[:position] + w + (2 * far + (word[position] & 1),) + rf + word[position + 1 :]
 
 
 def _stabilizing(base_count: int, target: int):
@@ -214,6 +220,25 @@ def _trivial(base: int):
 def _removed(handles, index: int):
     """``handles`` without the ``index``-th (1-indexed)."""
     return handles[: index - 1] + handles[index:]
+
+
+def _destab_problem(triples, base: int) -> str | None:
+    """Why ``base`` cannot be destabilized, or None when it can: it must
+    lie on exactly one handle end, that handle must cross nothing, and no
+    handle may cross it.  Words are coded."""
+    found = None
+    for s, w, e in triples:
+        if s == base or e == base:
+            if found is not None or s == e:
+                return "degree != 1"
+            found = w
+    if found is None:
+        return "degree != 1"
+    if found:
+        return "handle word not empty"
+    if any(x >> 1 == base for _, w, _ in triples for x in w):
+        return "base occurs in handle words"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +257,18 @@ def _get_handle(data: RibbonData, index: int) -> Handle:
 
 
 def _triple(h: Handle):
-    return h.start, h.word, h.end
+    """``h`` as a triple with its word coded."""
+    return h.start, _coded(h.word), h.end
 
 
 def _handle(triple) -> Handle:
+    """The ``Handle`` of a triple whose word is coded."""
     s, w, e = triple
-    return Handle(s, e, w)
+    return Handle(s, e, _letters(w))
 
 
-def _replace_handle(data: RibbonData, index: int, triple) -> RibbonData:
-    handles = data.handles[: index - 1] + (_handle(triple),) + data.handles[index:]
+def _replace_handle(data: RibbonData, index: int, handle: Handle) -> RibbonData:
+    handles = data.handles[: index - 1] + (handle,) + data.handles[index:]
     return RibbonData(data.dim, data.base_count, handles)
 
 
@@ -251,25 +278,6 @@ def _traversal(data: RibbonData, index: int, direction: str):
     if direction not in ("fwd", "rev"):
         raise MoveError(f"direction must be 'fwd' or 'rev', got {direction!r}")
     return _ways(_triple(h))[direction == "rev"]
-
-
-def _destab_problem(data: RibbonData, base: int) -> str | None:
-    """Why ``base`` cannot be destabilized, or None when it can: it must
-    lie on exactly one handle end, that handle must cross nothing, and no
-    handle may cross it."""
-    found = None
-    for h in data.handles:
-        if h.start == base or h.end == base:
-            if found is not None or h.start == h.end:
-                return "degree != 1"
-            found = h
-    if found is None:
-        return "degree != 1"
-    if found.word:
-        return "handle word not empty"
-    if any(l.base == base for h in data.handles for l in h.word):
-        return "base occurs in handle words"
-    return None
 
 
 def apply_stabilize(data: RibbonData, target: int) -> RibbonData:
@@ -283,10 +291,11 @@ def apply_destabilize(data: RibbonData, base: int) -> RibbonData:
     """Remove a base of degree one whose handle crosses nothing, together
     with that handle.  Remaining bases are renumbered order-preservingly."""
     _check_base(data, base)
-    problem = _destab_problem(data, base)
+    triples = tuple(map(_triple, data.handles))
+    problem = _destab_problem(triples, base)
     if problem:
         raise MoveError(f"destab {base}: {problem}")
-    handles = tuple(map(_handle, _destabilized(map(_triple, data.handles), base)))
+    handles = tuple(map(_handle, _destabilized(triples, base)))
     return RibbonData(data.dim, data.base_count - 1, handles)
 
 
@@ -298,7 +307,7 @@ def apply_cancel_insert(data: RibbonData, handle: int, position: int, base: int,
     if not 0 <= position <= len(h.word):
         raise MoveError(f"insert position {position} out of range 0..{len(h.word)}")
     pair = (SignedLetter(base, sign), SignedLetter(base, -sign))
-    return _replace_handle(data, handle, (h.start, h.word[:position] + pair + h.word[position:], h.end))
+    return _replace_handle(data, handle, Handle(h.start, h.end, h.word[:position] + pair + h.word[position:]))
 
 
 def apply_cancel_delete(data: RibbonData, handle: int, position: int) -> RibbonData:
@@ -308,7 +317,7 @@ def apply_cancel_delete(data: RibbonData, handle: int, position: int) -> RibbonD
     a, b = h.word[position], h.word[position + 1]
     if a.base != b.base or a.sign != -b.sign:
         raise MoveError(f"letters at position {position} do not cancel")
-    return _replace_handle(data, handle, (h.start, h.word[:position] + h.word[position + 2 :], h.end))
+    return _replace_handle(data, handle, Handle(h.start, h.end, h.word[:position] + h.word[position + 2 :]))
 
 
 def apply_slide(data: RibbonData, handle: int, which: str, along: int, direction: str) -> RibbonData:
@@ -326,7 +335,7 @@ def apply_slide(data: RibbonData, handle: int, which: str, along: int, direction
             f"slide: {which} of handle {handle} is on base {attached}, "
             f"not on the traversal start {way[0]}"
         )
-    return _replace_handle(data, handle, _slid(_triple(h), which, way))
+    return _replace_handle(data, handle, _handle(_slid(_triple(h), which, way)))
 
 
 def apply_cross_slide(data: RibbonData, handle: int, position: int, via: int, direction: str) -> RibbonData:
@@ -344,7 +353,7 @@ def apply_cross_slide(data: RibbonData, handle: int, position: int, via: int, di
             f"cross-slide: letter crosses base {h.word[position].base}, "
             f"but the traversal of handle {via} starts at {way[0]}"
         )
-    return _replace_handle(data, handle, (h.start, _rerouted(h.word, position, way), h.end))
+    return _replace_handle(data, handle, _handle((h.start, _rerouted(_coded(h.word), position, way), h.end)))
 
 
 def apply_trivial_handle(data: RibbonData, base: int) -> RibbonData:
@@ -363,7 +372,7 @@ def remove_trivial_handle(data: RibbonData, handle: int) -> RibbonData:
 
 def reverse_handle(data: RibbonData, handle: int) -> RibbonData:
     h = _get_handle(data, handle)
-    return _replace_handle(data, handle, (h.end, reverse_flip(h.word), h.start))
+    return _replace_handle(data, handle, Handle(h.end, h.start, reverse_flip(h.word)))
 
 
 # The one description of each move kind.  Its script line is the syntax
@@ -498,15 +507,20 @@ def slides(data: RibbonData) -> list[Slide]:
     order, its start end and then its end end, slid along each other handle
     in stored order, ``fwd`` (along a handle starting where the end sits)
     before ``rev`` (along one ending there)."""
+    return _slides([(h.start, h.end) for h in data.handles])
+
+
+def _slides(ends) -> list[Slide]:
+    """:func:`slides` of handles given as ``(start, end)`` pairs."""
     found = []
-    for slider, h in enumerate(data.handles, start=1):
-        for which, attached in (("start", h.start), ("end", h.end)):
-            for along, g in enumerate(data.handles, start=1):
+    for slider, (s, e) in enumerate(ends, start=1):
+        for which, attached in (("start", s), ("end", e)):
+            for along, (g_start, g_end) in enumerate(ends, start=1):
                 if along == slider:
                     continue
-                if g.start == attached:
+                if g_start == attached:
                     found.append(Slide(slider, which, along, "fwd"))
-                if g.end == attached:
+                if g_end == attached:
                     found.append(Slide(slider, which, along, "rev"))
     return found
 
@@ -525,54 +539,61 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
     Order is fixed, so the result is deterministic.
 
     Each successor is built as it would be by :func:`apply_move`, by the
-    same per-move kernel, but on freely reduced ``(start, word, end)``
-    triples: the words of ``data`` are reduced once, each move rebuilds and
-    reduces only the handle it changes (a destabilization's renumbering
-    keeps reduced words reduced), and the triples go to the canonical
-    labelling directly, with no intermediate record.  Moves are numbered
-    on the stored handles and letters of ``data``, which need not be
-    canonical or reduced: each listed state is
-    ``canonical_form(apply_move(data, move))``.
+    same per-move kernel, but on freely reduced triples with coded words:
+    the words of ``data`` are coded and reduced once, each move rebuilds
+    and reduces only the handle it changes (a destabilization's
+    renumbering keeps reduced words reduced), and the triples go to the
+    canonical labelling directly.  Moves are numbered on the stored handles
+    and letters of ``data``, which need not be canonical or reduced: each
+    listed state is ``canonical_form(apply_move(data, move))``.  The
+    equivalence search reads the same successors of its canonical states
+    as canonical keys, without records, from a per-process cache; this
+    function builds a record for each successor it returns.
 
     Raises ``ValueError`` with the first problem :func:`validate` finds
-    when ``data`` is not a valid record.  The pairs are memoized per
-    process in a bounded LRU cache keyed on the state and on whether any
-    weak budget remains, which is all they depend on; searches that meet a
-    state again, in the same search or in a later one, neither check it
-    nor re-apply its moves.
+    when ``data`` is not a valid record.
     """
-    return list(_successors(data, weak_budget > 0))
+    _require_valid(data)
+    raw = tuple(map(_triple, data.handles))
+    reduced = tuple([(s, _free_reduced(w), e) for s, w, e in raw])
+    return [
+        (move, _record(data.dim, *state))
+        for move, state in _labelled(data.base_count, raw, reduced, weak_budget > 0)
+    ]
 
 
-# Each entry keeps a state's successors alive.  Within one search no state
-# is expanded twice, so the cache pays off across searches in one process
-# (a shared unknot side, say), which needs far fewer entries; 1 << 13 entries
-# held 64 MB more at peak in a 25000-state search, 1 << 10 held 3 MB more.
+def _labelled(base_count: int, raw, reduced, weak: bool):
+    """Yield ``(move, (base_count, key))`` for each successor of
+    :func:`_successor_triples`, the first move to each canonical state
+    only."""
+    seen = set()
+    for move, count, triples in _successor_triples(base_count, raw, reduced, weak):
+        state = count, _canonical_key(count, triples)
+        if state not in seen:
+            seen.add(state)
+            yield move, state
+
+
+# Each entry keeps a state's successors alive, as (move, (base count,
+# key)) pairs.  Within one search no state is expanded twice, so the cache
+# pays off across searches in one process (a shared unknot side, the
+# plateau searches of the reductions), which needs far fewer entries.
 @lru_cache(maxsize=1 << 10)
-def _successors(data: RibbonData, weak: bool) -> tuple[tuple[Move, RibbonData], ...]:
-    """The labelled successors of ``_successor_triples``, first of each
-    canonical state kept."""
-    results: list[tuple[Move, RibbonData]] = []
-    seen: set[str] = set()
-    for move, base_count, triples in _successor_triples(data, weak):
-        state = _canonical_reduced(data.dim, base_count, triples)
-        key = serialize(state)
-        if key not in seen:
-            seen.add(key)
-            results.append((move, state))
-    return tuple(results)
+def _successors(base_count: int, key, weak: bool) -> tuple:
+    """The successors of the canonical state ``(base_count, key)``, as
+    :func:`_labelled` yields them."""
+    return tuple(_labelled(base_count, key, key, weak))
 
 
-def _successor_triples(data: RibbonData, weak: bool):
+def _successor_triples(n: int, raw, reduced, weak: bool):
     """Yield ``(move, base_count, triples)`` for each move
     ``enumerate_moves`` lists, in its order and with repeats: the
-    successor's freely reduced ``(start, word, end)`` triples, not yet
-    labelled.  A relabelling keeps their sizes, so a caller can compare
-    successors by size before labelling any."""
-    _require_valid(data)
-    n = data.base_count
-    raw = [_triple(h) for h in data.handles]
-    reduced = tuple([(s, free_reduce_word(w), e) for s, w, e in raw])
+    successor's freely reduced triples, with coded words, not yet
+    labelled.  ``raw`` holds the stored handles with coded words, on which
+    moves are numbered, and ``reduced`` the same with the words freely
+    reduced; for a canonical key the two are the key.  A relabelling keeps
+    the triples' sizes, so a caller can compare successors by size before
+    labelling any."""
 
     def changed(index, triple):
         """The parent's triples with handle ``index`` (1-indexed) replaced
@@ -580,12 +601,12 @@ def _successor_triples(data: RibbonData, weak: bool):
         return reduced[: index - 1] + (triple,) + reduced[index:]
 
     for base in range(1, n + 1):
-        if _destab_problem(data, base) is None:
+        if _destab_problem(raw, base) is None:
             yield Destab(base), n - 1, _destabilized(reduced, base)
 
     if weak:
-        for i, h in enumerate(data.handles, start=1):
-            if h.start == h.end and not h.word:
+        for i, (s, w, e) in enumerate(raw, start=1):
+            if s == e and not w:
                 yield RemoveTrivialHandle(i), n, _removed(reduced, i)
 
     # Reducing a concatenation gives the same word whether or not its parts
@@ -593,9 +614,9 @@ def _successor_triples(data: RibbonData, weak: bool):
     # traversals.  A cross-slide names its letter by the stored position,
     # so it reroutes the stored word.
     ways = [_ways(t) for t in reduced]
-    for move in slides(data):
+    for move in _slides([(s, e) for s, _, e in raw]):
         s, word, e = _slid(reduced[move.handle - 1], move.which, ways[move.along - 1][move.direction == "rev"])
-        yield move, n, changed(move.handle, (s, free_reduce_word(word), e))
+        yield move, n, changed(move.handle, (s, _free_reduced(word), e))
 
     for idx, (s, word, e) in enumerate(raw, start=1):
         if not word:
@@ -605,10 +626,10 @@ def _successor_triples(data: RibbonData, weak: bool):
                 continue
             for direction, way in zip(("fwd", "rev"), pair):
                 near = way[0]
-                for pos, letter in enumerate(word):
-                    if letter.base != near:
+                for pos, x in enumerate(word):
+                    if x >> 1 != near:
                         continue
-                    spliced = free_reduce_word(_rerouted(word, pos, way))
+                    spliced = _free_reduced(_rerouted(word, pos, way))
                     if len(spliced) <= len(word):
                         yield CrossSlide(idx, pos, via, direction), n, changed(idx, (s, spliced, e))
 

@@ -18,14 +18,20 @@ individualization-refinement, the canonical labelling scheme of nauty and
 Traces, so it is canonical at every size with no exhaustive limit; what
 it reads from one handle alone is kept per process, so records built from
 handles met before cost little more than a sort of their bases.
-Serialized canonical forms are the state identity used by the equivalence
-search.
+
+Inside the labelling and the move kernels a crossing letter is the integer
+``2 * base + (sign > 0)`` (see :func:`_coded`).  The labelling returns a
+canonical *key*: the canonical record's handles as ``(start, coded word,
+end)`` triples.  The equivalence search identifies a state by its base
+count and key, and builds a ``RibbonData``, with its text, only for the
+states whose record or text it reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add, ne
 from typing import NamedTuple
 
 __all__ = [
@@ -214,8 +220,7 @@ def serialize(data: RibbonData) -> str:
     through :func:`parse_ribbon` unchanged.
 
     The text is built once per record and kept on it, so serializing a
-    record again, such as a canonical state the search meets twice, is a
-    lookup."""
+    record again is a lookup."""
     return data._text
 
 
@@ -260,20 +265,30 @@ def component_count(data: RibbonData) -> int:
     """Number of link components: connected components of the graph whose
     vertices are bases and whose edges are handle end attachments.
     Crossings do not join components; a handle passing through a base meets
-    only its interior."""
-    parent = list(range(data.base_count + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    only its interior.  Bases that no handle end touches are components of
+    their own and are counted, not visited, so the cost follows the handles
+    whatever the base count."""
+    n = data.base_count
+    group: dict[int, list[int]] = {}  # a touched base -> the bases joined to it
     for h in data.handles:
-        a, b = find(h.start), find(h.end)
-        if a != b:
-            parent[a] = b
-    return len({find(b) for b in range(1, data.base_count + 1)})
+        s, e = h.start, h.end
+        gs, ge = group.get(s), group.get(e)
+        if gs is None and ge is None:
+            group[s] = group[e] = [s] if s == e else [s, e]
+        elif gs is None:
+            ge.append(s)
+            group[s] = ge
+        elif ge is None:
+            gs.append(e)
+            group[e] = gs
+        elif gs is not ge:
+            if len(gs) < len(ge):
+                gs, ge = ge, gs
+            gs.extend(ge)
+            for b in ge:
+                group[b] = gs
+    inside = [g for b, g in group.items() if 1 <= b <= n]
+    return n - len(inside) + len({id(g) for g in inside})
 
 
 def genus(data: RibbonData) -> int:
@@ -327,6 +342,48 @@ def reversed_handle(h: Handle) -> Handle:
 
 
 # ---------------------------------------------------------------------------
+# coded letters
+#
+# The labelling and the move kernels write the letter (base, sign) as the
+# integer 2 * base + (sign > 0).  Codes order exactly as (base, sign)
+# pairs do, so sorting and comparing coded words gives what comparing
+# letter tuples gives; ``x >> 1`` is the base, ``x ^ 1`` the letter with
+# its sign flipped, and two letters cancel when ``y == x ^ 1``.
+
+
+def _coded(word) -> tuple[int, ...]:
+    """``word`` with each letter coded.  Raises ``ValueError`` on a sign
+    other than +1 or -1, which has no code."""
+    out = []
+    for b, sg in word:
+        if sg != 1 and sg != -1:
+            raise ValueError(f"crossing sign {sg}, expected +1 or -1")
+        out.append(2 * b + (sg > 0))
+    return tuple(out)
+
+
+def _letters(word) -> tuple[SignedLetter, ...]:
+    """The coded ``word`` as ``SignedLetter`` values."""
+    return tuple([SignedLetter(x >> 1, 1 if x & 1 else -1) for x in word])
+
+
+def _free_reduced(word) -> tuple[int, ...]:
+    """:func:`free_reduce_word` on a coded word."""
+    out: list[int] = []
+    for x in word:
+        if out and out[-1] == x ^ 1:
+            out.pop()
+        else:
+            out.append(x)
+    return tuple(out)
+
+
+def _flipped(word) -> tuple[int, ...]:
+    """:func:`reverse_flip` on a coded word."""
+    return tuple([x ^ 1 for x in reversed(word)])
+
+
+# ---------------------------------------------------------------------------
 # canonical form
 #
 # Canonical labelling by individualization-refinement, the scheme of
@@ -342,14 +399,14 @@ def reversed_handle(h: Handle) -> Handle:
 # relabelling.  Leaves with equal encodings give automorphisms, which prune
 # the tree without changing its least encoding.
 #
-# A search canonicalizes many records built from few distinct handles: a
+# A search labels many records built from few distinct handles: a
 # successor differs from the state expanded in at most one handle, or by
 # one base and the handle on it.  The search builds its successors as
-# tuples of freely reduced (start, word, end) triples and hands them to
-# ``_canonical_reduced`` directly (see ``moves._successors``); only other
-# records pass through ``canonical_form``, which reduces their words.  The
-# 216 open searches of one block of the benchmark, each process starting
-# cold, label 19 000 records made of 57 500 handles, 6 300 of them
+# tuples of freely reduced (start, coded word, end) triples and hands them
+# to ``_canonical_key`` directly (see ``moves._successors``); only other
+# records pass through ``canonical_form``, which codes and reduces their
+# words.  The 216 open searches of one block of the benchmark, each process
+# starting cold, label 19 000 records made of 57 500 handles, 6 300 of them
 # distinct within their process.  So what depends on one handle alone is
 # computed once per process and kept in ``_reading``, a bounded LRU cache
 # keyed on the triple: the handle's bases, signs and base positions, and
@@ -358,25 +415,30 @@ def reversed_handle(h: Handle) -> Handle:
 # colour, so a base's signature there is made of those cached incidences
 # alone, and the round is one sort of the bases.  When every signature
 # differs, as for 78 % of those records, the sort is the labelling;
-# otherwise refinement goes on from the bases the round moved.  The
-# canonical record and its ``ribbon 1`` text are put together from the
-# winning leaf's handles, each one's ``Handle`` and text line kept in a
-# second such cache, ``_canonical_handle``.
+# otherwise refinement goes on from the bases the round moved.
+#
+# The key is the winning leaf's handles with coded words, so it is the
+# canonical record's handle list, and the search keys its states on it.
+# A ``RibbonData`` is built from a key, by ``_record``, only where a record
+# or its text is read: a public result, or a tie the search breaks by
+# serialized form.
 
 
 class _Reading(NamedTuple):
     """What one freely reduced handle gives the labelling, whatever the
     rest of the record: its bases in order (start, crossings, end; numbered
-    from 0), the crossing signs read forwards and backwards, each base's
-    positions on it read forwards and backwards, each base's incidence in
-    the first refinement round, and its largest base number."""
+    from 0), the sign bits of its letters read forwards and backwards, its
+    crossing bases alone, forwards and backwards, each base's positions on
+    it read forwards and backwards, and each base's incidence in the first
+    refinement round.  A sign bit orders as the sign does."""
 
     ids: tuple[int, ...]
     signs: tuple[int, ...]
     rev_signs: tuple[int, ...]
+    mids: tuple[int, ...]
+    rev_mids: tuple[int, ...]
     spots: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
     first: tuple[tuple[int, tuple], ...]
-    top: int
 
 
 # A reading with its cache entry takes about 1.7 kB, so a full cache holds
@@ -385,18 +447,13 @@ class _Reading(NamedTuple):
 # distinct handles, so the bound keeps every handle of a search that size.
 @lru_cache(maxsize=1 << 13)
 def _reading(triple) -> _Reading:
-    """The reading of a freely reduced ``(start, word, end)`` triple.
-    Raises ``ValueError`` on a base below 1 or a sign other than +1 or -1;
-    the caller compares ``top`` with the base count."""
+    """The reading of a valid, freely reduced ``(start, coded word, end)``
+    triple."""
     s, w, e = triple
-    ids = (s - 1, *[b - 1 for b, _ in w], e - 1)
-    if min(ids) < 0:
-        raise ValueError(f"base index {min(ids) + 1} out of range, bases are numbered from 1")
-    signs = tuple([sg for _, sg in w])
-    for sg in signs:
-        if sg != 1 and sg != -1:
-            raise ValueError(f"crossing sign {sg}, expected +1 or -1")
-    rev_signs = tuple([-sg for sg in signs[::-1]])
+    mids = tuple([(x >> 1) - 1 for x in w])
+    ids = (s - 1, *mids, e - 1)
+    signs = tuple([x & 1 for x in w])
+    rev_signs = tuple([1 - g for g in signs[::-1]])
     last = len(ids) - 1
     at: dict[int, list[int]] = {}
     for i, b in enumerate(ids):
@@ -416,7 +473,7 @@ def _reading(triple) -> _Reading:
         first = tuple([(b, ((length, rev_signs), there)) for b, (_, there) in spots.items()])
     else:
         first = tuple([(b, ((length, signs), min(here, there))) for b, (here, there) in spots.items()])
-    return _Reading(ids, signs, rev_signs, spots, first, max(ids) + 1)
+    return _Reading(ids, signs, rev_signs, mids, mids[::-1], spots, first)
 
 
 class _Colouring:
@@ -444,8 +501,11 @@ class _Colouring:
         for reading in readings:
             for b, incidence in reading.first:
                 incidences[b].append(incidence)
-        ranked = sorted([(tuple(sorted(found)), b) for b, found in enumerate(incidences)])
-        if all(ranked[i][0] != ranked[i + 1][0] for i in range(base_count - 1)):
+        for found in incidences:
+            found.sort()
+        ranked = sorted(zip(map(tuple, incidences), range(base_count)))
+        signatures = [sig for sig, _ in ranked]
+        if all(map(ne, signatures, signatures[1:])):
             colours = [0] * base_count
             for c, (_, b) in enumerate(ranked):
                 colours[b] = c
@@ -590,27 +650,26 @@ class _TreeNode:
 
 def _canonical_key(base_count, triples):
     """The least relabelled encoding over the leaves of the
-    individualization-refinement tree."""
+    individualization-refinement tree, given valid, freely reduced
+    ``(start, coded word, end)`` triples: the canonical record's handles,
+    as such triples."""
     readings = [_reading(t) for t in triples]
-    for reading in readings:
-        if reading.top > base_count:
-            raise ValueError(f"base index {reading.top} out of range 1..{base_count}")
 
     def leaf_key(colours):
         """Each handle in the orientation whose (start, word, end) is the
-        smaller, which its end labels decide unless they tie, and sorted."""
-        labels = [c + 1 for c in colours]
+        smaller, which its end labels decide unless they tie, and sorted.
+        A base's label is its colour plus one."""
+        code = [2 * c + 2 for c in colours]  # a letter's code less its sign bit
         out = []
-        for ids, signs, rev_signs, _, _, _ in readings:
-            at = [labels[x] for x in ids]
-            s, e = at[0], at[-1]
+        for ids, signs, rev_signs, mids, rev_mids, _, _ in readings:
+            s, e = colours[ids[0]] + 1, colours[ids[-1]] + 1
             if s < e:
-                out.append((s, tuple(zip(at[1:-1], signs)), e))
+                out.append((s, tuple(map(add, map(code.__getitem__, mids), signs)), e))
             elif e < s:
-                out.append((e, tuple(zip(at[-2:0:-1], rev_signs)), s))
+                out.append((e, tuple(map(add, map(code.__getitem__, rev_mids), rev_signs)), s))
             else:
-                fwd = tuple(zip(at[1:-1], signs))
-                rev = tuple(zip(at[-2:0:-1], rev_signs))
+                fwd = tuple(map(add, map(code.__getitem__, mids), signs))
+                rev = tuple(map(add, map(code.__getitem__, rev_mids), rev_signs))
                 out.append((s, fwd if fwd <= rev else rev, s))
         out.sort()
         return tuple(out)
@@ -667,31 +726,48 @@ def _canonical_key(base_count, triples):
     return best[0]
 
 
-# Kept apart from ``_reading``: a record canonicalized once, with no search
-# after it, would otherwise pay for a full reading of every output handle.
-# An entry takes about 0.6 kB.
-@lru_cache(maxsize=1 << 13)
-def _canonical_handle(triple) -> tuple[Handle, str]:
-    """The ``Handle`` and the ``ribbon 1`` line of a handle of a canonical
-    form, given as a ``(start, word, end)`` triple of plain tuples."""
-    s, w, e = triple
-    line = f"handle {s} {e} :" + "".join([f" {sg * b}" for b, sg in w]) + "\n"
-    return Handle(s, e, tuple(map(SignedLetter._make, w))), line
+def _record(dim: int, base_count: int, key) -> RibbonData:
+    """The canonical record whose handles are the triples of ``key``.  The
+    search builds one only where a record or its text is read: a meet, or
+    the candidates of a tie broken by serialized form."""
+    return RibbonData(dim, base_count, tuple([Handle(s, e, _letters(w)) for s, w, e in key]))
 
 
-@lru_cache(maxsize=1 << 15)
-def _canonical_reduced(dim: int, base_count: int, triples) -> RibbonData:
-    """The canonical form of a record given as freely reduced ``(start,
-    word, end)`` triples whose letters are ``SignedLetter`` values."""
-    handles = []
-    text = f"ribbon 1\ndim {dim}\nbases {base_count}\n"
-    for handle, line in map(_canonical_handle, _canonical_key(base_count, triples)):
-        handles.append(handle)
-        text += line
-    data = RibbonData(dim, base_count, tuple(handles))
-    # the text ``serialize`` would build, stored where ``_text`` keeps it
-    data.__dict__["_text"] = text
-    return data
+def _reject(base_count: int, h: Handle):
+    """Raise the ``ValueError`` for the first bad base or sign of ``h``: a
+    base below 1, then a sign other than +1 or -1, then a base above
+    ``base_count``."""
+    bases = [h.start, *[b for b, _ in h.word], h.end]
+    if min(bases) < 1:
+        raise ValueError(f"base index {min(bases)} out of range, bases are numbered from 1")
+    for _, sg in h.word:
+        if sg != 1 and sg != -1:
+            raise ValueError(f"crossing sign {sg}, expected +1 or -1")
+    raise ValueError(f"base index {max(bases)} out of range 1..{base_count}")
+
+
+def _canonical_state(data: RibbonData):
+    """``(base_count, key)`` of the canonical form of ``data``, the state
+    the search stores.  Each word is checked, coded and freely reduced in
+    one pass, so a bad letter raises even where reduction would delete it."""
+    n = data.base_count
+    triples = []
+    for h in data.handles:
+        s, e = h.start, h.end
+        if not (0 < s <= n and 0 < e <= n):
+            _reject(n, h)
+        out: list[int] = []
+        for b, sg in h.word:
+            if 0 < b <= n and (sg == 1 or sg == -1):
+                x = 2 * b + (sg > 0)
+                if out and out[-1] == x ^ 1:
+                    out.pop()
+                else:
+                    out.append(x)
+            else:
+                _reject(n, h)
+        triples.append((s, tuple(out), e))
+    return n, _canonical_key(n, tuple(triples))
 
 
 def canonical_form(data: RibbonData) -> RibbonData:
@@ -710,37 +786,25 @@ def canonical_form(data: RibbonData) -> RibbonData:
     representative is the least leaf encoding, which need not be the least
     encoding over all relabellings.
 
-    Results are memoized per process in a bounded LRU cache keyed on the
-    dimension, the base count and the freely reduced ``(start, word, end)``
-    triples, so every input that reduces to the same record shares one
-    result object.  The equivalence search builds its successors as such
-    triples and looks them up in that cache directly, without a record or
-    a second reduction; this function reduces the words of the records it
-    is given and nothing more.  Two more bounded caches work per handle:
-    one keeps what the labelling reads from a freely reduced handle alone,
-    down to its bases' signatures in the first refinement round, and one
-    keeps each handle of a result with its line of the result's ``ribbon
-    1`` text.  A new record built from handles met before then mostly
-    sorts its bases and looks the rest up.
+    The labelling works on coded letters (see the module docstring) and
+    returns the canonical record's handles; the equivalence search keys
+    its states on them and builds its successors' triples itself, so only
+    the records read are built.  What the labelling reads from a freely
+    reduced handle alone, down to its bases' signatures in the first
+    refinement round, is kept per process in a bounded cache, so a new
+    record built from handles met before mostly sorts its bases and looks
+    the rest up.
 
     Raises ``ValueError`` when a handle end or a letter names a base
     outside 1..``base_count``, or a letter's sign is not +1 or -1, also
     when free reduction would delete that letter.
     """
-    n = data.base_count
-    triples = []
-    for h in data.handles:
-        word = free_reduce_word(h.word)
-        if len(word) < len(h.word) and not all(0 < b <= n and (sg == 1 or sg == -1) for b, sg in h.word):
-            # a bad letter that reduction deletes raises what it would if kept
-            _canonical_key(n, ((h.start, h.word, h.end),))
-        triples.append((h.start, word, h.end))
-    return _canonical_reduced(data.dim, n, tuple(triples))
+    return _record(data.dim, *_canonical_state(data))
 
 
 def canonical_bytes(data: RibbonData) -> bytes:
     """The serialized canonical form as ASCII bytes, for comparing two
-    presentations: equal exactly when they share a canonical form.  The
-    search keys its states on the same text, ``serialize(canonical_form(..))``,
-    as a string."""
+    presentations: equal exactly when they share a canonical form.  Records
+    of one dimension have equal bytes exactly when they have the same
+    canonical key, on which the search keys its states."""
     return serialize(canonical_form(data)).encode("ascii")

@@ -20,10 +20,17 @@ indices refer to the canonical form of each intermediate state; replay
 them with :func:`replay_canonical` (apply one move, re-canonicalize,
 repeat).  Everything is deterministic for fixed inputs and caps, ties
 broken by serialized canonical byte order.
+
+The reduction and the breadth-first search hold each state as its base
+count and canonical key, the canonical record's handles with coded
+crossing letters (see ``ribbon._canonical_key``), and read its successors
+from the key.  A ``RibbonData`` and its text are built only for a state
+whose record is returned (the meet) or whose text breaks a tie.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cache
 from typing import Union
@@ -39,8 +46,8 @@ from .moves import (
     Slide,
     TrivialHandle,
     _successor_triples,
+    _successors,
     apply_move,
-    enumerate_moves,
     is_weak,
     serialize_script,
 )
@@ -48,7 +55,9 @@ from .quandle import FiniteQuandle, _count_valid, dihedral_quandle
 from .ribbon import (
     Handle,
     RibbonData,
-    _canonical_reduced,
+    _canonical_key,
+    _canonical_state,
+    _record,
     _require_valid,
     canonical_form,
     component_count,
@@ -143,29 +152,31 @@ def invariant_gate(a: RibbonData, b: RibbonData, quandles, weak_budget: int | No
 
 @dataclass
 class _Node:
-    data: RibbonData
-    parent: str | None
+    parent: tuple | None
     move: Move | None
     weak: int
 
 
-def _script_to(visited: dict[str, _Node], key: str) -> MoveScript:
+def _script_to(visited: dict[tuple, _Node], state) -> MoveScript:
     moves = []
-    node = visited[key]
+    node = visited[state]
     while node.move is not None:
         moves.append(node.move)
         node = visited[node.parent]
     return MoveScript(tuple(reversed(moves)))
 
 
-def _size(base_count: int, words) -> tuple[int, int, int]:
+def _least(dim: int, states):
+    """The state of least serialized canonical form among ``states``, each
+    a ``(base_count, key)`` pair.  Records of one dimension order alike
+    whatever the dimension, so ties break the same way in every search."""
+    return min(states, key=lambda state: serialize(_record(dim, *state)))
+
+
+def _size(base_count: int, triples) -> tuple[int, int, int]:
     """What a reduction lowers: bases, then total word letters, then
     handles.  Every relabelling of a record has the same size."""
-    return base_count, sum(map(len, words)), len(words)
-
-
-def _record_size(data: RibbonData) -> tuple[int, int, int]:
-    return _size(data.base_count, [h.word for h in data.handles])
+    return base_count, sum([len(w) for _, w, _ in triples]), len(triples)
 
 
 # How many levels past a state with no smaller successor the reduction
@@ -176,48 +187,51 @@ def _record_size(data: RibbonData) -> tuple[int, int, int]:
 _PLATEAU_LEVELS = 2
 
 
-def _plateau_exit(state: RibbonData, size, limit: int):
-    """The moves from ``state`` to the least (size, serialized form) state
-    smaller than ``size``, found by a breadth-first search over states no
-    larger, at the first level that has one, with the successors it
-    labelled; the moves are empty when no level up to ``_PLATEAU_LEVELS``
-    has one.  None when more than ``limit`` successors would be labelled."""
-    parents: dict[str, tuple | None] = {serialize(state): None}
+def _plateau_exit(state, size, limit: int):
+    """The moves from the canonical ``state`` to the least (size,
+    serialized form) state smaller than ``size``, found by a breadth-first
+    search over states no larger, at the first level that has one, with
+    the successors it labelled; the moves are empty when no level up to
+    ``_PLATEAU_LEVELS`` has one.  None when more than ``limit`` successors
+    would be labelled.  States are ``(base_count, key)`` pairs."""
+    parents: dict[tuple, tuple | None] = {state: None}
     frontier = [state]
     labelled = 0
     for _ in range(_PLATEAU_LEVELS):
         level = []
         for parent in frontier:
-            parent_key = serialize(parent)
-            successors = enumerate_moves(parent, 0)
+            successors = _successors(*parent, False)
             labelled += len(successors)
             if labelled > limit:
                 return None
             for move, child in successors:
-                key = serialize(child)
-                child_size = _record_size(child)
-                if key in parents or child_size > size:
+                child_size = _size(*child)
+                if child in parents or child_size > size:
                     continue
-                parents[key] = (parent_key, move, child)
-                level.append((child_size, key, child))
-        smaller = [(child_size, key) for child_size, key, _ in level if child_size < size]
-        if smaller:
+                parents[child] = (parent, move)
+                level.append((child_size, child))
+        least = min([child_size for child_size, _ in level], default=size)
+        if least < size:
+            # every candidate has the search's dimension, so records of any
+            # one dimension order them as their own texts do
+            child = _least(2, [child for child_size, child in level if child_size == least])
             steps = []
-            key = min(smaller)[1]
-            while parents[key] is not None:
-                key, move, child = parents[key]
+            while parents[child] is not None:
+                parent, move = parents[child]
                 steps.append((move, child))
+                child = parent
             return tuple(steps[::-1]), labelled
-        frontier = [child for _, _, child in level]
+        frontier = [child for _, child in level]
     return (), labelled
 
 
-def _reduce(root: RibbonData, limit: int) -> tuple[list[tuple[Move, RibbonData]], int]:
-    """The reduction of a canonical record, as (move, state reached)
-    pairs, and the states it labelled: :func:`_reduction_step` repeated
-    until it finds nothing or would label more than ``limit`` states in
-    all.  Every step lowers the size, so the reduction ends."""
-    path: list[tuple[Move, RibbonData]] = []
+def _reduce(root, limit: int) -> tuple[list[tuple[Move, tuple]], int]:
+    """The reduction of a canonical state ``(base_count, key)``, as (move,
+    state reached) pairs, and the states it labelled:
+    :func:`_reduction_step` repeated until it finds nothing or would label
+    more than ``limit`` states in all.  Every step lowers the size, so the
+    reduction ends."""
+    path: list[tuple[Move, tuple]] = []
     spent = 0
     state = root
     while True:
@@ -234,16 +248,16 @@ def _reduce(root: RibbonData, limit: int) -> tuple[list[tuple[Move, RibbonData]]
 # finished step is memoized per process with the states it labelled, as
 # successors are; a step the limit cut is not.  The memo is emptied when
 # it holds _STEPS_HELD states.
-_STEPS: dict[RibbonData, tuple[tuple[tuple[Move, RibbonData], ...], int]] = {}
+_STEPS: dict[tuple, tuple[tuple[tuple[Move, tuple], ...], int]] = {}
 _STEPS_HELD = 1 << 10
 _steps_info = {"hits": 0, "misses": 0}
 
 
-def _reduction_step(state: RibbonData, limit: int):
-    """The moves of one reduction step from a canonical record, each with
-    the state it reaches, and the states the step labelled; the moves are
-    empty when nothing smaller is found.  None when the step would label
-    more than ``limit`` states.
+def _reduction_step(state, limit: int):
+    """The moves of one reduction step from a canonical state
+    ``(base_count, key)``, each with the state it reaches, and the states
+    the step labelled; the moves are empty when nothing smaller is found.
+    None when the step would label more than ``limit`` states.
 
     The step takes the smallest successor at weak budget 0, the first in
     enumeration order on ties.  Sizes are read from the unlabelled
@@ -256,15 +270,16 @@ def _reduction_step(state: RibbonData, limit: int):
         _steps_info["hits"] += 1
         return found if found[1] <= limit else None
     _steps_info["misses"] += 1
-    size = _record_size(state)
+    n, key = state
+    size = _size(n, key)
     best = None
-    for move, base_count, triples in _successor_triples(state, False):
-        candidate = _size(base_count, [w for _, w, _ in triples])
+    for move, base_count, triples in _successor_triples(n, key, key, False):
+        candidate = _size(base_count, triples)
         if best is None or candidate < best[0]:
             best = (candidate, move, base_count, triples)
     if best[0] < size:
         _, move, base_count, triples = best
-        found = ((move, _canonical_reduced(state.dim, base_count, triples)),), 1
+        found = ((move, (base_count, _canonical_key(base_count, triples))),), 1
     elif best[0] > size:  # every successor is larger: there is no plateau
         found = (), 0
     else:
@@ -300,6 +315,12 @@ def search_equiv(
     the state the search left from, followed by its side's search moves,
     so it can be longer than ``depth``.
 
+    States are stored as their base count and canonical key (see
+    ``ribbon._canonical_key``), and successors are read from the key, so
+    no record is built for a state the search only stores or expands.  A
+    record is built where one is read: the meet, and the candidates of a
+    tie broken by serialized form.
+
     ``depth`` caps the breadth-first levels of both sides together,
     ``weak_budget`` the weak moves (trivial handles attached or removed)
     on each side separately, and ``state_cap`` the canonical states
@@ -314,10 +335,13 @@ def search_equiv(
     search went: ``reduced``, the reduction moves per side; ``levels``,
     one ``[side, frontier size]`` pair per breadth-first level in the
     order expanded (side ``"a"`` or ``"b"``; the size counts the new
-    states of that level); ``states``, the states stored per side; and
+    states of that level); ``states``, the states stored per side;
     ``stop``, why the search ended: ``gate`` (the invariant gate refuted),
     ``met`` (the sides met), ``depth`` (the depth limit was reached) or
-    ``cap`` (the state cap was reached).
+    ``cap`` (the state cap was reached); and ``seconds``, the time spent
+    in the ``gate``, in the ``reduction`` (the roots' canonical forms
+    included) and in the breadth-first ``search``, 0.0 for a phase not
+    reached.
 
     An ``Unknown`` outcome's ``states`` counts every stored state, the
     reduction paths included, and its ``depth`` the breadth-first levels
@@ -334,8 +358,21 @@ def search_equiv(
         quandles = default_gate_quandles()
     levels: list[list] = []
     sides = []
+    # the time per phase, read only when ``stats`` is asked for
+    seconds = {"gate": 0.0, "reduction": 0.0, "search": 0.0}
+    phase = "gate"
+    started = time.perf_counter() if stats is not None else 0.0
+
+    def enter(next_phase: str):
+        nonlocal phase, started
+        if stats is not None:
+            now = time.perf_counter()
+            seconds[phase] += now - started
+            started = now
+        phase = next_phase
 
     def stop(reason: str, outcome: SearchOutcome) -> SearchOutcome:
+        enter(phase)
         if stats is not None:
             visited = [len(side["visited"]) for side in sides] or [0, 0]
             reduced = [side["reduced"] for side in sides] or [0, 0]
@@ -344,20 +381,20 @@ def search_equiv(
                 levels=levels,
                 states={"a": visited[0], "b": visited[1]},
                 stop=reason,
+                seconds=seconds,
             )
         return outcome
 
-    def met(meet_key: str) -> SearchOutcome:
-        node_a = sides[0]["visited"][meet_key]
-        node_b = sides[1]["visited"][meet_key]
+    def met(states) -> SearchOutcome:
+        meet = _least(a.dim, states)
         return stop(
             "met",
             Equivalent(
-                _script_to(sides[0]["visited"], meet_key),
-                _script_to(sides[1]["visited"], meet_key),
-                node_a.data,
-                node_a.weak,
-                node_b.weak,
+                _script_to(sides[0]["visited"], meet),
+                _script_to(sides[1]["visited"], meet),
+                _record(a.dim, *meet),
+                sides[0]["visited"][meet].weak,
+                sides[1]["visited"][meet].weak,
             ),
         )
 
@@ -365,59 +402,60 @@ def search_equiv(
     if refuted is not None:
         return stop("gate", refuted)
 
-    roots = [canonical_form(a), canonical_form(b)]
-    same = serialize(roots[0]) == serialize(roots[1])
+    enter("reduction")
+    roots = [_canonical_state(a), _canonical_state(b)]
+    same = roots[0] == roots[1]
     labelled = 2  # the roots
     for root in roots:
-        key = root_key = serialize(root)
-        visited = {key: _Node(root, None, None, 0)}
+        state = root
+        visited = {root: _Node(None, None, 0)}
         path, spent = ([], 0) if same else _reduce(root, state_cap - labelled)
-        for move, state in path:
-            parent, key = key, serialize(state)
-            visited[key] = _Node(state, parent, move, 0)
+        for move, reached in path:
+            visited[reached] = _Node(state, move, 0)
+            state = reached
         # the search starts from the root; a path state joins a frontier
         # when the search reaches it
-        unexpanded = set(visited) - {root_key}
-        sides.append({"visited": visited, "frontier": [root_key], "unexpanded": unexpanded, "level": 0, "reduced": len(path)})
+        unexpanded = set(visited) - {root}
+        sides.append({"visited": visited, "frontier": [root], "unexpanded": unexpanded, "level": 0, "reduced": len(path)})
         labelled += spent
     states = len(sides[0]["visited"]) + len(sides[1]["visited"])
-    meets = sorted(sides[0]["visited"].keys() & sides[1]["visited"].keys())
+    meets = sides[0]["visited"].keys() & sides[1]["visited"].keys()
     if meets:
-        return met(meets[0])
+        return met(meets)
 
+    enter("search")
     while sides[0]["level"] + sides[1]["level"] < depth:
         idx = 0 if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else 1
         me, other = sides[idx], sides[1 - idx]
         visited = me["visited"]
 
-        new_keys: list[str] = []
-        reached: list[str] = []
+        new_states: list[tuple] = []
+        reached: list[tuple] = []
         cap_hit = False
-        for key in me["frontier"]:
-            node = visited[key]
-            for move, child in enumerate_moves(node.data, weak_budget - node.weak):
-                child_key = serialize(child)
-                if child_key in visited:
-                    if child_key in me["unexpanded"]:
-                        me["unexpanded"].discard(child_key)
-                        reached.append(child_key)
+        for state in me["frontier"]:
+            node = visited[state]
+            for move, child in _successors(*state, weak_budget > node.weak):
+                if child in visited:
+                    if child in me["unexpanded"]:
+                        me["unexpanded"].discard(child)
+                        reached.append(child)
                     continue
                 if states >= state_cap:
                     cap_hit = True
                     break
-                visited[child_key] = _Node(child, key, move, node.weak + is_weak(move))
-                new_keys.append(child_key)
+                visited[child] = _Node(state, move, node.weak + is_weak(move))
+                new_states.append(child)
                 states += 1
             if cap_hit:
                 break
-        me["frontier"] = new_keys + reached
+        me["frontier"] = new_states + reached
         if not cap_hit:
             me["level"] += 1
-        levels.append(["ab"[idx], len(new_keys)])
+        levels.append(["ab"[idx], len(new_states)])
 
-        meets = sorted(k for k in new_keys if k in other["visited"])
+        meets = [child for child in new_states if child in other["visited"]]
         if meets:
-            return met(meets[0])
+            return met(meets)
         if cap_hit:
             return stop("cap", Unknown(states, sides[0]["level"] + sides[1]["level"]))
     return stop("depth", Unknown(states, sides[0]["level"] + sides[1]["level"]))

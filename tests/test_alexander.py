@@ -57,6 +57,8 @@ def test_torus_presentations_are_one():
 def test_rejects_disconnected():
     with pytest.raises(ValueError, match="disconnected"):
         alexander_polynomial(RibbonData(2, 2, ()))
+    with pytest.raises(ValueError, match="disconnected"):
+        alexander_polynomial(RibbonData(2, 10**20, ()))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """Canonical labelling: the class partition against the exhaustive
-oracle, relabel invariance beyond the oracle's reach, and symmetric and
-large inputs."""
+oracle, relabel invariance beyond the oracle's reach, symmetric and large
+inputs, and the coded letters and keys the labelling and the search use."""
 
 import random
 
@@ -8,12 +8,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ribbonlab import Handle, RibbonData, SignedLetter, apply_stabilize, canonical_bytes, canonical_form
+from ribbonlab import (
+    Handle,
+    RibbonData,
+    SignedLetter,
+    apply_stabilize,
+    canonical_bytes,
+    canonical_form,
+    free_reduce_word,
+    reverse_flip,
+)
 from ribbonlab.cli import generate
+from ribbonlab.ribbon import _canonical_state, _coded, _flipped, _free_reduced, _letters, _record
 
-from oracles import exhaustive_canonical_key, random_knot, random_regular, random_ribbon, shuffled
+from oracles import (
+    exhaustive_canonical_key,
+    random_knot,
+    random_regular,
+    random_ribbon,
+    shuffled,
+    with_cancelling_pairs,
+)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+letters = st.tuples(st.integers(min_value=1, max_value=20), st.sampled_from((1, -1)))
 
 
 def random_input(rng, bases, regular):
@@ -121,3 +139,39 @@ def test_large_inputs_canonicalize(data):
     # Past the exhaustive oracle's reach the tree search must still end
     # quickly and without deep recursion on large, highly symmetric inputs.
     assert canonical_bytes(shuffled(data, random.Random(40))) == canonical_bytes(data)
+
+
+@given(a=letters, b=letters)
+def test_letter_codes_order_as_base_sign_pairs(a, b):
+    (x,), (y,) = _coded((a,)), _coded((b,))
+    assert (x < y) == (a < b) and (x == y) == (a == b)
+    assert _letters((x,)) == (SignedLetter(*a),)
+    assert _letters((x ^ 1,)) == (SignedLetter(a[0], -a[1]),)
+
+
+@given(word=st.lists(letters, max_size=12))
+def test_coded_reduction_and_flip_agree_with_the_letter_forms(word):
+    coded = _coded(word)
+    assert _letters(_free_reduced(coded)) == free_reduce_word(word)
+    assert _letters(_flipped(coded)) == reverse_flip(word)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=seeds)
+def test_search_keys_agree_with_canonical_bytes(seed):
+    """Small records, so that distinct draws often share a class, each
+    also relabelled, with handles reversed and cancelling pairs inserted:
+    two share a search key exactly when their canonical bytes agree, and
+    the record built from a key is the canonical form."""
+    rng = random.Random(seed)
+    family = []
+    for _ in range(3):
+        data = random_knot(rng, rng.randint(1, 3), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
+        family += [data, shuffled(with_cancelling_pairs(rng, data, rng.randint(1, 3)), rng)]
+    states = [_canonical_state(x) for x in family]
+    forms = [canonical_bytes(x) for x in family]
+    for data, state in zip(family, states):
+        assert _record(data.dim, *state) == canonical_form(data)
+    for i in range(len(family)):
+        for j in range(i):
+            assert (states[i] == states[j]) == (forms[i] == forms[j])

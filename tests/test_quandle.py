@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,21 @@ def test_invalid_quandle_rejected():
     bad = FiniteQuandle("bad", ((2, 2), (1, 1)))
     with pytest.raises(ValueError, match="invalid quandle"):
         count_colorings(UNKNOT, bad)
+
+
+def test_an_affine_quandle_with_a_unit_multiplier_skips_the_cubic_axiom_check():
+    # dihedral:512 is affine with a = -1; checking its m^3 self-distributive
+    # instances one by one took about 90 s on a 2-core virtual machine
+    start = time.perf_counter()
+    assert count_colorings(SPUN_TREFOIL, dihedral_quandle(512)) == 512
+    assert time.perf_counter() - start < 1
+
+
+def test_an_affine_table_whose_multiplier_is_no_unit_fails_with_the_first_diagnostic():
+    q = alexander_quandle(4, 2)  # x*y = 2x - y mod 4: no right translation is a bijection
+    first = check_quandle_axioms(q)[0].message
+    with pytest.raises(ValueError, match=f"^{re.escape(f'invalid quandle {q.name}: {first}')}$"):
+        count_colorings(SPUN_TREFOIL, q)
 
 
 @pytest.mark.parametrize(

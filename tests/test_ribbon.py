@@ -188,6 +188,14 @@ def test_component_count_matches_bfs_oracle():
         assert component_count(data) == graph_components(data)
 
 
+def test_component_count_follows_the_handles_not_the_base_count():
+    # bases no handle end touches are counted, not visited
+    assert component_count(RibbonData(2, 10**20, ())) == 10**20
+    assert component_count(RibbonData(2, 10**20, (Handle(1, 2, ()), Handle(5, 2, ((7, 1),))))) == 10**20 - 2
+    with pytest.raises(ValueError, match="not a knot presentation"):
+        genus(RibbonData(2, 10**20, ()))
+
+
 def test_crossings_do_not_join_components():
     # a handle through another base's interior leaves it a separate component
     data = RibbonData(2, 2, (Handle(1, 1, ((2, 1),)),))

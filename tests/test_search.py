@@ -12,6 +12,7 @@ from ribbonlab import (
     MergeWitness,
     MoveScript,
     Refuted,
+    RibbonData,
     Stab,
     Unknown,
     apply_move,
@@ -32,6 +33,7 @@ from ribbonlab import (
 )
 from ribbonlab.cli import _random_data, _scramble, generate
 from ribbonlab.moves import _successors, enumerate_moves, is_weak
+from ribbonlab.ribbon import _canonical_state, _record
 from ribbonlab.search import _reduce, default_gate_quandles
 
 from oracles import brute_profile, random_knot, stable_walk_pool
@@ -63,6 +65,14 @@ def test_torus_needs_one_weak_move_to_reach_the_unknot():
     assert serialize_script(found.script_a) == "untrivh 1\n"
     assert (found.weak_used_a, found.weak_used_b) == (1, 0)
     assert certify(torus, unknot, found)
+
+
+def test_a_huge_base_count_fails_as_disconnected():
+    huge, unknot = RibbonData(2, 10**20, ()), generate("unknot")
+    with pytest.raises(ValueError, match="^first input is not connected$"):
+        search_equiv(huge, unknot, 1, 0, 100)
+    with pytest.raises(ValueError, match="^second input is not connected$"):
+        search_equiv(unknot, huge, 1, 0, 100)
 
 
 def test_removing_trivial_handles_spends_the_budget():
@@ -237,9 +247,9 @@ def test_each_side_explores_what_a_search_from_its_root_would(case):
     assert stats["stop"] in ("depth", "met") and stats["levels"]
     stored = 0
     for side, data in zip("ab", (a, b)):
-        path, _ = _reduce(canonical_form(data), 10_000)
+        path, _ = _reduce(_canonical_state(data), 10_000)
         levels = sum(s == side for s, _ in stats["levels"])
-        stored += len(ball(data, levels) | {serialize(state) for _, state in path})
+        stored += len(ball(data, levels) | {serialize(_record(data.dim, *state)) for _, state in path})
     assert sum(stats["states"].values()) == stored
 
 
