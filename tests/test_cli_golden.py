@@ -25,7 +25,9 @@ include the reduction path states the search did not reach, and
 ``search-unknown`` (depth 0) became ``EQUIVALENT``.  ``genus-huge-bases``
 (a file with 10^20 - 1 bases) was recorded when component counts stopped
 visiting bases that no handle touches; before, it failed with an
-``OverflowError``.
+``OverflowError``.  ``color-bad-axioms`` (a 3-element table file with
+``1*1 = 2``) was recorded before a quandle file's axioms were read from
+the quandle's cached verdict instead of being checked again.
 """
 
 import io
@@ -58,6 +60,7 @@ CASES = {
     "color-torus2-d3": ["color", "torus2.ribbon", "--quandle", "dihedral:3"],
     "color-torus2-d4-list": ["color", "torus2.ribbon", "--quandle", "dihedral:4", "--list"],
     "color-bad-quandle": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:x"],
+    "color-bad-axioms": ["color", "spun-trefoil.ribbon", "--quandle", "bad-axioms.quandle"],
     "alex-spun": ["alex", "spun-trefoil.ribbon"],
     "alex-knot12": ["alex", "knot12.ribbon"],
     "alex-torus2": ["alex", "torus2.ribbon"],
