@@ -175,3 +175,23 @@ def test_module_entry_point_runs_once_without_warnings():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "t^2 - t + 1\n"
+
+
+@pytest.mark.parametrize("table, checks", [("dihedral:7", 0), ("s4-transpositions.quandle", 1)])
+def test_color_checks_a_quandle_file_at_most_once(table, checks, tmp_path, monkeypatch):
+    # an affine table's axioms are read off the table; any other table is
+    # checked once, and count_colorings reuses that verdict
+    from ribbonlab import quandle
+
+    path = GOLDEN / table
+    if table.startswith("dihedral:"):
+        path = tmp_path / "d7.quandle"
+        path.write_text(quandle.serialize_quandle(quandle.builtin_quandle(table)), encoding="utf-8")
+    calls = []
+    check = quandle.check_quandle_axioms
+    # counted wherever the command line could call it from
+    for module in (quandle, cli):
+        monkeypatch.setattr(module, "check_quandle_axioms", lambda q: calls.append(q.name) or check(q), raising=False)
+    argv = ["color", str(GOLDEN / "spun-trefoil.ribbon"), "--quandle", str(path)]
+    assert cli.run(argv, out=io.StringIO()) == 0
+    assert len(calls) == checks
