@@ -4,14 +4,15 @@ quandle coloring counts and Alexander polynomials, and search for
 replayable equivalence certificates.
 
 The package imports its modules lazily (PEP 562).  ``import ribbonlab``
-loads no submodule; ``ribbonlab.<name>`` and ``from ribbonlab import
-<name>`` import the one module that lists the name in its ``__all__``,
-and ``from ribbonlab import *`` imports all five.  The command line runs
-one command per process, and importing every module would cost more than
+loads no submodule, ``ribbonlab.<module>`` imports that module alone, and
+a public name imports ``ribbon``, ``moves``, ``quandle``, ``alexander``
+and ``search`` in that order up to the first whose ``__all__`` lists it;
+``from ribbonlab import *`` imports all five.  The command line runs one
+command per process, and importing every module would cost more than
 most commands compute: compiled from source (no bytecode cache) on
 CPython 3.11, ``ribbon`` takes about 30 ms to import (12 of them for
-``dataclasses``), ``moves`` 20, ``search`` 12, ``quandle`` 11 and
-``alexander`` 10, while ``canon``, ``color`` and ``alex`` on a 12-base
+``dataclasses``), ``moves`` 20, ``quandle`` and ``search`` 11-14 each and
+``alexander`` 7-12, while ``canon``, ``color`` and ``alex`` on a 12-base
 knot compute for under 1 ms.  So ``ribbonlab.cli`` imports what each
 command runs (see its docstring).
 """
