@@ -27,6 +27,7 @@ from .ribbon import (
     Handle,
     RibbonData,
     SignedLetter,
+    _decimal,
     _reading,
     canonical_form,
     genus,
@@ -112,6 +113,7 @@ def generate(spec: str) -> RibbonData:
     slides, reversals and free cancellations), and
     ``random:<b>:<h>:<len>:<seed>`` (connected by construction: a spanning
     tree of handles first, then extras, then random crossing words).
+    Arguments are plain decimals: an optional ``-`` and ASCII digits.
     """
     import random
 
@@ -124,7 +126,7 @@ def generate(spec: str) -> RibbonData:
         if len(parts) != n + 1:
             raise ValueError(f"generator '{kind}' takes {n} arguments")
         try:
-            return [int(p, 10) for p in parts[1:]]
+            return [_decimal(p) for p in parts[1:]]
         except ValueError:
             raise ValueError(f"non-integer argument in generator spec '{spec}'") from None
 

@@ -33,6 +33,7 @@ from .ribbon import (
     SignedLetter,
     _canonical_key,
     _coded,
+    _decimal,
     _flipped,
     _free_reduced,
     _letters,
@@ -466,15 +467,15 @@ def serialize_script(script: MoveScript) -> str:
 
 def _int(token: str, lineno: int) -> int:
     try:
-        return int(token, 10)
+        return _decimal(token)
     except ValueError:
         raise ScriptFormatError(f"non-integer token '{token}'", lineno) from None
 
 
 def parse_script(text: str | bytes) -> MoveScript:
     """One move per line, written as in the syntax table ``_MOVES``;
-    handles are 1-indexed in stored order, positions 0-indexed, ``#``
-    comments allowed."""
+    handles are 1-indexed in stored order, positions 0-indexed, integers
+    an optional ``-`` and ASCII digits, ``#`` comments allowed."""
     moves: list[Move] = []
     for lineno, tokens in _token_lines(text):
         kind = _KINDS.get(tokens[0])

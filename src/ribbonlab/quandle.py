@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .ribbon import Diagnostic, Handle, RibbonData, _require_valid, _token_lines
+from .ribbon import Diagnostic, Handle, RibbonData, _decimal, _require_valid, _token_lines
 
 __all__ = [
     "FiniteQuandle",
@@ -116,6 +116,12 @@ class FiniteQuandle:
                 if v - 1 != (a * x + (1 - a) * y) % m:
                     return None
         return m, a
+
+    @cached_property
+    def _factors(self) -> tuple[tuple[int, int], ...]:
+        # (p, e) for each prime power p^e of the size, by which an affine
+        # table's counts are taken
+        return tuple(_prime_powers(self.size))
 
     @cached_property
     def _orbits(self) -> tuple[tuple[int, int], ...]:
@@ -214,12 +220,12 @@ def trivial_quandle(m: int) -> FiniteQuandle:
 
 
 def builtin_quandle(spec: str) -> FiniteQuandle | None:
-    """Resolve ``dihedral:<m>`` or ``trivial:<m>``; None when the spec
-    names neither."""
+    """Resolve ``dihedral:<m>`` or ``trivial:<m>``, ``m`` a plain decimal;
+    None when the spec names neither."""
     kind, _, arg = spec.partition(":")
     if kind in ("dihedral", "trivial") and arg:
         try:
-            m = int(arg, 10)
+            m = _decimal(arg)
         except ValueError:
             raise ValueError(f"bad quandle size in '{spec}'") from None
         return dihedral_quandle(m) if kind == "dihedral" else trivial_quandle(m)
@@ -228,14 +234,15 @@ def builtin_quandle(spec: str) -> FiniteQuandle | None:
 
 def parse_quandle(text: str | bytes, name: str = "quandle") -> FiniteQuandle:
     """Quandle file format: ``quandle 1``, ``size <m>``, then m rows of m
-    integers (row x lists x * y for y = 1..m)."""
+    integers (row x lists x * y for y = 1..m), each an optional ``-`` and
+    ASCII digits."""
     rows = _token_lines(text)
     if not rows or rows[0][1] != ["quandle", "1"]:
         raise ValueError("malformed quandle file: expected 'quandle 1' header")
     if len(rows) < 2 or rows[1][1][0] != "size" or len(rows[1][1]) != 2:
         raise ValueError("malformed quandle file: expected 'size <m>'")
     try:
-        m = int(rows[1][1][1], 10)
+        m = _decimal(rows[1][1][1])
     except ValueError:
         raise ValueError("malformed quandle file: non-integer size") from None
     if len(rows) != 2 + m:
@@ -243,7 +250,7 @@ def parse_quandle(text: str | bytes, name: str = "quandle") -> FiniteQuandle:
     table = []
     for lineno, tokens in rows[2:]:
         try:
-            table.append(tuple(int(t, 10) for t in tokens))
+            table.append(tuple(map(_decimal, tokens)))
         except ValueError:
             raise ValueError(f"malformed quandle file: non-integer entry on line {lineno}") from None
     return FiniteQuandle(name, tuple(table))
@@ -529,7 +536,7 @@ def _count_valid(data: RibbonData, q: FiniteQuandle) -> int:
         m, a = affine
         rows = _affine_rows(data, m, a)
         count = 1
-        for p, e in _prime_powers(m):
+        for p, e in q._factors:
             count *= _kernel_size(rows, data.base_count, p, e)
         return count
     count, _ = _solve_colorings(data, q, collect=False)

@@ -19,6 +19,16 @@ Traces, so it is canonical at every size with no exhaustive limit; what
 it reads from one handle alone is kept per process, so records built from
 handles met before cost little more than a sort of their bases.
 
+A record keeps what is found from it alone: its serialized text and its
+:func:`validate` verdict are each found once, on first use, and kept on
+it.  The parser checks every field as it reads it, each distinct token
+once, and the canonical form starts from a valid record, so both build
+their records through private constructors that store the checked fields
+as they are and the empty verdict with them.  Coloring counts, Alexander
+polynomials, move enumeration and the search's gate, which each require
+a valid record, therefore never walk a parsed or canonical one again.
+The public constructors still coerce what they are given.
+
 Inside the labelling and the move kernels a crossing letter is the integer
 ``2 * base + (sign > 0)`` (see :func:`_coded`).  The labelling returns a
 canonical *key*: the canonical record's handles as ``(start, coded word,
@@ -31,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import add, ne
+from operator import add, index, ne
 from typing import NamedTuple
 
 __all__ = [
@@ -65,17 +75,36 @@ class SignedLetter(NamedTuple):
     sign: int
 
 
+def _integral(v) -> int:
+    """A letter's base or sign as an int: integer-like values through
+    ``operator.index``, and integral floats and numeric strings, such as
+    ``2.0`` and ``"2"``, through ``int``.  Raises ``ValueError`` on a value
+    ``int`` would truncate, such as ``1.5``, or cannot read."""
+    try:
+        return index(v)
+    except TypeError:
+        pass
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is not None and (n == v or isinstance(v, str)):
+        return n
+    raise ValueError(f"crossing letter value {v!r} is not an integer")
+
+
 def _as_letters(word) -> tuple[SignedLetter, ...]:
-    """``word`` as a tuple of int-valued letters.  A word that already is
-    one is returned as it is, since rebuilding every letter on each
-    ``Handle`` construction is a large share of a search's time."""
+    """``word`` as a tuple of int-valued letters (see :func:`_integral`).
+    A word that already is one is returned as it is, since rebuilding
+    every letter on each ``Handle`` construction is a large share of a
+    search's time."""
     if type(word) is tuple:
         for letter in word:
             if type(letter) is not SignedLetter or type(letter[0]) is not int or type(letter[1]) is not int:
                 break
         else:
             return word
-    return tuple(SignedLetter(int(b), int(s)) for b, s in word)
+    return tuple([SignedLetter(_integral(b), _integral(s)) for b, s in word])
 
 
 @dataclass(frozen=True)
@@ -118,6 +147,42 @@ class RibbonData:
             lines.append(line)
         return "\n".join(lines) + "\n"
 
+    @cached_property
+    def _problems(self) -> tuple[Diagnostic, ...]:
+        """What :func:`validate` reports, found on first use and kept: the
+        record cannot change, so neither can its verdict."""
+        return tuple(_diagnose(self))
+
+
+# The parser and the canonical form build records from fields they have
+# checked themselves, through these two constructors: they store the
+# fields as given, without ``__post_init__``'s coercion, and the record
+# keeps its empty verdict.  Everything else builds through the public
+# constructors.
+_new = object.__new__
+
+
+def _trusted_handle(start: int, end: int, word: tuple[SignedLetter, ...]) -> Handle:
+    """The ``Handle`` of int bases and a tuple of ``SignedLetter`` of ints."""
+    h = _new(Handle)
+    fields = h.__dict__
+    fields["start"] = start
+    fields["end"] = end
+    fields["word"] = word
+    return h
+
+
+def _valid_record(dim: int, base_count: int, handles: tuple[Handle, ...]) -> RibbonData:
+    """The ``RibbonData`` of fields that :func:`validate` passes, its
+    verdict stored."""
+    data = _new(RibbonData)
+    fields = data.__dict__
+    fields["dim"] = dim
+    fields["base_count"] = base_count
+    fields["handles"] = handles
+    fields["_problems"] = ()
+    return data
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -144,12 +209,60 @@ def _token_lines(text: str | bytes) -> list[tuple[int, list[str]]]:
     of the line.  The ``ribbon 1``, script and quandle formats share it."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
-            rows.append((lineno, tokens))
-    return rows
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    return [(lineno, tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1) if tokens]
+
+
+# Records, scripts and quandle files write few distinct integers, so the
+# tokens read are kept per process.
+@lru_cache(maxsize=1 << 10)
+def _decimal(token: str) -> int:
+    """``token`` read as a plain decimal integer: an optional ``-`` and
+    ASCII digits.  Every integer of the text formats and of the generator
+    and quandle specs is read through it.  Raises ``ValueError`` on
+    anything else, also on what ``int`` would take, such as ``+3``,
+    ``1_0`` or non-ASCII digits."""
+    if token.isascii() and token.lstrip("-").isdigit():
+        return int(token)  # raises on more than one "-"
+    raise ValueError(f"not a decimal integer: {token!r}")
+
+
+def _ribbon_int(token: str, lineno: int) -> int:
+    try:
+        return _decimal(token)
+    except ValueError:
+        raise RibbonFormatError(f"non-integer token '{token}'", lineno) from None
+
+
+def _read_ends(tokens: list[str], base_count: int, lineno: int, ends: dict[str, int]) -> tuple[int, int]:
+    """The start and end bases of a handle line, each checked and entered
+    in ``ends``."""
+    start = _ribbon_int(tokens[1], lineno)
+    end = _ribbon_int(tokens[2], lineno)
+    for v in (start, end):
+        if not 1 <= v <= base_count:
+            raise RibbonFormatError(f"base index {v} out of range", lineno)
+    ends[tokens[1]], ends[tokens[2]] = start, end
+    return start, end
+
+
+def _read_word(tokens: list[str], base_count: int, lineno: int, letters: dict[str, SignedLetter]):
+    """The crossing word of a handle line, each token not read before
+    checked and entered in ``letters``."""
+    word = []
+    for token in tokens[4:]:
+        letter = letters.get(token)
+        if letter is None:
+            v = _ribbon_int(token, lineno)
+            if v == 0:
+                raise RibbonFormatError("crossing letter must be nonzero", lineno)
+            if not 1 <= abs(v) <= base_count:
+                raise RibbonFormatError(f"base index {abs(v)} out of range", lineno)
+            letter = letters[token] = SignedLetter(abs(v), 1 if v > 0 else -1)
+        word.append(letter)
+    return tuple(word)
 
 
 def parse_ribbon(text: str | bytes) -> RibbonData:
@@ -159,18 +272,20 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     to the end of the line.  The header lines ``ribbon 1``, ``dim <n>`` and
     ``bases <k>`` are followed by zero or more ``handle <s> <e> : ...``
     lines whose trailing integers encode signed crossings (``-2`` is a
-    negative crossing of base 2).  No normalization is performed; the
-    returned record is exactly what was written.
+    negative crossing of base 2).  An integer is an optional ``-`` and
+    ASCII digits.  No normalization is performed; the returned record is
+    exactly what was written.
+
+    Each handle line is read once: a token is converted and range-checked
+    the first time it appears in the text, and looked up after that.  The
+    checks are :func:`validate`'s, so the record is built without the
+    public constructors' coercion and keeps its verdict, empty: a
+    function that requires a valid record does not walk a parsed one
+    again.
     """
     rows = _token_lines(text)
     if not rows:
         raise RibbonFormatError("malformed header, expected 'ribbon 1'", 1)
-
-    def intval(token: str, lineno: int) -> int:
-        try:
-            return int(token, 10)
-        except ValueError:
-            raise RibbonFormatError(f"non-integer token '{token}'", lineno) from None
 
     lineno, tokens = rows[0]
     if tokens != ["ribbon", "1"]:
@@ -179,39 +294,34 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     if len(rows) < 2 or rows[1][1][0] != "dim" or len(rows[1][1]) != 2:
         raise RibbonFormatError("expected 'dim <n>'", rows[1][0] if len(rows) > 1 else lineno)
     lineno, tokens = rows[1]
-    dim = intval(tokens[1], lineno)
+    dim = _ribbon_int(tokens[1], lineno)
     if dim < 2:
         raise RibbonFormatError("dim must be >= 2", lineno)
 
     if len(rows) < 3 or rows[2][1][0] != "bases" or len(rows[2][1]) != 2:
         raise RibbonFormatError("expected 'bases <k>'", rows[2][0] if len(rows) > 2 else lineno)
     lineno, tokens = rows[2]
-    base_count = intval(tokens[1], lineno)
+    base_count = _ribbon_int(tokens[1], lineno)
     if base_count < 1:
         raise RibbonFormatError("bases must be >= 1", lineno)
 
+    # token -> value, for each token read so far as a handle end or letter
+    ends: dict[str, int] = {}
+    letters: dict[str, SignedLetter] = {}
     handles = []
     for lineno, tokens in rows[3:]:
         if tokens[0] != "handle":
             raise RibbonFormatError(f"expected 'handle', got '{tokens[0]}'", lineno)
         if len(tokens) < 4 or tokens[3] != ":":
             raise RibbonFormatError("expected 'handle <start> <end> : ...'", lineno)
-        start = intval(tokens[1], lineno)
-        end = intval(tokens[2], lineno)
-        for v in (start, end):
-            if not 1 <= v <= base_count:
-                raise RibbonFormatError(f"base index {v} out of range", lineno)
-        word = []
-        for token in tokens[4:]:
-            v = intval(token, lineno)
-            if v == 0:
-                raise RibbonFormatError("crossing letter must be nonzero", lineno)
-            if not 1 <= abs(v) <= base_count:
-                raise RibbonFormatError(f"base index {abs(v)} out of range", lineno)
-            word.append(SignedLetter(abs(v), 1 if v > 0 else -1))
-        handles.append(Handle(start, end, tuple(word)))
-
-    return RibbonData(dim, base_count, tuple(handles))
+        start, end = ends.get(tokens[1]), ends.get(tokens[2])
+        if start is None or end is None:
+            start, end = _read_ends(tokens, base_count, lineno, ends)
+        word = tuple(map(letters.get, tokens[4:]))
+        if None in word:
+            word = _read_word(tokens, base_count, lineno, letters)
+        handles.append(_trusted_handle(start, end, word))
+    return _valid_record(dim, base_count, tuple(handles))
 
 
 def serialize(data: RibbonData) -> str:
@@ -230,33 +340,51 @@ def serialize(data: RibbonData) -> str:
 
 def validate(data: RibbonData) -> list[Diagnostic]:
     """Return one diagnostic per violated structural invariant (empty when
-    the record is well formed)."""
+    the record is well formed): a dim, base count or handle end that is
+    not an ``int`` (a ``bool`` is not), a dim below 2, no bases, and a
+    handle end or letter base outside 1..base_count or a sign other than
+    +1 or -1.
+
+    The verdict is found once per record and kept on it; a parsed or
+    canonical record is built with it.  Each call returns a new list."""
+    return list(data._problems)
+
+
+def _diagnose(data: RibbonData) -> list[Diagnostic]:
+    """The diagnostics of :func:`validate`, found by walking the record."""
     diags = []
 
     def err(message, location):
         diags.append(Diagnostic("error", message, location))
 
-    if data.dim < 2:
+    n = data.base_count
+    if type(data.dim) is not int:
+        err(f"dim {data.dim!r} is not an integer", "dim")
+    elif data.dim < 2:
         err("dim must be >= 2", "dim")
-    if data.base_count < 1:
+    if type(n) is not int:
+        err(f"bases {n!r} is not an integer", "bases")
+        n = None  # no range to check the bases against
+    elif n < 1:
         err("bases must be >= 1", "bases")
     for i, h in enumerate(data.handles, start=1):
         where = f"handle {i}"
-        if not 1 <= h.start <= data.base_count:
-            err(f"start base {h.start} out of range 1..{data.base_count}", where)
-        if not 1 <= h.end <= data.base_count:
-            err(f"end base {h.end} out of range 1..{data.base_count}", where)
+        for name, b in (("start", h.start), ("end", h.end)):
+            if type(b) is not int:
+                err(f"{name} base {b!r} is not an integer", where)
+            elif n is not None and not 1 <= b <= n:
+                err(f"{name} base {b} out of range 1..{n}", where)
         for j, letter in enumerate(h.word):
             if letter.sign not in (1, -1):
                 err(f"letter {j} has sign {letter.sign}, expected +1 or -1", where)
-            if not 1 <= letter.base <= data.base_count:
-                err(f"letter {j} base {letter.base} out of range 1..{data.base_count}", where)
+            if n is not None and not 1 <= letter.base <= n:
+                err(f"letter {j} base {letter.base} out of range 1..{n}", where)
     return diags
 
 
 def _require_valid(data: RibbonData) -> None:
     """Raise ValueError with the first problem ``validate`` reports."""
-    problems = validate(data)
+    problems = data._problems
     if problems:
         raise ValueError(f"invalid data: {problems[0].message}")
 
@@ -294,8 +422,10 @@ def component_count(data: RibbonData) -> int:
 def genus(data: RibbonData) -> int:
     """Genus of the presented surface: handles minus bases plus one.
 
-    Requires a single component; a knotted sphere has genus 0.
+    Requires a valid record of a single component; a knotted sphere has
+    genus 0.
     """
+    _require_valid(data)
     if component_count(data) != 1:
         raise ValueError("not a knot presentation")
     return len(data.handles) - data.base_count + 1
@@ -727,47 +857,44 @@ def _canonical_key(base_count, triples):
 
 
 def _record(dim: int, base_count: int, key) -> RibbonData:
-    """The canonical record whose handles are the triples of ``key``.  The
-    search builds one only where a record or its text is read: a meet, or
-    the candidates of a tie broken by serialized form."""
-    return RibbonData(dim, base_count, tuple([Handle(s, e, _letters(w)) for s, w, e in key]))
+    """The canonical record whose handles are the triples of ``key``, a
+    key of a valid record of dimension ``dim``, so its verdict is stored
+    empty.  The search builds one only where a record or its text is
+    read: a meet, or the candidates of a tie broken by serialized form."""
+    return _valid_record(dim, base_count, tuple([_trusted_handle(s, e, _letters(w)) for s, w, e in key]))
 
 
-def _reject(base_count: int, h: Handle):
-    """Raise the ``ValueError`` for the first bad base or sign of ``h``: a
-    base below 1, then a sign other than +1 or -1, then a base above
-    ``base_count``."""
-    bases = [h.start, *[b for b, _ in h.word], h.end]
-    if min(bases) < 1:
-        raise ValueError(f"base index {min(bases)} out of range, bases are numbered from 1")
-    for _, sg in h.word:
-        if sg != 1 and sg != -1:
-            raise ValueError(f"crossing sign {sg}, expected +1 or -1")
-    raise ValueError(f"base index {max(bases)} out of range 1..{base_count}")
+def _reject(data: RibbonData):
+    """Raise the ``ValueError`` for an invalid record.  For the first
+    handle with a bad base or sign: a base below 1, then a sign other than
+    +1 or -1, then a base above ``base_count``.  Else, as for a dim, a
+    base count or a handle end that is not an int, the first problem
+    :func:`validate` reports."""
+    n = data.base_count
+    if type(n) is int:
+        for h in data.handles:
+            if type(h.start) is not int or type(h.end) is not int:
+                break
+            bases = [h.start, *[b for b, _ in h.word], h.end]
+            if min(bases) < 1:
+                raise ValueError(f"base index {min(bases)} out of range, bases are numbered from 1")
+            for _, sg in h.word:
+                if sg != 1 and sg != -1:
+                    raise ValueError(f"crossing sign {sg}, expected +1 or -1")
+            if max(bases) > n:
+                raise ValueError(f"base index {max(bases)} out of range 1..{n}")
+    raise ValueError(f"invalid data: {data._problems[0].message}")
 
 
 def _canonical_state(data: RibbonData):
     """``(base_count, key)`` of the canonical form of ``data``, the state
-    the search stores.  Each word is checked, coded and freely reduced in
-    one pass, so a bad letter raises even where reduction would delete it."""
+    the search stores.  Raises ``ValueError`` on an invalid record (see
+    :func:`_reject`), also where free reduction would delete the bad
+    letter."""
+    if data._problems:
+        _reject(data)
     n = data.base_count
-    triples = []
-    for h in data.handles:
-        s, e = h.start, h.end
-        if not (0 < s <= n and 0 < e <= n):
-            _reject(n, h)
-        out: list[int] = []
-        for b, sg in h.word:
-            if 0 < b <= n and (sg == 1 or sg == -1):
-                x = 2 * b + (sg > 0)
-                if out and out[-1] == x ^ 1:
-                    out.pop()
-                else:
-                    out.append(x)
-            else:
-                _reject(n, h)
-        triples.append((s, tuple(out), e))
-    return n, _canonical_key(n, tuple(triples))
+    return n, _canonical_key(n, tuple([(h.start, _free_reduced(_coded(h.word)), h.end) for h in data.handles]))
 
 
 def canonical_form(data: RibbonData) -> RibbonData:
@@ -797,7 +924,8 @@ def canonical_form(data: RibbonData) -> RibbonData:
 
     Raises ``ValueError`` when a handle end or a letter names a base
     outside 1..``base_count``, or a letter's sign is not +1 or -1, also
-    when free reduction would delete that letter.
+    when free reduction would delete that letter, and on any other problem
+    :func:`validate` reports.
     """
     return _record(data.dim, *_canonical_state(data))
 

@@ -64,7 +64,6 @@ from .ribbon import (
     genus,
     reversed_handle,
     serialize,
-    validate,
 )
 
 __all__ = [
@@ -125,7 +124,7 @@ def _require_comparable(a: RibbonData, b: RibbonData):
     if a.dim != b.dim:
         raise ValueError(f"dim mismatch: {a.dim} vs {b.dim}")
     for name, d in (("first", a), ("second", b)):
-        problems = validate(d)
+        problems = d._problems
         if problems:
             raise ValueError(f"{name} input invalid: {problems[0].message}")
         if component_count(d) != 1:
@@ -503,20 +502,18 @@ def certify(a: RibbonData, b: RibbonData, outcome: SearchOutcome, diagnostics: l
 
 
 def serialize_outcome(outcome: SearchOutcome) -> str:
+    """The outcome's head line, then each side's script under its own
+    ``--- script`` line; only an ``Equivalent`` outcome has moves."""
     if isinstance(outcome, Equivalent):
         head = "EQUIVALENT"
-        script_a, script_b = outcome.script_a, outcome.script_b
+        scripts = serialize_script(outcome.script_a), serialize_script(outcome.script_b)
     elif isinstance(outcome, Refuted):
         head = f"REFUTED {outcome.invariant} {outcome.value_a} {outcome.value_b}"
-        script_a = script_b = MoveScript()
+        scripts = "", ""
     else:
         head = f"UNKNOWN {outcome.states} {outcome.depth}"
-        script_a = script_b = MoveScript()
-    text = head + "\n--- script A\n"
-    text += serialize_script(script_a)
-    text += "--- script B\n"
-    text += serialize_script(script_b)
-    return text
+        scripts = "", ""
+    return f"{head}\n--- script A\n{scripts[0]}--- script B\n{scripts[1]}"
 
 
 # ---------------------------------------------------------------------------

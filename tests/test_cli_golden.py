@@ -28,6 +28,11 @@ visiting bases that no handle touches; before, it failed with an
 ``OverflowError``.  ``color-bad-axioms`` (a 3-element table file with
 ``1*1 = 2``) was recorded before a quandle file's axioms were read from
 the quandle's cached verdict instead of being checked again.
+``validate-bad-underscore`` (``bases 1_0``), ``apply-bad-plus`` (``stab
++1``), ``color-bad-quandle-underscore`` (``dihedral:1_0``) and
+``gen-bad-plus`` (``torus:+2``) were recorded when integers came to be read
+as plain decimals; before, each token read as the integer ``int`` makes
+of it and the command succeeded.
 """
 
 import io
@@ -61,6 +66,7 @@ CASES = {
     "color-torus2-d4-list": ["color", "torus2.ribbon", "--quandle", "dihedral:4", "--list"],
     "color-bad-quandle": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:x"],
     "color-bad-axioms": ["color", "spun-trefoil.ribbon", "--quandle", "bad-axioms.quandle"],
+    "color-bad-quandle-underscore": ["color", "spun-trefoil.ribbon", "--quandle", "dihedral:1_0"],
     "alex-spun": ["alex", "spun-trefoil.ribbon"],
     "alex-knot12": ["alex", "knot12.ribbon"],
     "alex-torus2": ["alex", "torus2.ribbon"],
@@ -94,6 +100,7 @@ CASES = {
     "apply-bad-keyword": ["apply", "open3a.ribbon", "--script", "bad-keyword.script"],
     "apply-bad-two-faults": ["apply", "open3a.ribbon", "--script", "bad-two-faults.script"],
     "apply-bad-ins-two-faults": ["apply", "open3a.ribbon", "--script", "bad-ins-two-faults.script"],
+    "apply-bad-plus": ["apply", "open3a.ribbon", "--script", "bad-plus.script"],
     "gen-unknot": ["gen", "unknot"],
     "gen-spun-trefoil": ["gen", "spun-trefoil"],
     "gen-torus3": ["gen", "torus:3"],
@@ -106,8 +113,10 @@ CASES = {
     "gen-bad-random": ["gen", "random:3:1:2:5"],
     "gen-bad-random-len": ["gen", "random:2:1:-1:1"],
     "gen-bad-stabilized": ["gen", "stabilized:-1:0"],
+    "gen-bad-plus": ["gen", "torus:+2"],
     "validate-knot12": ["validate", "knot12.ribbon"],
     "validate-bad-base": ["validate", "bad-base.ribbon"],
+    "validate-bad-underscore": ["validate", "bad-underscore.ribbon"],
     "genus-torus2": ["genus", "torus2.ribbon"],
     "genus-knot12": ["genus", "knot12.ribbon"],
     "quandle-spun": ["quandle", "spun-trefoil.ribbon"],

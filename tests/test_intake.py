@@ -1,4 +1,6 @@
-"""Reading records in: ``parse_ribbon`` on valid and malformed text.
+"""Reading records in: ``parse_ribbon`` on valid and malformed text,
+integers in every text format, records whose fields are not integers,
+and the verdict a record keeps.
 
 The digest pins what the parser makes of a seeded corpus of ``ribbon 1``
 texts, the serialized record or the error raised, so a faster parser
@@ -7,10 +9,41 @@ included.
 """
 
 import hashlib
+import pickle
 import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
-from ribbonlab import RibbonData, parse_ribbon, serialize
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ribbonlab import (
+    Equivalent,
+    Handle,
+    RibbonData,
+    RibbonFormatError,
+    ScriptFormatError,
+    SignedLetter,
+    alexander_polynomial,
+    builtin_quandle,
+    canonical_bytes,
+    canonical_form,
+    count_colorings,
+    dihedral_quandle,
+    enumerate_moves,
+    genus,
+    parse_quandle,
+    parse_ribbon,
+    parse_script,
+    ribbon,
+    search_equiv,
+    serialize,
+    validate,
+)
+from ribbonlab.cli import generate
+from ribbonlab.ribbon import _decimal
 
 from oracles import random_knot, random_regular, random_ribbon
 
@@ -95,11 +128,14 @@ def _mutated(text: str, rng) -> str:
 
 
 def parse_corpus(rng):
-    """The corpus of the parse digest: every ``tests/golden/*.ribbon``,
+    """The corpus of the parse digest: every ``tests/golden/*.ribbon``
+    but those that write ``_``, ``+`` or a character other than ASCII,
     then seeded records serialized and mutated, some with CRLF line ends
     and some as bytes."""
     for path in sorted(GOLDEN.glob("*.ribbon")):
-        yield path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8")
+        if text.isascii() and "_" not in text and "+" not in text:
+            yield text
     for data in _records(rng):
         text = serialize(data)
         yield text
@@ -127,3 +163,149 @@ def test_parse_outcomes_match_the_recorded_digest():
     for text in parse_corpus(random.Random(1702)):
         h.update(_outcome(text).encode("utf-8") + b"\0")
     assert h.hexdigest() == PARSE_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# plain decimal integers
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "7", "007", "-12", "123456789012345678901234567890"])
+def test_a_decimal_is_an_optional_minus_and_ascii_digits(token):
+    assert _decimal(token) == int(token)
+
+
+@pytest.mark.parametrize("token", ["", "-", "--1", "+3", "1_0", "３", "٣", " 3", "3 ", "1.0", "0x1", "1e3"])
+def test_what_int_would_also_take_is_no_decimal(token):
+    with pytest.raises(ValueError):
+        _decimal(token)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "３"])
+def test_every_reader_takes_plain_decimals_only(token):
+    with pytest.raises(RibbonFormatError, match=re.escape(f"line 3: non-integer token '{token}'")):
+        parse_ribbon(f"ribbon 1\ndim 2\nbases {token}\n")
+    with pytest.raises(RibbonFormatError, match=re.escape(f"line 4: non-integer token '{token}'")):
+        parse_ribbon(f"ribbon 1\ndim 2\nbases 3\nhandle 1 2 : {token}\n")
+    with pytest.raises(ScriptFormatError, match=re.escape(f"line 1: non-integer token '{token}'")):
+        parse_script(f"stab {token}\n")
+    with pytest.raises(ValueError, match="non-integer size"):
+        parse_quandle(f"quandle 1\nsize {token}\n1\n")
+    with pytest.raises(ValueError, match="non-integer entry on line 3"):
+        parse_quandle(f"quandle 1\nsize 1\n{token}\n")
+    with pytest.raises(ValueError, match="bad quandle size"):
+        builtin_quandle(f"dihedral:{token}")
+    with pytest.raises(ValueError, match="non-integer argument"):
+        generate(f"torus:{token}")
+
+
+# ---------------------------------------------------------------------------
+# records whose fields are not integers
+
+
+NOT_INTEGERS = {
+    "float end": (lambda: RibbonData(2, 2, (Handle(1.5, 2, ()),)), "start base 1.5 is not an integer"),
+    "float bases": (lambda: RibbonData(2, 2.0, (Handle(1, 2, ()),)), "bases 2.0 is not an integer"),
+    "bool end": (lambda: RibbonData(2, 2, (Handle(1, True, ()),)), "end base True is not an integer"),
+    "bool dim": (lambda: RibbonData(True, 2, (Handle(1, 2, ()),)), "dim True is not an integer"),
+    "string bases": (lambda: RibbonData(2, "2", (Handle(1, 2, ()),)), "bases '2' is not an integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INTEGERS))
+def test_fields_that_are_not_integers_are_reported_and_rejected(case):
+    build, message = NOT_INTEGERS[case]
+    data = build()
+    assert [d.message for d in validate(data)] == [message]
+    for compute in (
+        canonical_form,
+        lambda d: count_colorings(d, dihedral_quandle(3)),
+        alexander_polynomial,
+        genus,
+        lambda d: search_equiv(d, d, 1, 0, 10),
+    ):
+        with pytest.raises(ValueError):
+            compute(data)
+    with pytest.raises(ValueError):
+        canonical_bytes(data)
+
+
+class Index:
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_letters_are_read_exactly_or_rejected():
+    with pytest.raises(ValueError, match="not an integer"):
+        Handle(1, 2, ((1.5, 1),))
+    with pytest.raises(ValueError, match="not an integer"):
+        Handle(1, 2, ((1, 0.5),))
+    with pytest.raises(ValueError, match="not an integer"):
+        Handle(1, 2, ((None, 1),))
+    assert Handle(1, 2, ((Index(2), Index(-1)),)).word == (SignedLetter(2, -1),)
+    assert type(Handle(1, 2, ((Index(2), Index(-1)),)).word[0].base) is int
+
+
+# ---------------------------------------------------------------------------
+# parsed records are records
+
+
+@st.composite
+def records(draw):
+    n = draw(st.integers(1, 6))
+    base = st.integers(1, n)
+    letter = st.tuples(base, st.sampled_from((1, -1)))
+    handles = draw(st.lists(st.tuples(base, base, st.lists(letter, max_size=5)), max_size=6))
+    return RibbonData(draw(st.integers(2, 5)), n, tuple(Handle(s, e, tuple(w)) for s, e, w in handles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=records())
+def test_a_parsed_record_is_the_record_the_public_constructors_build(data):
+    parsed = parse_ribbon(serialize(data))
+    assert parsed == data
+    assert hash(parsed) == hash(data)
+    assert repr(parsed) == repr(data)
+    assert [type(h) for h in parsed.handles] == [Handle] * len(data.handles)
+    for h in parsed.handles:
+        assert all(type(letter) is SignedLetter and type(letter.base) is int for letter in h.word)
+    copy = pickle.loads(pickle.dumps(parsed))
+    assert copy == data and validate(copy) == [] and serialize(copy) == serialize(data)
+    assert pickle.loads(pickle.dumps(data)) == parsed
+    assert replace(parsed, dim=data.dim + 1) == replace(data, dim=data.dim + 1)
+    # a changed record does not keep the verdict of the one it came from
+    assert [d.message for d in validate(replace(parsed, base_count=0))][0] == "bases must be >= 1"
+    assert validate(replace(parsed, dim=1)) == validate(replace(data, dim=1))
+
+
+# ---------------------------------------------------------------------------
+# a record's verdict is found once
+
+
+def test_a_records_verdict_is_found_once_and_kept(monkeypatch):
+    calls = []
+    diagnose = ribbon._diagnose
+    monkeypatch.setattr(ribbon, "_diagnose", lambda d: calls.append(d) or diagnose(d))
+    data = RibbonData(2, 2, (Handle(1, 2, ((2, -1), (1, -1))),))
+    first = validate(data)
+    assert first == [] and len(calls) == 1
+    first.append("changed")  # each call returns a list of its own
+    assert validate(data) == []
+    assert count_colorings(data, dihedral_quandle(3)) == 9
+    assert str(alexander_polynomial(data)) == "t^2 - t + 1"
+    assert enumerate_moves(data, 0)
+    assert isinstance(search_equiv(data, data, 0, 0, 10), Equivalent)
+    assert len(calls) == 1
+    # parsed and canonical records are built with their verdict
+    for record in (parse_ribbon(serialize(data)), canonical_form(data)):
+        assert validate(record) == []
+        assert count_colorings(record, dihedral_quandle(3)) == 9
+        assert str(alexander_polynomial(record)) == "t^2 - t + 1"
+    assert len(calls) == 1
+    bad = RibbonData(2, 1, (Handle(1, 2, ()),))
+    assert [d.message for d in validate(bad)] == ["end base 2 out of range 1..1"]
+    with pytest.raises(ValueError, match="out of range"):
+        count_colorings(bad, dihedral_quandle(3))
+    assert len(calls) == 2

@@ -88,3 +88,23 @@ def test_package_namespace_is_the_union_of_the_modules_public_names():
     assert all(namespace[name] is getattr(ribbonlab, name) for name in names)
     with pytest.raises(AttributeError, match="'no_such_name'"):
         ribbonlab.no_such_name
+
+
+def test_name_table_lists_each_modules_public_names():
+    assert ribbonlab._PUBLIC == {module.__name__.split(".")[1]: tuple(module.__all__) for module in MODULES}
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("search_equiv", ["moves", "quandle", "ribbon", "search"]),
+        ("Stab", ["moves", "ribbon"]),
+        ("count_colorings", ["quandle", "ribbon"]),
+        ("parse_ribbon", ["ribbon"]),
+    ],
+)
+def test_a_public_name_imports_only_the_module_that_defines_it(name, expected):
+    # ``search`` imports ``moves``, ``quandle`` and ``ribbon`` itself, but
+    # not ``alexander``
+    code = f"import sys; from ribbonlab import {name}; print(sorted(m for m in sys.modules if m.startswith('ribbonlab.')))"
+    assert python("-c", code) == f"{[f'ribbonlab.{m}' for m in expected]}\n"
