@@ -230,6 +230,8 @@ def _decimal(token: str) -> int:
 
 
 def _ribbon_int(token: str, lineno: int) -> int:
+    """A token of a ``ribbon 1`` text read by :func:`_decimal`, or the
+    format error of line ``lineno``."""
     try:
         return _decimal(token)
     except ValueError:

@@ -1,9 +1,9 @@
 """The package namespace and the modules each command imports.
 
-``ribbonlab`` resolves its public names lazily from the modules'
-``__all__`` lists, and ``ribbonlab.cli`` imports only what the command it
-runs needs; both are checked here, the import boundary in fresh
-interpreters.
+``ribbonlab`` resolves its public names lazily through a table of each
+module's ``__all__`` list, importing only the module that defines a name,
+and ``ribbonlab.cli`` imports only what the command it runs needs; both
+are checked here, the import boundaries in fresh interpreters.
 """
 
 import json
