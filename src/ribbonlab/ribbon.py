@@ -360,13 +360,13 @@ def _diagnose(data: RibbonData) -> list[Diagnostic]:
         diags.append(Diagnostic("error", message, location))
 
     n = data.base_count
+    ranged = type(n) is int  # bases are checked against an int count only
     if type(data.dim) is not int:
         err(f"dim {data.dim!r} is not an integer", "dim")
     elif data.dim < 2:
         err("dim must be >= 2", "dim")
-    if type(n) is not int:
+    if not ranged:
         err(f"bases {n!r} is not an integer", "bases")
-        n = None  # no range to check the bases against
     elif n < 1:
         err("bases must be >= 1", "bases")
     for i, h in enumerate(data.handles, start=1):
@@ -374,12 +374,12 @@ def _diagnose(data: RibbonData) -> list[Diagnostic]:
         for name, b in (("start", h.start), ("end", h.end)):
             if type(b) is not int:
                 err(f"{name} base {b!r} is not an integer", where)
-            elif n is not None and not 1 <= b <= n:
+            elif ranged and not 1 <= b <= n:
                 err(f"{name} base {b} out of range 1..{n}", where)
         for j, letter in enumerate(h.word):
             if letter.sign not in (1, -1):
                 err(f"letter {j} has sign {letter.sign}, expected +1 or -1", where)
-            if n is not None and not 1 <= letter.base <= n:
+            if ranged and not 1 <= letter.base <= n:
                 err(f"letter {j} base {letter.base} out of range 1..{n}", where)
     return diags
 

@@ -218,6 +218,7 @@ def test_fields_that_are_not_integers_are_reported_and_rejected(case):
     assert [d.message for d in validate(data)] == [message]
     for compute in (
         canonical_form,
+        canonical_bytes,
         lambda d: count_colorings(d, dihedral_quandle(3)),
         alexander_polynomial,
         genus,
@@ -225,8 +226,6 @@ def test_fields_that_are_not_integers_are_reported_and_rejected(case):
     ):
         with pytest.raises(ValueError):
             compute(data)
-    with pytest.raises(ValueError):
-        canonical_bytes(data)
 
 
 class Index:
