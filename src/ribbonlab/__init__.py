@@ -20,7 +20,10 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Each module's public names, in the order of its ``__all__``;
+# Each module's public names, in the order of its ``__all__``.  The lists
+# are copied here because reading a module's ``__all__`` imports the
+# module, which is what resolving one name must not do; each module keeps
+# its own list so that its public names are read where they are defined.
 # tests/test_package.py checks the table against those lists.
 _PUBLIC = {
     "ribbon": (

@@ -215,9 +215,6 @@ def _token_lines(text: str | bytes) -> list[tuple[int, list[str]]]:
     return [(lineno, tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1) if tokens]
 
 
-# Records, scripts and quandle files write few distinct integers, so the
-# tokens read are kept per process.
-@lru_cache(maxsize=1 << 10)
 def _decimal(token: str) -> int:
     """``token`` read as a plain decimal integer: an optional ``-`` and
     ASCII digits.  Every integer of the text formats and of the generator

@@ -228,6 +228,31 @@ def test_fields_that_are_not_integers_are_reported_and_rejected(case):
             compute(data)
 
 
+# A record that ``validate`` flags for a dim below 2 or no bases is refused
+# the same way: every computation reads the one verdict kept on it.
+OUT_OF_RANGE = {
+    "dim 1": (lambda: RibbonData(1, 1, ()), "dim must be >= 2"),
+    "bases 0": (lambda: RibbonData(2, 0, ()), "bases must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_a_dim_below_two_or_no_bases_is_reported_and_rejected(case):
+    build, message = OUT_OF_RANGE[case]
+    data = build()
+    assert [d.message for d in validate(data)] == [message]
+    for compute in (
+        canonical_form,
+        canonical_bytes,
+        lambda d: count_colorings(d, dihedral_quandle(3)),
+        alexander_polynomial,
+        genus,
+        lambda d: search_equiv(d, d, 1, 0, 10),
+    ):
+        with pytest.raises(ValueError, match=message):
+            compute(data)
+
+
 class Index:
     def __init__(self, value):
         self.value = value
