@@ -39,12 +39,11 @@ in O(k^3) ring operations with exact divisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .ribbon import RibbonData, _require_valid, component_count
+from .ribbon import RibbonData, _require_valid, _Value, component_count
 
 __all__ = [
     "LaurentPolynomial",
@@ -52,8 +51,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(_Value):
     """Finitely supported integer coefficients, stored as sorted
     (exponent, coefficient) pairs with zeros dropped."""
 

@@ -23,7 +23,6 @@ format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Union
 
@@ -31,6 +30,7 @@ from .ribbon import (
     Handle,
     RibbonData,
     SignedLetter,
+    _Value,
     _canonical_key,
     _coded,
     _decimal,
@@ -88,58 +88,49 @@ class ScriptFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Stab:
+class Stab(_Value):
     base: int
 
 
-@dataclass(frozen=True)
-class Destab:
+class Destab(_Value):
     base: int
 
 
-@dataclass(frozen=True)
-class CancelInsert:
+class CancelInsert(_Value):
     handle: int
     position: int
     base: int
     sign: int
 
 
-@dataclass(frozen=True)
-class CancelDelete:
+class CancelDelete(_Value):
     handle: int
     position: int
 
 
-@dataclass(frozen=True)
-class Slide:
+class Slide(_Value):
     handle: int
     which: str  # "start" | "end"
     along: int
     direction: str  # "fwd" | "rev"
 
 
-@dataclass(frozen=True)
-class CrossSlide:
+class CrossSlide(_Value):
     handle: int
     position: int
     via: int
     direction: str  # "fwd" | "rev"
 
 
-@dataclass(frozen=True)
-class TrivialHandle:
+class TrivialHandle(_Value):
     base: int
 
 
-@dataclass(frozen=True)
-class RemoveTrivialHandle:
+class RemoveTrivialHandle(_Value):
     handle: int
 
 
-@dataclass(frozen=True)
-class ReverseHandle:
+class ReverseHandle(_Value):
     handle: int
 
 
@@ -405,15 +396,19 @@ def _entry(move: Move) -> tuple[str, str]:
 
 
 def apply_move(data: RibbonData, move: Move) -> RibbonData:
-    return globals()[_entry(move)[1]](data, *vars(move).values())
+    """``move`` applied to ``data`` by its function in ``_MOVES``, which
+    takes the move's fields in declared order.  Raises ``ValueError`` with
+    the first problem :func:`validate` finds when ``data`` is not a valid
+    record, and ``MoveError`` when the move does not apply."""
+    _require_valid(data)
+    return globals()[_entry(move)[1]](data, *move._values())
 
 
 # ---------------------------------------------------------------------------
 # scripts
 
 
-@dataclass(frozen=True)
-class MoveScript:
+class MoveScript(_Value):
     """A replayable sequence of moves; an equivalence certificate."""
 
     moves: tuple[Move, ...] = ()
@@ -442,7 +437,8 @@ def is_weak(move: Move) -> bool:
 
 def apply_script(data: RibbonData, script: MoveScript) -> RibbonData:
     """Left-to-right composition, failing fast with the index of the first
-    inapplicable move."""
+    inapplicable move.  Raises ``ValueError`` on a record that is not
+    valid, as :func:`apply_move` does."""
     for i, move in enumerate(script):
         try:
             data = apply_move(data, move)
@@ -456,7 +452,7 @@ def _move_line(move: Move) -> str:
     if isinstance(move, CancelInsert):
         values = (move.handle, move.position, move.sign * move.base)
     else:
-        values = vars(move).values()
+        values = move._values()
     return " ".join([keyword, *map(str, values)])
 
 

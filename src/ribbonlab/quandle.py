@@ -40,10 +40,9 @@ lives here too; the Alexander polynomial derived from it is in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .ribbon import Diagnostic, Handle, RibbonData, _decimal, _require_valid, _token_lines
+from .ribbon import Diagnostic, Handle, RibbonData, _decimal, _require_valid, _token_lines, _Value
 
 __all__ = [
     "FiniteQuandle",
@@ -61,8 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FiniteQuandle:
+class FiniteQuandle(_Value):
     """An operation table on elements 1..m; ``table[x-1][y-1]`` is ``x * y``.
 
     The constructor enforces only the shape; use
@@ -266,8 +264,7 @@ def serialize_quandle(q: FiniteQuandle) -> str:
 # presented quandle and group
 
 
-@dataclass(frozen=True)
-class QuandleRelation:
+class QuandleRelation(_Value):
     """end = start acted on by the operator word, one per handle.
 
     Each operator pair is (generator, exponent); exponent +1 applies the
@@ -280,8 +277,7 @@ class QuandleRelation:
     operators: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class QuandlePresentation:
+class QuandlePresentation(_Value):
     generators: int
     relations: tuple[QuandleRelation, ...]
 
@@ -295,8 +291,7 @@ def quandle_presentation(data: RibbonData) -> QuandlePresentation:
     return QuandlePresentation(data.base_count, relations)
 
 
-@dataclass(frozen=True)
-class GroupRelation:
+class GroupRelation(_Value):
     """end = W^-1 start W with W the crossing word read as conjugators."""
 
     end: int
@@ -309,8 +304,7 @@ class GroupRelation:
         return (-self.end,) + inverse + (self.start,) + self.conjugator
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(_Value):
     generators: int
     relations: tuple[GroupRelation, ...]
 

@@ -39,7 +39,6 @@ states whose record or text it reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, index, ne
 from typing import NamedTuple
@@ -107,8 +106,61 @@ def _as_letters(word) -> tuple[SignedLetter, ...]:
     return tuple([SignedLetter(_integral(b), _integral(s)) for b, s in word])
 
 
-@dataclass(frozen=True)
-class Handle:
+class _Value:
+    """The base of the library's immutable values: records, moves, scripts,
+    presentations and search outcomes.
+
+    A subclass declares its fields as annotations, in order, each default
+    as the class attribute of that name.  Creating the subclass reads them
+    once and generates its ``__init__``, which takes the fields by position
+    or keyword, sets them with ``object.__setattr__`` and then calls the
+    class's ``__post_init__``, if it has one.  A value equals only a value
+    of the same class with equal fields, hashes by its fields, prints as
+    ``Name(field=value, ...)`` and refuses assignment and deletion: what a
+    frozen dataclass gives, without importing ``dataclasses``, whose import
+    and class creation were a quarter of a command-line call's start.
+    Fields live in the instance ``__dict__``, so ``cached_property``
+    values can be kept beside them and instances pickle by their dict."""
+
+    _fields: tuple[str, ...] = ()  # the field names in declared order
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = cls._fields + tuple(name for name in cls.__annotations__ if name not in cls._fields)
+        cls._fields = fields
+        params = [f"{name}=_cls.{name}" if hasattr(cls, name) else name for name in fields]
+        body = [f"    _set(self, {name!r}, {name})" for name in fields]
+        if hasattr(cls, "__post_init__"):
+            body.append("    self.__post_init__()")
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(params)}):\n" + ("\n".join(body) or "    pass"), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        """The fields' values in declared order."""
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Handle(_Value):
     """A 1-handle: its attachment bases and the crossing word read start to end."""
 
     start: int
@@ -119,8 +171,7 @@ class Handle:
         object.__setattr__(self, "word", _as_letters(self.word))
 
 
-@dataclass(frozen=True)
-class RibbonData:
+class RibbonData(_Value):
     """The combinatorial record of a ribbon presentation.
 
     ``dim`` is the ambient knot dimension; it is carried as metadata,
@@ -184,8 +235,7 @@ def _valid_record(dim: int, base_count: int, handles: tuple[Handle, ...]) -> Rib
     return data
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(_Value):
     severity: str
     message: str
     location: str
@@ -400,7 +450,8 @@ def component_count(data: RibbonData) -> int:
     Crossings do not join components; a handle passing through a base meets
     only its interior.  Bases that no handle end touches are components of
     their own and are counted, not visited, so the cost follows the handles
-    whatever the base count."""
+    whatever the base count.  Requires a valid record."""
+    _require_valid(data)
     n = data.base_count
     group: dict[int, list[int]] = {}  # a touched base -> the bases joined to it
     for h in data.handles:
@@ -438,7 +489,8 @@ def genus(data: RibbonData) -> int:
 
 def is_sphere_knot(data: RibbonData) -> bool:
     """True when the data is connected with exactly one fewer handle than
-    bases, the Euler-characteristic condition for a knotted sphere."""
+    bases, the Euler-characteristic condition for a knotted sphere.
+    Requires a valid record."""
     return component_count(data) == 1 and len(data.handles) == data.base_count - 1
 
 

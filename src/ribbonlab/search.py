@@ -31,7 +31,6 @@ whose record is returned (the meet) or whose text breaks a tie.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache
 from typing import Union
 
@@ -59,6 +58,7 @@ from .ribbon import (
     _canonical_state,
     _record,
     _require_valid,
+    _Value,
     canonical_form,
     component_count,
     genus,
@@ -80,8 +80,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Equivalent:
+class Equivalent(_Value):
     """Both scripts replay (canonically) onto the same meeting form."""
 
     script_a: MoveScript
@@ -91,8 +90,7 @@ class Equivalent:
     weak_used_b: int
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(_Value):
     """A recomputable invariant that separates the inputs."""
 
     invariant: str
@@ -100,8 +98,7 @@ class Refuted:
     value_b: int
 
 
-@dataclass(frozen=True)
-class Unknown:
+class Unknown(_Value):
     """The caps ran out: ``states`` canonical states were stored, the
     reduction paths included, and ``depth`` breadth-first levels completed,
     both sides together."""
@@ -149,19 +146,17 @@ def invariant_gate(a: RibbonData, b: RibbonData, quandles, weak_budget: int | No
     return None
 
 
-@dataclass
-class _Node:
-    parent: tuple | None
-    move: Move | None
-    weak: int
+# The search keeps, for each state it stores, the node ``(parent state, the
+# move from it, weak moves spent on the way)`` as a plain tuple, the
+# root's ``(None, None, 0)``: one is built per stored state.
 
 
-def _script_to(visited: dict[tuple, _Node], state) -> MoveScript:
+def _script_to(visited: dict[tuple, tuple], state) -> MoveScript:
     moves = []
-    node = visited[state]
-    while node.move is not None:
-        moves.append(node.move)
-        node = visited[node.parent]
+    parent, move, _ = visited[state]
+    while move is not None:
+        moves.append(move)
+        parent, move, _ = visited[parent]
     return MoveScript(tuple(reversed(moves)))
 
 
@@ -392,8 +387,8 @@ def search_equiv(
                 _script_to(sides[0]["visited"], meet),
                 _script_to(sides[1]["visited"], meet),
                 _record(a.dim, *meet),
-                sides[0]["visited"][meet].weak,
-                sides[1]["visited"][meet].weak,
+                sides[0]["visited"][meet][2],
+                sides[1]["visited"][meet][2],
             ),
         )
 
@@ -407,10 +402,10 @@ def search_equiv(
     labelled = 2  # the roots
     for root in roots:
         state = root
-        visited = {root: _Node(None, None, 0)}
+        visited = {root: (None, None, 0)}
         path, spent = ([], 0) if same else _reduce(root, state_cap - labelled)
         for move, reached in path:
-            visited[reached] = _Node(state, move, 0)
+            visited[reached] = (state, move, 0)
             state = reached
         # the search starts from the root; a path state joins a frontier
         # when the search reaches it
@@ -432,8 +427,8 @@ def search_equiv(
         reached: list[tuple] = []
         cap_hit = False
         for state in me["frontier"]:
-            node = visited[state]
-            for move, child in _successors(*state, weak_budget > node.weak):
+            weak = visited[state][2]
+            for move, child in _successors(*state, weak_budget > weak):
                 if child in visited:
                     if child in me["unexpanded"]:
                         me["unexpanded"].discard(child)
@@ -442,7 +437,7 @@ def search_equiv(
                 if states >= state_cap:
                     cap_hit = True
                     break
-                visited[child] = _Node(state, move, node.weak + is_weak(move))
+                visited[child] = (state, move, weak + is_weak(move))
                 new_states.append(child)
                 states += 1
             if cap_hit:
@@ -520,8 +515,7 @@ def serialize_outcome(outcome: SearchOutcome) -> str:
 # constructive macros
 
 
-@dataclass(frozen=True)
-class MergeWitness:
+class MergeWitness(_Value):
     """How to walk a freshly attached trivial handle from the doomed base
     to the surviving one: a sequence of (handle, direction) slide steps.
     The concatenation of the traversed crossing words is the route; it

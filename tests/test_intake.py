@@ -12,7 +12,6 @@ import hashlib
 import pickle
 import random
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -22,18 +21,25 @@ from hypothesis import strategies as st
 from ribbonlab import (
     Equivalent,
     Handle,
+    MoveScript,
     RibbonData,
     RibbonFormatError,
     ScriptFormatError,
     SignedLetter,
+    Stab,
+    TrivialHandle,
     alexander_polynomial,
+    apply_move,
+    apply_script,
     builtin_quandle,
     canonical_bytes,
     canonical_form,
+    component_count,
     count_colorings,
     dihedral_quandle,
     enumerate_moves,
     genus,
+    is_sphere_knot,
     parse_quandle,
     parse_ribbon,
     parse_script,
@@ -202,6 +208,20 @@ def test_every_reader_takes_plain_decimals_only(token):
 # records whose fields are not integers
 
 
+# These require a valid record and refuse any other with ``ValueError``.
+REFUSING = (
+    canonical_form,
+    canonical_bytes,
+    lambda d: count_colorings(d, dihedral_quandle(3)),
+    alexander_polynomial,
+    genus,
+    component_count,
+    is_sphere_knot,
+    lambda d: apply_move(d, Stab(1)),
+    lambda d: apply_script(d, MoveScript((TrivialHandle(1),))),
+    lambda d: search_equiv(d, d, 1, 0, 10),
+)
+
 NOT_INTEGERS = {
     "float end": (lambda: RibbonData(2, 2, (Handle(1.5, 2, ()),)), "start base 1.5 is not an integer"),
     "float bases": (lambda: RibbonData(2, 2.0, (Handle(1, 2, ()),)), "bases 2.0 is not an integer"),
@@ -216,14 +236,7 @@ def test_fields_that_are_not_integers_are_reported_and_rejected(case):
     build, message = NOT_INTEGERS[case]
     data = build()
     assert [d.message for d in validate(data)] == [message]
-    for compute in (
-        canonical_form,
-        canonical_bytes,
-        lambda d: count_colorings(d, dihedral_quandle(3)),
-        alexander_polynomial,
-        genus,
-        lambda d: search_equiv(d, d, 1, 0, 10),
-    ):
+    for compute in REFUSING:
         with pytest.raises(ValueError):
             compute(data)
 
@@ -241,14 +254,7 @@ def test_a_dim_below_two_or_no_bases_is_reported_and_rejected(case):
     build, message = OUT_OF_RANGE[case]
     data = build()
     assert [d.message for d in validate(data)] == [message]
-    for compute in (
-        canonical_form,
-        canonical_bytes,
-        lambda d: count_colorings(d, dihedral_quandle(3)),
-        alexander_polynomial,
-        genus,
-        lambda d: search_equiv(d, d, 1, 0, 10),
-    ):
+    for compute in REFUSING:
         with pytest.raises(ValueError, match=message):
             compute(data)
 
@@ -298,10 +304,14 @@ def test_a_parsed_record_is_the_record_the_public_constructors_build(data):
     copy = pickle.loads(pickle.dumps(parsed))
     assert copy == data and validate(copy) == [] and serialize(copy) == serialize(data)
     assert pickle.loads(pickle.dumps(data)) == parsed
-    assert replace(parsed, dim=data.dim + 1) == replace(data, dim=data.dim + 1)
+    assert RibbonData(data.dim + 1, parsed.base_count, parsed.handles) == RibbonData(
+        data.dim + 1, data.base_count, data.handles
+    )
     # a changed record does not keep the verdict of the one it came from
-    assert [d.message for d in validate(replace(parsed, base_count=0))][0] == "bases must be >= 1"
-    assert validate(replace(parsed, dim=1)) == validate(replace(data, dim=1))
+    assert [d.message for d in validate(RibbonData(parsed.dim, 0, parsed.handles))][0] == "bases must be >= 1"
+    assert validate(RibbonData(1, parsed.base_count, parsed.handles)) == validate(
+        RibbonData(1, data.base_count, data.handles)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 ``ribbonlab`` resolves its public names lazily through a table of each
 module's ``__all__`` list, importing only the module that defines a name,
-and ``ribbonlab.cli`` imports only what the command it runs needs; both
-are checked here, the import boundaries in fresh interpreters.
+and ``ribbonlab.cli`` imports only what the command it runs needs, with
+no ``dataclasses``; both are checked here, the import boundaries in fresh
+interpreters.
 """
 
 import json
@@ -21,15 +22,18 @@ GOLDEN = Path(__file__).parent / "golden"
 MODULES = (ribbon, moves, quandle, alexander, search)
 
 # Run ``python -m ribbonlab.cli <args>`` and print, as the last stdout
-# line, its exit code and the ribbonlab modules it left loaded.
+# line, its exit code, the ribbonlab modules it left loaded and every
+# module it loaded that the interpreter had not loaded before it.
 PROBE = """
 import json, runpy, sys
+bare = set(sys.modules)
 code = 0
 try:
     runpy.run_module("ribbonlab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ribbonlab")]))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "ribbonlab")
+print(json.dumps([code, loaded, sorted(set(sys.modules) - bare)]))
 """
 
 # command -> (arguments in the golden directory, submodules it may load)
@@ -62,10 +66,13 @@ def python(*args) -> str:
 @pytest.mark.parametrize("command", sorted(BOUNDARY))
 def test_each_command_imports_only_the_modules_it_runs(command):
     args, expected = BOUNDARY[command]
-    code, loaded = json.loads(python("-c", PROBE, *args).splitlines()[-1])
+    code, loaded, added = json.loads(python("-c", PROBE, *args).splitlines()[-1])
     assert code == 0
     assert "ribbonlab" in loaded
     assert sorted(set(loaded) - {"ribbonlab", "ribbonlab.cli"}) == [f"ribbonlab.{m}" for m in expected]
+    # the value classes are built without ``dataclasses``, whose import
+    # also loads ``inspect``, ``ast``, ``dis`` and ``tokenize``
+    assert not {"dataclasses", "inspect"} & set(added)
 
 
 def test_importing_the_package_loads_no_submodule():

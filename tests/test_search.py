@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -91,22 +90,28 @@ def test_removing_trivial_handles_spends_the_budget():
     [
         (
             "torus:1",
-            lambda found: replace(found, weak_used_a=0, weak_used_b=0),
+            lambda found: Equivalent(found.script_a, found.script_b, found.meet, 0, 0),
             "weak-handle accounting does not match the scripts",
         ),
         (
             "stabilized:3:1",
-            lambda found: replace(found, script_a=MoveScript(found.script_a.moves[1:])),
+            lambda found: Equivalent(
+                MoveScript(found.script_a.moves[1:]), found.script_b, found.meet, found.weak_used_a, found.weak_used_b
+            ),
             "script A does not reach the meeting form",
         ),
         (
             "stabilized:3:1",
-            lambda found: replace(found, script_b=MoveScript(found.script_b.moves + (Stab(1),))),
+            lambda found: Equivalent(
+                found.script_a, MoveScript(found.script_b.moves + (Stab(1),)), found.meet, found.weak_used_a, found.weak_used_b
+            ),
             "script B does not reach the meeting form",
         ),
         (
             "stabilized:3:1",
-            lambda found: replace(found, meet=canonical_form(generate("spun-trefoil"))),
+            lambda found: Equivalent(
+                found.script_a, found.script_b, canonical_form(generate("spun-trefoil")), found.weak_used_a, found.weak_used_b
+            ),
             "script A does not reach the meeting form",
         ),
     ],
