@@ -9,11 +9,14 @@ a public name imports the one module that defines it, looked up in a
 table of each module's public names; ``from ribbonlab import *`` imports
 all five.  The command line runs one command per process, and importing
 every module would cost more than most commands compute: compiled from
-source (no bytecode cache) on CPython 3.11, ``ribbon`` takes about 30 ms
-to import (12 of them for ``dataclasses``), ``moves`` 20, ``quandle`` and
-``search`` 11-14 each and ``alexander`` 7-12, while ``canon``, ``color``
-and ``alex`` on a 12-base knot compute for under 1 ms.  So
-``ribbonlab.cli`` imports what each command runs (see its docstring).
+source (no bytecode cache) on CPython 3.11, ``ribbon`` takes about 18 ms
+to import, ``moves``, ``quandle`` and ``search`` about 10 each and
+``alexander`` 7, plus 5 for the ``fractions`` it imports, while
+``canon``, ``color`` and ``alex`` on a 12-base knot compute for under
+1 ms.  So ``ribbonlab.cli`` imports what each command runs (see its
+docstring), and the value classes are built without ``dataclasses``
+(see ``ribbon._Value``), whose import and class creation took about
+40 ms of the five modules' 100.
 """
 
 import importlib

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
-from .ribbon import RibbonData, _require_valid, _Value, component_count
+from .ribbon import RibbonData, _Value, component_count
 
 __all__ = [
     "LaurentPolynomial",
@@ -355,8 +355,7 @@ def alexander_polynomial(data: RibbonData) -> LaurentPolynomial:
     """Normalized gcd of the maximal proper minors of the free-derivative
     matrix.  Raises on invalid or disconnected data; the single-base case
     is 1."""
-    _require_valid(data)
-    if component_count(data) != 1:
+    if component_count(data) != 1:  # raises first on an invalid record
         raise ValueError("disconnected data has no Alexander polynomial")
     rows, cols = _eliminate_units(_sparse_fox_rows(data), data.base_count - 1)
     k = len(cols)
