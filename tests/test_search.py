@@ -103,14 +103,22 @@ def test_removing_trivial_handles_spends_the_budget():
         (
             "stabilized:3:1",
             lambda found: Equivalent(
-                found.script_a, MoveScript(found.script_b.moves + (Stab(1),)), found.meet, found.weak_used_a, found.weak_used_b
+                found.script_a,
+                MoveScript(found.script_b.moves + (Stab(1),)),
+                found.meet,
+                found.weak_used_a,
+                found.weak_used_b,
             ),
             "script B does not reach the meeting form",
         ),
         (
             "stabilized:3:1",
             lambda found: Equivalent(
-                found.script_a, found.script_b, canonical_form(generate("spun-trefoil")), found.weak_used_a, found.weak_used_b
+                found.script_a,
+                found.script_b,
+                canonical_form(generate("spun-trefoil")),
+                found.weak_used_a,
+                found.weak_used_b,
             ),
             "script A does not reach the meeting form",
         ),
