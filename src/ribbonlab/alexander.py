@@ -6,9 +6,9 @@ relation and one column per generator, with every generator sent to t, so
 its entries are integer Laurent polynomials.  The polynomial returned is
 the greatest common divisor of its maximal proper minors, normalized so
 the lowest exponent is zero and the constant term positive.  The gcd is
-taken over the rationals and cleared to primitive integer form, making
-the output bytes canonical.  It is invariant under every move in
-``ribbonlab.moves``.
+the one over the rationals, found by Euclid on integer pseudo-remainders
+and given in primitive integer form, making the output bytes canonical.
+It is invariant under every move in ``ribbonlab.moves``.
 
 Three facts keep the computation polynomial in the number of bases.
 First, by the fundamental formula of Fox calculus, each relator r satisfies
@@ -39,7 +39,6 @@ in O(k^3) ring operations with exact divisions.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -307,48 +306,48 @@ def _det(matrix: list[list[list[int]]]) -> list[int]:
     return [-c for c in det] if negate else det
 
 
-def _primitive(coeffs: list[Fraction]) -> list[int]:
+def _primitive(coeffs: list[int]) -> list[int]:
+    """``coeffs`` without trailing zeros, divided by their gcd, the
+    leading coefficient made positive."""
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
     if not coeffs:
         return []
-    lcm = 1
-    for c in coeffs:
-        d = c.denominator
-        g = gcd(lcm, d)
-        lcm = lcm // g * d
-    ints = [int(c * lcm) for c in coeffs]
     g = 0
-    for v in ints:
+    for v in coeffs:
         g = gcd(g, v)
-    ints = [v // g for v in ints]
-    if ints[-1] < 0:
-        ints = [-v for v in ints]
-    return ints
+    if coeffs[-1] < 0:
+        g = -g
+    return [v // g for v in coeffs]
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_rem(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of the remainder of ``a`` by ``b`` over Q[t]:
+    pseudo-division, each step scaling ``a`` by an integer instead of
+    dividing by ``b``'s leading coefficient."""
     a = list(a)
+    lead = b[-1]
     while len(a) >= len(b):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i in range(len(b)):
-            a[shift + i] -= factor * b[i]
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+        c = a.pop()
+        if c:
+            g = gcd(lead, c)
+            scale, c = lead // g, c // g
+            shift = len(a) - len(b) + 1
+            a = [scale * v for v in a]
+            for i in range(len(b) - 1):
+                a[shift + i] -= c * b[i]
+    return _primitive(a)
 
 
 def _poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    fa = [Fraction(v) for v in a]
-    fb = [Fraction(v) for v in b]
-    while fb:
-        fa, fb = fb, _poly_mod(fa, fb)
-    return _primitive(fa)
+    """The gcd of ``a`` and ``b`` over Q[t] as a primitive integer
+    polynomial with positive leading coefficient.  Euclid on
+    pseudo-remainders made primitive: a nonzero integer factor is a unit
+    of Q[t], so it does not change the gcd."""
+    a, b = _primitive(a), _primitive(b)
+    while b:
+        a, b = b, _poly_rem(a, b)
+    return a
 
 
 def alexander_polynomial(data: RibbonData) -> LaurentPolynomial:

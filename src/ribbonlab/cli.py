@@ -10,11 +10,8 @@ the modules it runs: ``validate``, ``canon`` and ``genus`` load
 ``ribbon`` alone, ``quandle`` and ``color`` add ``quandle``, ``alex``
 adds ``alexander``, ``apply`` and ``gen`` add ``moves``, and ``search``
 adds ``moves``, ``quandle`` and ``search``.  Interpreter start and
-imports dominate a command's time: compiled from source (no bytecode
-cache) on CPython 3.11, ``ribbon`` takes about 18 ms to import,
-``moves``, ``quandle`` and ``search`` about 10 each and ``alexander`` 7
-(12 with ``fractions``), while ``canon``, ``color`` and ``alex`` on a
-12-base knot compute for under 1 ms.
+imports dominate a command's time; the package docstring gives each
+module's import cost.
 """
 
 from __future__ import annotations

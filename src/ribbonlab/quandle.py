@@ -518,12 +518,6 @@ def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
     algebra mod m, every other quandle by backtracking.  Raises on an
     invalid record or quandle."""
     _require_valid(data)
-    return _count_valid(data, q)
-
-
-def _count_valid(data: RibbonData, q: FiniteQuandle) -> int:
-    """``count_colorings`` on a record already validated, as the search
-    gate's are, which count each side over several quandles."""
     _require_quandle(q)
     affine = q._affine
     if affine is not None:
@@ -549,4 +543,4 @@ def coloring_profile(data: RibbonData, quandles) -> tuple[tuple[str, int], ...]:
     """Counts over a fixed quandle family, in input order.  Differing
     profiles certify that no move sequence relates two presentations."""
     _require_valid(data)
-    return tuple((q.name, _count_valid(data, q)) for q in quandles)
+    return tuple((q.name, count_colorings(data, q)) for q in quandles)

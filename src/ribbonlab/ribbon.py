@@ -21,13 +21,14 @@ handles met before cost little more than a sort of their bases.
 
 A record keeps what is found from it alone: its serialized text and its
 :func:`validate` verdict are each found once, on first use, and kept on
-it.  The parser checks every field as it reads it, each distinct token
-once, and the canonical form starts from a valid record, so both build
-their records through private constructors that store the checked fields
-as they are and the empty verdict with them.  Coloring counts, Alexander
-polynomials, move enumeration and the search's gate, which each require
-a valid record, therefore never walk a parsed or canonical one again.
-The public constructors still coerce what they are given.
+it.  The parser checks every field as it reads it, and the canonical
+form starts from a valid record, so both build their records through
+private constructors that store the checked fields as they are and the
+empty verdict with them.  Coloring counts, Alexander polynomials, move
+enumeration and the search's gate, which each require a valid record,
+therefore never walk a parsed or canonical one again; each refuses an
+invalid record with the first problem :func:`validate` reports.  The
+public constructors still coerce what they are given.
 
 Inside the labelling and the move kernels a crossing letter is the integer
 ``2 * base + (sign > 0)`` (see :func:`_coded`).  The labelling returns a
@@ -208,18 +209,19 @@ class RibbonData(_Value):
 # The parser and the canonical form build records from fields they have
 # checked themselves, through these two constructors: they store the
 # fields as given, without ``__post_init__``'s coercion, and the record
-# keeps its empty verdict.  Everything else builds through the public
-# constructors.
+# keeps its empty verdict.  They set the fields as ``_Value``'s
+# ``__init__`` does, so the values stay inline in the instance.
+# Everything else builds through the public constructors.
 _new = object.__new__
+_set = object.__setattr__
 
 
 def _trusted_handle(start: int, end: int, word: tuple[SignedLetter, ...]) -> Handle:
     """The ``Handle`` of int bases and a tuple of ``SignedLetter`` of ints."""
     h = _new(Handle)
-    fields = h.__dict__
-    fields["start"] = start
-    fields["end"] = end
-    fields["word"] = word
+    _set(h, "start", start)
+    _set(h, "end", end)
+    _set(h, "word", word)
     return h
 
 
@@ -227,11 +229,10 @@ def _valid_record(dim: int, base_count: int, handles: tuple[Handle, ...]) -> Rib
     """The ``RibbonData`` of fields that :func:`validate` passes, its
     verdict stored."""
     data = _new(RibbonData)
-    fields = data.__dict__
-    fields["dim"] = dim
-    fields["base_count"] = base_count
-    fields["handles"] = handles
-    fields["_problems"] = ()
+    _set(data, "dim", dim)
+    _set(data, "base_count", base_count)
+    _set(data, "handles", handles)
+    _set(data, "_problems", ())
     return data
 
 
@@ -265,11 +266,13 @@ def _token_lines(text: str | bytes) -> list[tuple[int, list[str]]]:
     return [(lineno, tokens) for lineno, tokens in enumerate(map(str.split, lines), start=1) if tokens]
 
 
-# The per-call tables of parse_ribbon read each distinct token once per
-# text, but texts share their few integers: on the bench workloads 98-99 %
-# of the tokens read repeat one read from another text, and keeping them
-# per process takes bench search-open's median op, a gate-refuted search,
-# from 0.072 to 0.067 ms (CPython 3.11, 8 of 8 alternating runs).
+# Texts share their few integers: on the bench workloads 98-99 % of the
+# distinct tokens of a text were read from an earlier one.  The parser reads
+# every token through this per-process cache, repeats within a text too.
+# A per-text table in front of it was slower on every workload's texts:
+# 14.7, 9.8 and 55.9 us a text against 13.6, 9.0 and 43.5 without it
+# (search-equiv, search-open, invariants; medians of 21 alternating rounds
+# in one process, CPython 3.11).
 @lru_cache(maxsize=1 << 10)
 def _decimal(token: str) -> int:
     """``token`` read as a plain decimal integer: an optional ``-`` and
@@ -291,33 +294,9 @@ def _ribbon_int(token: str, lineno: int) -> int:
         raise RibbonFormatError(f"non-integer token '{token}'", lineno) from None
 
 
-def _read_ends(tokens: list[str], base_count: int, lineno: int, ends: dict[str, int]) -> tuple[int, int]:
-    """The start and end bases of a handle line, each checked and entered
-    in ``ends``."""
-    start = _ribbon_int(tokens[1], lineno)
-    end = _ribbon_int(tokens[2], lineno)
-    for v in (start, end):
-        if not 1 <= v <= base_count:
-            raise RibbonFormatError(f"base index {v} out of range", lineno)
-    ends[tokens[1]], ends[tokens[2]] = start, end
-    return start, end
-
-
-def _read_word(tokens: list[str], base_count: int, lineno: int, letters: dict[str, SignedLetter]):
-    """The crossing word of a handle line, each token not read before
-    checked and entered in ``letters``."""
-    word = []
-    for token in tokens[4:]:
-        letter = letters.get(token)
-        if letter is None:
-            v = _ribbon_int(token, lineno)
-            if v == 0:
-                raise RibbonFormatError("crossing letter must be nonzero", lineno)
-            if not 1 <= abs(v) <= base_count:
-                raise RibbonFormatError(f"base index {abs(v)} out of range", lineno)
-            letter = letters[token] = SignedLetter(abs(v), 1 if v > 0 else -1)
-        word.append(letter)
-    return tuple(word)
+# ``_letter(SignedLetter, (base, sign))`` is what ``SignedLetter(base, sign)``
+# returns, without the Python frame of the named tuple's ``__new__``.
+_letter = tuple.__new__
 
 
 def parse_ribbon(text: str | bytes) -> RibbonData:
@@ -331,12 +310,12 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     ASCII digits.  No normalization is performed; the returned record is
     exactly what was written.
 
-    Each handle line is read once: a token is converted and range-checked
-    the first time it appears in the text, and looked up after that.  The
-    checks are :func:`validate`'s, so the record is built without the
-    public constructors' coercion and keeps its verdict, empty: a
-    function that requires a valid record does not walk a parsed one
-    again.
+    Each handle line is read once, its ends and then its letters, every
+    token through the per-process integer cache and range-checked as it
+    is read.  The checks are :func:`validate`'s, so the record is built
+    without the public constructors' coercion and keeps its verdict,
+    empty: a function that requires a valid record does not walk a
+    parsed one again.
     """
     rows = _token_lines(text)
     if not rows:
@@ -360,22 +339,27 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     if base_count < 1:
         raise RibbonFormatError("bases must be >= 1", lineno)
 
-    # token -> value, for each token read so far as a handle end or letter
-    ends: dict[str, int] = {}
-    letters: dict[str, SignedLetter] = {}
     handles = []
     for lineno, tokens in rows[3:]:
         if tokens[0] != "handle":
             raise RibbonFormatError(f"expected 'handle', got '{tokens[0]}'", lineno)
         if len(tokens) < 4 or tokens[3] != ":":
             raise RibbonFormatError("expected 'handle <start> <end> : ...'", lineno)
-        start, end = ends.get(tokens[1]), ends.get(tokens[2])
-        if start is None or end is None:
-            start, end = _read_ends(tokens, base_count, lineno, ends)
-        word = tuple(map(letters.get, tokens[4:]))
-        if None in word:
-            word = _read_word(tokens, base_count, lineno, letters)
-        handles.append(_trusted_handle(start, end, word))
+        start = _ribbon_int(tokens[1], lineno)
+        end = _ribbon_int(tokens[2], lineno)
+        for v in (start, end):
+            if not 1 <= v <= base_count:
+                raise RibbonFormatError(f"base index {v} out of range", lineno)
+        word = []
+        for token in tokens[4:]:
+            v = _ribbon_int(token, lineno)
+            base, sign = (v, 1) if v > 0 else (-v, -1)
+            if not base:
+                raise RibbonFormatError("crossing letter must be nonzero", lineno)
+            if base > base_count:
+                raise RibbonFormatError(f"base index {base} out of range", lineno)
+            word.append(_letter(SignedLetter, (base, sign)))
+        handles.append(_trusted_handle(start, end, tuple(word)))
     return _valid_record(dim, base_count, tuple(handles))
 
 
@@ -920,35 +904,12 @@ def _record(dim: int, base_count: int, key) -> RibbonData:
     return _valid_record(dim, base_count, tuple([_trusted_handle(s, e, _letters(w)) for s, w, e in key]))
 
 
-def _reject(data: RibbonData):
-    """Raise the ``ValueError`` for an invalid record.  For the first
-    handle with a bad base or sign: a base below 1, then a sign other than
-    +1 or -1, then a base above ``base_count``.  Else, as for a dim, a
-    base count or a handle end that is not an int, the first problem
-    :func:`validate` reports."""
-    n = data.base_count
-    if type(n) is int:
-        for h in data.handles:
-            if type(h.start) is not int or type(h.end) is not int:
-                break
-            bases = [h.start, *[b for b, _ in h.word], h.end]
-            if min(bases) < 1:
-                raise ValueError(f"base index {min(bases)} out of range, bases are numbered from 1")
-            for _, sg in h.word:
-                if sg != 1 and sg != -1:
-                    raise ValueError(f"crossing sign {sg}, expected +1 or -1")
-            if max(bases) > n:
-                raise ValueError(f"base index {max(bases)} out of range 1..{n}")
-    raise ValueError(f"invalid data: {data._problems[0].message}")
-
-
 def _canonical_state(data: RibbonData):
     """``(base_count, key)`` of the canonical form of ``data``, the state
-    the search stores.  Raises ``ValueError`` on an invalid record (see
-    :func:`_reject`), also where free reduction would delete the bad
-    letter."""
-    if data._problems:
-        _reject(data)
+    the search stores.  Raises ``ValueError`` with the first problem
+    :func:`validate` reports, also where free reduction would delete the
+    bad letter."""
+    _require_valid(data)
     n = data.base_count
     return n, _canonical_key(n, tuple([(h.start, _free_reduced(_coded(h.word)), h.end) for h in data.handles]))
 
@@ -978,10 +939,9 @@ def canonical_form(data: RibbonData) -> RibbonData:
     record built from handles met before mostly sorts its bases and looks
     the rest up.
 
-    Raises ``ValueError`` when a handle end or a letter names a base
-    outside 1..``base_count``, or a letter's sign is not +1 or -1, also
-    when free reduction would delete that letter, and on any other problem
-    :func:`validate` reports.
+    Raises ``ValueError`` on an invalid record with the first problem
+    :func:`validate` reports, as every function that requires a valid
+    record does, also when free reduction would delete the bad letter.
     """
     return _record(data.dim, *_canonical_state(data))
 

@@ -50,7 +50,7 @@ from .moves import (
     is_weak,
     serialize_script,
 )
-from .quandle import FiniteQuandle, _count_valid, dihedral_quandle
+from .quandle import FiniteQuandle, count_colorings, dihedral_quandle
 from .ribbon import (
     Handle,
     RibbonData,
@@ -135,8 +135,8 @@ def invariant_gate(a: RibbonData, b: RibbonData, quandles, weak_budget: int | No
     separates."""
     _require_comparable(a, b)
     for q in quandles:
-        ca = _count_valid(a, q)
-        cb = _count_valid(b, q)
+        ca = count_colorings(a, q)
+        cb = count_colorings(b, q)
         if ca != cb:
             return Refuted(q.name, ca, cb)
     if weak_budget == 0:

@@ -3,6 +3,7 @@ oracle, relabel invariance beyond the oracle's reach, symmetric and large
 inputs, and the coded letters and keys the labelling and the search use."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -109,23 +110,36 @@ def test_symmetric_shapes_have_one_form(shape):
 @pytest.mark.parametrize(
     "base_count,handle,message",
     [
-        (2, Handle(1, 3, ()), "base index 3 out of range 1..2"),
-        (1, Handle(1, 2, ()), "base index 2 out of range 1..1"),
-        (2, Handle(0, 2, ()), "base index 0 out of range"),
-        (2, Handle(1, 2, (SignedLetter(3, 1),)), "base index 3 out of range 1..2"),
-        (2, Handle(1, 2, (SignedLetter(0, -1),)), "base index 0 out of range"),
-        (2, Handle(1, 2, (SignedLetter(1, 2),)), "crossing sign 2"),
-        (2, Handle(1, 1, (SignedLetter(2, 0),)), "crossing sign 0"),
+        (2, Handle(1, 3, ()), "invalid data: end base 3 out of range 1..2"),
+        (1, Handle(1, 2, ()), "invalid data: end base 2 out of range 1..1"),
+        (2, Handle(0, 2, ()), "invalid data: start base 0 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(3, 1),)), "invalid data: letter 0 base 3 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(0, -1),)), "invalid data: letter 0 base 0 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(1, 2),)), "invalid data: letter 0 has sign 2, expected +1 or -1"),
+        (2, Handle(1, 1, (SignedLetter(2, 0),)), "invalid data: letter 0 has sign 0, expected +1 or -1"),
         # bad letters that free reduction would delete
-        (2, Handle(1, 2, (SignedLetter(5, 1), SignedLetter(5, -1))), "base index 5 out of range 1..2"),
-        (2, Handle(1, 2, (SignedLetter(1, 2), SignedLetter(1, -2))), "crossing sign 2"),
-        (2, Handle(1, 2, (SignedLetter(0, 1), SignedLetter(0, -1))), "base index 0 out of range"),
+        (2, Handle(1, 2, (SignedLetter(5, 1), SignedLetter(5, -1))), "invalid data: letter 0 base 5 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(1, 2), SignedLetter(1, -2))), "invalid data: letter 0 has sign 2, expected +1 or -1"),
+        (2, Handle(1, 2, (SignedLetter(0, 1), SignedLetter(0, -1))), "invalid data: letter 0 base 0 out of range 1..2"),
+    ],
+    # each case named by its fault
+    ids=[
+        "2-handle0-base index 3 out of range 1..2",
+        "1-handle1-base index 2 out of range 1..1",
+        "2-handle2-base index 0 out of range",
+        "2-handle3-base index 3 out of range 1..2",
+        "2-handle4-base index 0 out of range",
+        "2-handle5-crossing sign 2",
+        "2-handle6-crossing sign 0",
+        "2-handle7-base index 5 out of range 1..2",
+        "2-handle8-crossing sign 2",
+        "2-handle9-base index 0 out of range",
     ],
 )
 def test_canonical_form_rejects_bases_out_of_range_and_bad_signs(base_count, handle, message):
     data = RibbonData(2, base_count, (Handle(1, base_count, ()), handle))
     for _ in range(2):  # a rejected record must not be remembered as valid
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             canonical_form(data)
     assert canonical_form(RibbonData(2, base_count, (Handle(1, base_count, ()),))).base_count == base_count
 

@@ -241,21 +241,32 @@ def test_fields_that_are_not_integers_are_reported_and_rejected(case):
             compute(data)
 
 
-# A record that ``validate`` flags for a dim below 2 or no bases is refused
-# the same way: every computation reads the one verdict kept on it.
+# A record that ``validate`` flags for a value out of range is refused the
+# same way, with its first message: every computation reads the one
+# verdict kept on it.  A bad letter is refused also where free reduction
+# would delete it.
 OUT_OF_RANGE = {
-    "dim 1": (lambda: RibbonData(1, 1, ()), "dim must be >= 2"),
-    "bases 0": (lambda: RibbonData(2, 0, ()), "bases must be >= 1"),
+    "dim 1": (lambda: RibbonData(1, 1, ()), ["dim must be >= 2"]),
+    "bases 0": (lambda: RibbonData(2, 0, ()), ["bases must be >= 1"]),
+    "end base 3 of 2": (lambda: RibbonData(2, 2, (Handle(1, 3, ()),)), ["end base 3 out of range 1..2"]),
+    "start base 0": (lambda: RibbonData(2, 2, (Handle(0, 2, ()),)), ["start base 0 out of range 1..2"]),
+    "letter base 3 of 2": (lambda: RibbonData(2, 2, (Handle(1, 2, ((3, 1),)),)),
+                           ["letter 0 base 3 out of range 1..2"]),
+    "letter base 0": (lambda: RibbonData(2, 2, (Handle(1, 2, ((0, -1),)),)), ["letter 0 base 0 out of range 1..2"]),
+    "letter sign 2": (lambda: RibbonData(2, 2, (Handle(1, 2, ((1, 2),)),)),
+                      ["letter 0 has sign 2, expected +1 or -1"]),
+    "cancelling pair on base 5 of 2": (lambda: RibbonData(2, 2, (Handle(1, 2, ((5, 1), (5, -1))),)),
+                                       ["letter 0 base 5 out of range 1..2", "letter 1 base 5 out of range 1..2"]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_a_dim_below_two_or_no_bases_is_reported_and_rejected(case):
-    build, message = OUT_OF_RANGE[case]
+    build, messages = OUT_OF_RANGE[case]
     data = build()
-    assert [d.message for d in validate(data)] == [message]
+    assert [d.message for d in validate(data)] == messages
     for compute in REFUSING:
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(messages[0])):
             compute(data)
 
 

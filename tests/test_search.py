@@ -19,6 +19,7 @@ from ribbonlab import (
     apply_stabilize,
     canonical_form,
     certify,
+    count_colorings,
     dihedral_quandle,
     genus,
     is_sphere_knot,
@@ -26,6 +27,7 @@ from ribbonlab import (
     macro_merge_bases,
     parse_ribbon,
     reversed_handle,
+    search,
     search_equiv,
     serialize,
     serialize_script,
@@ -64,6 +66,21 @@ def test_torus_needs_one_weak_move_to_reach_the_unknot():
     assert serialize_script(found.script_a) == "untrivh 1\n"
     assert (found.weak_used_a, found.weak_used_b) == (1, 0)
     assert certify(torus, unknot, found)
+
+
+def test_the_gate_counts_through_count_colorings(monkeypatch):
+    # the gate's counts go through the public entry point, so whatever
+    # wraps ``count_colorings`` where the search reads it sees them
+    calls = []
+
+    def counting(data, q):
+        calls.append(q.name)
+        return count_colorings(data, q)
+
+    monkeypatch.setattr(search, "count_colorings", counting)
+    outcome = search_equiv(generate("spun-trefoil"), generate("unknot"), 2, 0, 100)
+    assert outcome == Refuted("dihedral:3", 9, 3)
+    assert calls == ["dihedral:3", "dihedral:3"]
 
 
 def test_a_huge_base_count_fails_as_disconnected():
