@@ -42,12 +42,10 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
+from . import _PUBLIC
 from .ribbon import RibbonData, _Value, component_count
 
-__all__ = [
-    "LaurentPolynomial",
-    "alexander_polynomial",
-]
+__all__ = list(_PUBLIC["alexander"])
 
 
 class LaurentPolynomial(_Value):

@@ -24,6 +24,7 @@ from .ribbon import (
     Handle,
     RibbonData,
     SignedLetter,
+    _cancelling,
     _decimal,
     _reading,
     canonical_form,
@@ -86,7 +87,7 @@ def _stable_move_pool(data: RibbonData, rng: random.Random):
             CancelInsert(i, rng.randint(0, len(h.word)), rng.randint(1, data.base_count), rng.choice((1, -1)))
         )
         for pos in range(len(h.word) - 1):
-            if h.word[pos].base == h.word[pos + 1].base and h.word[pos].sign == -h.word[pos + 1].sign:
+            if _cancelling(h.word[pos], h.word[pos + 1]):
                 moves.append(CancelDelete(i, pos))
     return moves
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterator, Union
 
+from . import _PUBLIC
 from .ribbon import (
     Handle,
     RibbonData,
@@ -40,38 +41,10 @@ from .ribbon import (
     _record,
     _require_valid,
     _token_lines,
-    reverse_flip,
+    reversed_handle,
 )
 
-__all__ = [
-    "MoveError",
-    "ScriptFormatError",
-    "Stab",
-    "Destab",
-    "CancelInsert",
-    "CancelDelete",
-    "Slide",
-    "CrossSlide",
-    "TrivialHandle",
-    "RemoveTrivialHandle",
-    "ReverseHandle",
-    "MoveScript",
-    "parse_script",
-    "serialize_script",
-    "apply_move",
-    "apply_script",
-    "apply_stabilize",
-    "apply_destabilize",
-    "apply_cancel_insert",
-    "apply_cancel_delete",
-    "apply_slide",
-    "apply_cross_slide",
-    "apply_trivial_handle",
-    "remove_trivial_handle",
-    "reverse_handle",
-    "slides",
-    "enumerate_moves",
-]
+__all__ = list(_PUBLIC["moves"])
 
 
 class MoveError(ValueError):
@@ -363,8 +336,7 @@ def remove_trivial_handle(data: RibbonData, handle: int) -> RibbonData:
 
 
 def reverse_handle(data: RibbonData, handle: int) -> RibbonData:
-    h = _get_handle(data, handle)
-    return _replace_handle(data, handle, Handle(h.end, h.start, reverse_flip(h.word)))
+    return _replace_handle(data, handle, reversed_handle(_get_handle(data, handle)))
 
 
 # The one description of each move kind.  Its script line is the syntax

@@ -42,22 +42,10 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
+from . import _PUBLIC
 from .ribbon import Diagnostic, Handle, RibbonData, _decimal, _require_valid, _token_lines, _Value
 
-__all__ = [
-    "FiniteQuandle",
-    "check_quandle_axioms",
-    "dihedral_quandle",
-    "trivial_quandle",
-    "builtin_quandle",
-    "parse_quandle",
-    "serialize_quandle",
-    "quandle_presentation",
-    "group_presentation",
-    "count_colorings",
-    "list_colorings",
-    "coloring_profile",
-]
+__all__ = list(_PUBLIC["quandle"])
 
 
 class FiniteQuandle(_Value):

@@ -44,24 +44,9 @@ from functools import cached_property, lru_cache
 from operator import add, index, ne
 from typing import NamedTuple
 
-__all__ = [
-    "SignedLetter",
-    "Handle",
-    "RibbonData",
-    "RibbonFormatError",
-    "parse_ribbon",
-    "serialize",
-    "validate",
-    "component_count",
-    "genus",
-    "is_sphere_knot",
-    "free_reduce_word",
-    "free_reduce",
-    "reverse_flip",
-    "reversed_handle",
-    "canonical_form",
-    "canonical_bytes",
-]
+from . import _PUBLIC
+
+__all__ = list(_PUBLIC["ribbon"])
 
 
 class SignedLetter(NamedTuple):
@@ -481,6 +466,12 @@ def is_sphere_knot(data: RibbonData) -> bool:
 # word reduction and orientation
 
 
+def _cancelling(x: SignedLetter, y: SignedLetter) -> bool:
+    """True when the letters ``x`` and ``y`` cancel side by side: the same
+    base, opposite signs."""
+    return x.base == y.base and x.sign == -y.sign
+
+
 def free_reduce_word(word) -> tuple[SignedLetter, ...]:
     """Delete adjacent cancelling pairs until none remain.
 
@@ -489,7 +480,7 @@ def free_reduce_word(word) -> tuple[SignedLetter, ...]:
     """
     out: list[SignedLetter] = []
     for letter in _as_letters(word):
-        if out and out[-1].base == letter.base and out[-1].sign == -letter.sign:
+        if out and _cancelling(out[-1], letter):
             out.pop()
         else:
             out.append(letter)

@@ -1,9 +1,11 @@
 """
 Bounded equivalence search with replayable certificates.
 
-Two presentations are compared in four stages.  An invariant gate
-(coloring counts over a fixed quandle family, plus genus when no weak
-budget is allowed) can refute immediately.  A reduction then simplifies
+Two presentations are compared in four stages.  An invariant gate can
+refute immediately, by the first entry of one table of invariants whose
+values differ: coloring counts over a fixed quandle family, which every
+move keeps, then genus, which the weak moves change and which therefore
+refutes only when no weak move is allowed.  A reduction then simplifies
 each side's canonical form by moves that lower its size (bases, then total
 word letters, then handles), looking two levels past a plateau.  A
 bidirectional breadth-first search from both canonical forms, which may
@@ -34,6 +36,7 @@ import time
 from functools import cache
 from typing import Union
 
+from . import _PUBLIC
 from .moves import (
     CancelDelete,
     CrossSlide,
@@ -54,6 +57,7 @@ from .quandle import FiniteQuandle, count_colorings, dihedral_quandle
 from .ribbon import (
     Handle,
     RibbonData,
+    _cancelling,
     _canonical_key,
     _canonical_state,
     _record,
@@ -66,18 +70,7 @@ from .ribbon import (
     serialize,
 )
 
-__all__ = [
-    "Equivalent",
-    "Refuted",
-    "Unknown",
-    "MergeWitness",
-    "search_equiv",
-    "certify",
-    "replay_canonical",
-    "serialize_outcome",
-    "macro_merge_bases",
-    "macro_clone_handle",
-]
+__all__ = list(_PUBLIC["search"])
 
 
 class Equivalent(_Value):
@@ -112,8 +105,8 @@ SearchOutcome = Union[Equivalent, Refuted, Unknown]
 
 @cache
 def default_gate_quandles() -> tuple[FiniteQuandle, ...]:
-    # One shared tuple, so each quandle's axiom verdict is computed once
-    # per process rather than once per search.
+    # One shared tuple, so the gate and every other caller reuse each
+    # quandle's axiom verdict.
     return (dihedral_quandle(3), dihedral_quandle(5), dihedral_quandle(7))
 
 
@@ -128,21 +121,31 @@ def _require_comparable(a: RibbonData, b: RibbonData):
             raise ValueError(f"{name} input is not connected")
 
 
-def invariant_gate(a: RibbonData, b: RibbonData, quandles, weak_budget: int | None = None):
-    """Refute via the first quandle whose coloring counts differ, or via
-    genus when the weak budget is zero: only the weak moves change genus,
-    and at budget 0 neither side may apply one.  Returns None when nothing
-    separates."""
+def _counts_over(q: FiniteQuandle):
+    # reads ``count_colorings`` from this module at each call, so whatever
+    # rebinds it here sees the gate's counts
+    return lambda d: count_colorings(d, q)
+
+
+# The gate's invariants in the order tried, each as (name, value of a
+# record, kept by weak moves).  An entry refutes only where the moves the
+# search may apply keep its value: every move keeps a coloring count (the
+# quandle of a record is an invariant of its moves, the paper's trivially
+# embedded summands included), while a weak move changes the genus by one.
+_GATE = tuple((q.name, _counts_over(q), True) for q in default_gate_quandles()) + (("genus", genus, False),)
+
+
+def invariant_gate(a: RibbonData, b: RibbonData, weak_budget: int):
+    """Refute by the first entry of ``_GATE`` whose values on the two
+    records differ, skipping the entries weak moves do not keep when
+    ``weak_budget`` allows one.  Returns None when nothing separates."""
     _require_comparable(a, b)
-    for q in quandles:
-        ca = count_colorings(a, q)
-        cb = count_colorings(b, q)
-        if ca != cb:
-            return Refuted(q.name, ca, cb)
-    if weak_budget == 0:
-        ga, gb = genus(a), genus(b)
-        if ga != gb:
-            return Refuted("genus", ga, gb)
+    for name, value, kept_by_weak in _GATE:
+        if weak_budget > 0 and not kept_by_weak:
+            continue
+        va, vb = value(a), value(b)
+        if va != vb:
+            return Refuted(name, va, vb)
     return None
 
 
@@ -292,12 +295,14 @@ def search_equiv(
     depth: int,
     weak_budget: int,
     state_cap: int,
-    quandles=None,
     stats: dict | None = None,
 ) -> SearchOutcome:
     """Decide equivalence at bounded depth.
 
-    Each side's canonical form is first reduced (see :func:`_reduce`) at
+    :func:`invariant_gate` runs first: it refutes by the first invariant
+    in ``_GATE`` that separates the inputs and that the allowed moves
+    keep, a coloring count at any ``weak_budget`` and the genus only at 0.
+    Each side's canonical form is then reduced (see :func:`_reduce`) at
     weak budget 0, whatever ``weak_budget`` is.  Every state on a
     reduction path is stored, so the sides may meet anywhere on either
     path; when the paths themselves share states, the least serialized one
@@ -348,8 +353,6 @@ def search_equiv(
         raise ValueError("weak budget must be >= 0")
     if state_cap <= 0:
         raise ValueError("state cap must be > 0")
-    if quandles is None:
-        quandles = default_gate_quandles()
     levels: list[list] = []
     sides = []
     # the time per phase, read only when ``stats`` is asked for
@@ -392,7 +395,7 @@ def search_equiv(
             ),
         )
 
-    refuted = invariant_gate(a, b, quandles, weak_budget=weak_budget)
+    refuted = invariant_gate(a, b, weak_budget)
     if refuted is not None:
         return stop("gate", refuted)
 
@@ -608,14 +611,7 @@ def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
     for idx in range(1, len(current().handles) + 1):
         while True:
             word = current().handles[idx - 1].word
-            pos = next(
-                (
-                    p
-                    for p in range(len(word) - 1)
-                    if word[p].base == word[p + 1].base and word[p].sign == -word[p + 1].sign
-                ),
-                None,
-            )
+            pos = next((p for p in range(len(word) - 1) if _cancelling(word[p], word[p + 1])), None)
             if pos is None:
                 break
             do(CancelDelete(idx, pos))

@@ -65,6 +65,19 @@ def alexander_quandle(m, a, name=None):
     return FiniteQuandle(name or f"alexander:{m}:{a}", table)
 
 
+# An independent oracle for each entry of the search's invariant gate, by
+# the entry's name: a coloring count by enumeration over an Alexander
+# quandle that is the dihedral one (x * y = 2y - x), and the genus read off
+# the record's sizes.
+GATE_ORACLES = {
+    **{
+        f"dihedral:{m}": lambda data, q=alexander_quandle(m, -1): brute_force_colorings(data, q)
+        for m in (3, 5, 7)
+    },
+    "genus": lambda data: len(data.handles) - data.base_count + 1,
+}
+
+
 def relabelled_quandle(q, perm, name="relabelled"):
     """The same quandle with element x renamed perm[x-1]."""
     inv = {v: x for x, v in enumerate(perm, start=1)}

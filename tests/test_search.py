@@ -35,9 +35,9 @@ from ribbonlab import (
 from ribbonlab.cli import _random_data, _scramble, generate
 from ribbonlab.moves import _successors, enumerate_moves, is_weak
 from ribbonlab.ribbon import _canonical_state, _record
-from ribbonlab.search import _reduce, default_gate_quandles
+from ribbonlab.search import _GATE, _reduce
 
-from oracles import brute_profile, random_knot, stable_walk_pool
+from oracles import GATE_ORACLES, all_moves_pool, brute_profile, random_knot, stable_walk_pool
 
 PROFILE_QUANDLES = (dihedral_quandle(3), dihedral_quandle(5))
 GOLDEN = Path(__file__).parent / "golden"
@@ -81,6 +81,31 @@ def test_the_gate_counts_through_count_colorings(monkeypatch):
     outcome = search_equiv(generate("spun-trefoil"), generate("unknot"), 2, 0, 100)
     assert outcome == Refuted("dihedral:3", 9, 3)
     assert calls == ["dihedral:3", "dihedral:3"]
+
+
+def test_every_gate_entry_has_an_independent_oracle():
+    assert list(GATE_ORACLES) == [name for name, _, _ in _GATE]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_each_gate_entry_is_kept_by_the_moves_it_claims_to_survive(seed):
+    # the gate may refute by an entry only when no move the search can
+    # apply changes its value; ``enumerate_moves`` yields the search's
+    # moves, and the pool adds insertions, reversals and lengthening
+    # cross-slides, which it never yields
+    rng = random.Random(seed)
+    knot = random_knot(rng, rng.randint(1, 7), extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
+    moved = enumerate_moves(knot, 1)
+    moved += [(move, apply_move(knot, move)) for move in all_moves_pool(knot, rng, weak_left=1)]
+    for name, value, kept_by_weak in _GATE:
+        before = value(knot)
+        for move, after in moved:
+            if kept_by_weak or not is_weak(move):
+                assert value(after) == before, (name, move)
+            else:
+                # a weak move attaches or removes one trivial handle
+                assert abs(value(after) - before) == 1, (name, move)
 
 
 def test_a_huge_base_count_fails_as_disconnected():
@@ -319,11 +344,7 @@ def test_stable_walks_are_certified_and_refutations_recompute(seed, weak):
     other = random_knot(rng, rng.randint(1, 4), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
     outcome = search_equiv(knot, other, 2, weak, 2000)
     if isinstance(outcome, Refuted):
-        if outcome.invariant == "genus":
-            values = (genus(knot), genus(other))
-        else:
-            gate = [q for q in default_gate_quandles() if q.name == outcome.invariant]
-            values = tuple(brute_profile(x, gate)[0][1] for x in (knot, other))
+        values = tuple(GATE_ORACLES[outcome.invariant](x) for x in (knot, other))
         assert values == (outcome.value_a, outcome.value_b) and values[0] != values[1]
     elif isinstance(outcome, Equivalent):
         assert certify(knot, other, outcome)
