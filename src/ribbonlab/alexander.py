@@ -26,10 +26,11 @@ invertible operations).  The gcd depends only on that ideal, and
 normalization takes out units, so the rows are eliminated on such
 pivots, least fill first, until none is left; on Fox matrices of knots
 that leaves a handful of columns, often none.  Other monomials c*t^e,
-which would need rational row operations, do not arise: at t = 1 a row is +1 at its handle's start and -1 at its end
-(0 for a handle from a base to itself), so the matrix there is a graph
-incidence matrix, which is totally unimodular and stays so under
-pivoting on +-1, and a monomial's value at t = 1 is its coefficient.
+which would need rational row operations, do not arise: at t = 1 a row
+is +1 at its handle's start and -1 at its end (0 for a handle from a
+base to itself), so the matrix there is a graph incidence matrix, which
+is totally unimodular and stays so under pivoting on +-1, and a
+monomial's value at t = 1 is its coefficient.
 
 Third, the row picks of what remains are enumerated, and each minor is a
 determinant over Z[t] (rows first shifted by a power of t, a unit),

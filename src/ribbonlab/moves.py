@@ -32,6 +32,7 @@ from .ribbon import (
     RibbonData,
     SignedLetter,
     _Value,
+    _cancelling,
     _canonical_key,
     _coded,
     _decimal,
@@ -210,15 +211,26 @@ def _destab_problem(triples, base: int) -> str | None:
 # application
 
 
+def _ranged(name: str, value, low: int, high: int) -> int:
+    """``value``, a move's integer field, when it is an ``int`` (a ``bool``
+    is not) in ``low..high``; else ``MoveError``."""
+    if type(value) is not int:
+        raise MoveError(f"{name} {value!r} is not an integer")
+    if not low <= value <= high:
+        raise MoveError(f"{name} {value} out of range {low}..{high}")
+    return value
+
+
+# Every ``apply_*`` function calls one of these two first, so each refuses
+# an invalid record, with its first diagnostic, before it reads the move.
 def _check_base(data: RibbonData, base: int):
-    if not 1 <= base <= data.base_count:
-        raise MoveError(f"base {base} out of range 1..{data.base_count}")
+    _require_valid(data)
+    _ranged("base", base, 1, data.base_count)
 
 
 def _get_handle(data: RibbonData, index: int) -> Handle:
-    if not 1 <= index <= len(data.handles):
-        raise MoveError(f"handle {index} out of range 1..{len(data.handles)}")
-    return data.handles[index - 1]
+    _require_valid(data)
+    return data.handles[_ranged("handle", index, 1, len(data.handles)) - 1]
 
 
 def _triple(h: Handle):
@@ -267,20 +279,17 @@ def apply_destabilize(data: RibbonData, base: int) -> RibbonData:
 def apply_cancel_insert(data: RibbonData, handle: int, position: int, base: int, sign: int) -> RibbonData:
     h = _get_handle(data, handle)
     _check_base(data, base)
-    if sign not in (1, -1):
-        raise MoveError(f"sign must be +1 or -1, got {sign}")
-    if not 0 <= position <= len(h.word):
-        raise MoveError(f"insert position {position} out of range 0..{len(h.word)}")
+    if type(sign) is not int or sign not in (1, -1):
+        raise MoveError(f"sign must be +1 or -1, got {sign!r}")
+    _ranged("insert position", position, 0, len(h.word))
     pair = (SignedLetter(base, sign), SignedLetter(base, -sign))
     return _replace_handle(data, handle, Handle(h.start, h.end, h.word[:position] + pair + h.word[position:]))
 
 
 def apply_cancel_delete(data: RibbonData, handle: int, position: int) -> RibbonData:
     h = _get_handle(data, handle)
-    if not 0 <= position <= len(h.word) - 2:
-        raise MoveError(f"delete position {position} out of range 0..{len(h.word) - 2}")
-    a, b = h.word[position], h.word[position + 1]
-    if a.base != b.base or a.sign != -b.sign:
+    _ranged("delete position", position, 0, len(h.word) - 2)
+    if not _cancelling(h.word[position], h.word[position + 1]):
         raise MoveError(f"letters at position {position} do not cancel")
     return _replace_handle(data, handle, Handle(h.start, h.end, h.word[:position] + h.word[position + 2 :]))
 
@@ -288,11 +297,11 @@ def apply_cancel_delete(data: RibbonData, handle: int, position: int) -> RibbonD
 def apply_slide(data: RibbonData, handle: int, which: str, along: int, direction: str) -> RibbonData:
     """Slide one end of ``handle`` along ``along`` to its far base,
     composing the traversed crossing word into the slid handle."""
+    h = _get_handle(data, handle)
     if which not in ("start", "end"):
         raise MoveError(f"slide end must be 'start' or 'end', got {which!r}")
     if handle == along:
         raise MoveError("cannot slide a handle along itself")
-    h = _get_handle(data, handle)
     way = _traversal(data, along, direction)
     attached = h.start if which == "start" else h.end
     if attached != way[0]:
@@ -307,11 +316,10 @@ def apply_cross_slide(data: RibbonData, handle: int, position: int, via: int, di
     """Reroute one crossing of ``handle`` through ``via``: the letter at
     ``position`` (which must cross the base where the chosen traversal of
     ``via`` begins) is pushed along ``via`` to its far base."""
+    h = _get_handle(data, handle)
     if via == handle:
         raise MoveError("cannot cross-slide a handle through itself")
-    h = _get_handle(data, handle)
-    if not 0 <= position < len(h.word):
-        raise MoveError(f"position {position} out of range 0..{len(h.word) - 1}")
+    _ranged("position", position, 0, len(h.word) - 1)
     way = _traversal(data, via, direction)
     if h.word[position].base != way[0]:
         raise MoveError(
@@ -371,8 +379,8 @@ def apply_move(data: RibbonData, move: Move) -> RibbonData:
     """``move`` applied to ``data`` by its function in ``_MOVES``, which
     takes the move's fields in declared order.  Raises ``ValueError`` with
     the first problem :func:`validate` finds when ``data`` is not a valid
-    record, and ``MoveError`` when the move does not apply."""
-    _require_valid(data)
+    record, and ``MoveError`` when the move does not apply, also when one
+    of its integer fields is not an ``int``."""
     return globals()[_entry(move)[1]](data, *move._values())
 
 

@@ -51,7 +51,9 @@ __all__ = list(_PUBLIC["quandle"])
 class FiniteQuandle(_Value):
     """An operation table on elements 1..m; ``table[x-1][y-1]`` is ``x * y``.
 
-    The constructor enforces only the shape; use
+    The constructor stores the rows as tuples of the entries given and
+    enforces only the shape: m rows of m entries, each an ``int`` (a
+    ``bool`` is not) in 1..m, else ``ValueError``.  Use
     :func:`check_quandle_axioms` to test the three axioms.
     """
 
@@ -59,7 +61,7 @@ class FiniteQuandle(_Value):
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        table = tuple(tuple(int(v) for v in row) for row in self.table)
+        table = tuple(map(tuple, self.table))
         m = len(table)
         if m < 1:
             raise ValueError("malformed quandle table: empty")
@@ -67,6 +69,8 @@ class FiniteQuandle(_Value):
             if len(row) != m:
                 raise ValueError(f"malformed quandle table: row {x} has {len(row)} entries, expected {m}")
             for v in row:
+                if type(v) is not int:
+                    raise ValueError(f"malformed quandle table: entry {v!r} is not an integer")
                 if not 1 <= v <= m:
                     raise ValueError(f"malformed quandle table: entry {v} out of range 1..{m}")
         object.__setattr__(self, "table", table)

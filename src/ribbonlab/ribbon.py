@@ -27,8 +27,10 @@ private constructors that store the checked fields as they are and the
 empty verdict with them.  Coloring counts, Alexander polynomials, move
 enumeration and the search's gate, which each require a valid record,
 therefore never walk a parsed or canonical one again; each refuses an
-invalid record with the first problem :func:`validate` reports.  The
-public constructors still coerce what they are given.
+invalid record with the first problem :func:`validate` reports.  One
+intake rule holds across the library: a public constructor stores the
+values it is given, and what reads a value refuses anything that is not
+an ``int`` (a ``bool`` is not) with ``ValueError``.
 
 Inside the labelling and the move kernels a crossing letter is the integer
 ``2 * base + (sign > 0)`` (see :func:`_coded`).  The labelling returns a
@@ -41,7 +43,7 @@ states whose record or text it reads.
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import add, index, ne
+from operator import add, ne
 from typing import NamedTuple
 
 from . import _PUBLIC
@@ -60,36 +62,15 @@ class SignedLetter(NamedTuple):
     sign: int
 
 
-def _integral(v) -> int:
-    """A letter's base or sign as an int: integer-like values through
-    ``operator.index``, and integral floats and numeric strings, such as
-    ``2.0`` and ``"2"``, through ``int``.  Raises ``ValueError`` on a value
-    ``int`` would truncate, such as ``1.5``, or cannot read."""
-    try:
-        return index(v)
-    except TypeError:
-        pass
-    try:
-        n = int(v)
-    except (TypeError, ValueError, OverflowError):
-        n = None
-    if n is not None and (n == v or isinstance(v, str)):
-        return n
-    raise ValueError(f"crossing letter value {v!r} is not an integer")
-
-
 def _as_letters(word) -> tuple[SignedLetter, ...]:
-    """``word`` as a tuple of int-valued letters (see :func:`_integral`).
-    A word that already is one is returned as it is, since rebuilding
-    every letter on each ``Handle`` construction is a large share of a
-    search's time."""
-    if type(word) is tuple:
-        for letter in word:
-            if type(letter) is not SignedLetter or type(letter[0]) is not int or type(letter[1]) is not int:
-                break
-        else:
-            return word
-    return tuple([SignedLetter(_integral(b), _integral(s)) for b, s in word])
+    """``word`` as a tuple: each plain pair, a tuple or list of two values,
+    wrapped as a ``SignedLetter`` of those values, and every other letter
+    kept as given, for :func:`validate` to report.  A tuple of
+    ``SignedLetter`` values is returned as it is, so a handle built from
+    another's word shares it."""
+    if type(word) is tuple and all([type(letter) is SignedLetter for letter in word]):
+        return word
+    return tuple([SignedLetter(*l) if type(l) in (tuple, list) and len(l) == 2 else l for l in word])
 
 
 class _Value:
@@ -147,7 +128,9 @@ class _Value:
 
 
 class Handle(_Value):
-    """A 1-handle: its attachment bases and the crossing word read start to end."""
+    """A 1-handle: its attachment bases and the crossing word read start to
+    end, a tuple of ``SignedLetter`` (see :func:`_as_letters`).  Ends, bases
+    and signs are kept as given; :func:`validate` reports a non-``int``."""
 
     start: int
     end: int
@@ -193,8 +176,8 @@ class RibbonData(_Value):
 
 # The parser and the canonical form build records from fields they have
 # checked themselves, through these two constructors: they store the
-# fields as given, without ``__post_init__``'s coercion, and the record
-# keeps its empty verdict.  They set the fields as ``_Value``'s
+# fields as given, without ``__post_init__``, and the record keeps its
+# empty verdict.  They set the fields as ``_Value``'s
 # ``__init__`` does, so the values stay inline in the instance.
 # Everything else builds through the public constructors.
 _new = object.__new__
@@ -298,9 +281,8 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     Each handle line is read once, its ends and then its letters, every
     token through the per-process integer cache and range-checked as it
     is read.  The checks are :func:`validate`'s, so the record is built
-    without the public constructors' coercion and keeps its verdict,
-    empty: a function that requires a valid record does not walk a
-    parsed one again.
+    through private constructors and keeps its verdict, empty: a function
+    that requires a valid record does not walk a parsed one again.
     """
     rows = _token_lines(text)
     if not rows:
@@ -364,10 +346,11 @@ def serialize(data: RibbonData) -> str:
 
 def validate(data: RibbonData) -> list[Diagnostic]:
     """Return one diagnostic per violated structural invariant (empty when
-    the record is well formed): a dim, base count or handle end that is
-    not an ``int`` (a ``bool`` is not), a dim below 2, no bases, and a
-    handle end or letter base outside 1..base_count or a sign other than
-    +1 or -1.
+    the record is well formed): a handle that is not a ``Handle``, a letter
+    that is not a ``(base, sign)`` pair, a dim, base count, handle end,
+    letter base or sign that is not an ``int`` (a ``bool`` is not), a dim
+    below 2, no bases, and a handle end or letter base outside
+    1..base_count or a sign other than +1 or -1.  It never raises.
 
     The verdict is found once per record and kept on it; a parsed or
     canonical record is built with it.  Each call returns a new list."""
@@ -383,6 +366,13 @@ def _diagnose(data: RibbonData) -> list[Diagnostic]:
 
     n = data.base_count
     ranged = type(n) is int  # bases are checked against an int count only
+
+    def check_base(name, b, where):
+        if type(b) is not int:
+            err(f"{name} {b!r} is not an integer", where)
+        elif ranged and not 1 <= b <= n:
+            err(f"{name} {b} out of range 1..{n}", where)
+
     if type(data.dim) is not int:
         err(f"dim {data.dim!r} is not an integer", "dim")
     elif data.dim < 2:
@@ -393,16 +383,20 @@ def _diagnose(data: RibbonData) -> list[Diagnostic]:
         err("bases must be >= 1", "bases")
     for i, h in enumerate(data.handles, start=1):
         where = f"handle {i}"
-        for name, b in (("start", h.start), ("end", h.end)):
-            if type(b) is not int:
-                err(f"{name} base {b!r} is not an integer", where)
-            elif ranged and not 1 <= b <= n:
-                err(f"{name} base {b} out of range 1..{n}", where)
+        if type(h) is not Handle:
+            err(f"handle {h!r} is not a Handle", where)
+            continue
+        check_base("start base", h.start, where)
+        check_base("end base", h.end, where)
         for j, letter in enumerate(h.word):
-            if letter.sign not in (1, -1):
+            if type(letter) is not SignedLetter:
+                err(f"letter {j} is {letter!r}, not a (base, sign) pair", where)
+                continue
+            if type(letter.sign) is not int:
+                err(f"letter {j} sign {letter.sign!r} is not an integer", where)
+            elif letter.sign not in (1, -1):
                 err(f"letter {j} has sign {letter.sign}, expected +1 or -1", where)
-            if ranged and not 1 <= letter.base <= n:
-                err(f"letter {j} base {letter.base} out of range 1..{n}", where)
+            check_base(f"letter {j} base", letter.base, where)
     return diags
 
 
@@ -440,8 +434,7 @@ def component_count(data: RibbonData) -> int:
             gs.extend(ge)
             for b in ge:
                 group[b] = gs
-    inside = [g for b, g in group.items() if 1 <= b <= n]
-    return n - len(inside) + len({id(g) for g in inside})
+    return n - len(group) + len({id(g) for g in group.values()})
 
 
 def genus(data: RibbonData) -> int:
@@ -476,15 +469,10 @@ def free_reduce_word(word) -> tuple[SignedLetter, ...]:
     """Delete adjacent cancelling pairs until none remain.
 
     The result is the unique freely reduced form, independent of the order
-    in which cancellations are performed.
+    in which cancellations are performed.  Raises ``ValueError`` on a
+    letter :func:`_coded` refuses.
     """
-    out: list[SignedLetter] = []
-    for letter in _as_letters(word):
-        if out and _cancelling(out[-1], letter):
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+    return _letters(_free_reduced(_coded(word)))
 
 
 def free_reduce(data: RibbonData) -> RibbonData:
@@ -494,8 +482,9 @@ def free_reduce(data: RibbonData) -> RibbonData:
 
 def reverse_flip(word) -> tuple[SignedLetter, ...]:
     """The crossing word as seen when traversing the handle backwards:
-    reversed order, flipped signs."""
-    return tuple(SignedLetter(l.base, -l.sign) for l in reversed(_as_letters(word)))
+    reversed order, flipped signs.  Raises ``ValueError`` on a letter
+    :func:`_coded` refuses."""
+    return _letters(_flipped(_coded(word)))
 
 
 def reversed_handle(h: Handle) -> Handle:
@@ -513,10 +502,15 @@ def reversed_handle(h: Handle) -> Handle:
 
 
 def _coded(word) -> tuple[int, ...]:
-    """``word`` with each letter coded.  Raises ``ValueError`` on a sign
-    other than +1 or -1, which has no code."""
+    """``word``, a sequence of ``(base, sign)`` pairs, with each letter
+    coded: the one letter reader of the labelling, the move kernels,
+    :func:`free_reduce_word` and :func:`reverse_flip`.  Raises
+    ``ValueError`` on a base or sign that is not an ``int`` (a ``bool`` is
+    not) and on a sign other than +1 or -1, which has no code."""
     out = []
     for b, sg in word:
+        if type(b) is not int or type(sg) is not int:
+            raise ValueError(f"crossing letter {(b, sg)!r} is not a pair of integers")
         if sg != 1 and sg != -1:
             raise ValueError(f"crossing sign {sg}, expected +1 or -1")
         out.append(2 * b + (sg > 0))

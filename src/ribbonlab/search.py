@@ -47,6 +47,7 @@ from .moves import (
     RemoveTrivialHandle,
     Slide,
     TrivialHandle,
+    _ranged,
     _successor_triples,
     _successors,
     apply_move,
@@ -347,12 +348,11 @@ def search_equiv(
     completed on both sides.  A level the state cap stopped is listed in
     ``levels`` but not counted.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if weak_budget < 0:
-        raise ValueError("weak budget must be >= 0")
-    if state_cap <= 0:
-        raise ValueError("state cap must be > 0")
+    for name, value, least in (("depth", depth, 0), ("weak budget", weak_budget, 0), ("state cap", state_cap, 1)):
+        if type(value) is not int:
+            raise ValueError(f"{name} {value!r} is not an integer")
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}")
     levels: list[list] = []
     sides = []
     # the time per phase, read only when ``stats`` is asked for
@@ -553,10 +553,8 @@ def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
     the replayable script.
     """
     _require_valid(data)
-    if not 1 <= doomed <= data.base_count:
-        raise ValueError(f"doomed base {doomed} out of range")
-    if not 1 <= witness.survivor <= data.base_count:
-        raise ValueError(f"survivor base {witness.survivor} out of range")
+    _ranged("doomed base", doomed, 1, data.base_count)
+    _ranged("survivor base", witness.survivor, 1, data.base_count)
     if doomed == witness.survivor:
         raise ValueError("doomed and survivor must differ")
 
@@ -568,8 +566,7 @@ def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
 
     position = doomed
     for along, direction in witness.steps:
-        if not 1 <= along <= len(original):
-            raise ValueError(f"route malformed: handle {along} out of range")
+        _ranged("route handle", along, 1, len(original))
         if direction not in ("fwd", "rev"):
             raise ValueError(f"route malformed: direction {direction!r}")
         h = current().handles[along - 1]
@@ -643,13 +640,6 @@ def macro_clone_handle(data: RibbonData, template: Handle):
     up by one.
     """
     _require_valid(data)
-    for v in (template.start, template.end):
-        if not 1 <= v <= data.base_count:
-            raise ValueError(f"invalid template: base {v} out of range")
-    for letter in template.word:
-        if not 1 <= letter.base <= data.base_count:
-            raise ValueError(f"invalid template: base {letter.base} out of range")
-
     along = None
     direction = None
     for i, h in enumerate(data.handles, start=1):

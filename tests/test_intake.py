@@ -29,8 +29,15 @@ from ribbonlab import (
     Stab,
     TrivialHandle,
     alexander_polynomial,
+    apply_cancel_delete,
+    apply_cancel_insert,
+    apply_cross_slide,
+    apply_destabilize,
     apply_move,
     apply_script,
+    apply_slide,
+    apply_stabilize,
+    apply_trivial_handle,
     builtin_quandle,
     canonical_bytes,
     canonical_form,
@@ -38,18 +45,22 @@ from ribbonlab import (
     count_colorings,
     dihedral_quandle,
     enumerate_moves,
+    free_reduce_word,
     genus,
     is_sphere_knot,
     parse_quandle,
     parse_ribbon,
     parse_script,
+    remove_trivial_handle,
+    reverse_flip,
+    reverse_handle,
     ribbon,
     search_equiv,
     serialize,
     validate,
 )
 from ribbonlab.cli import generate
-from ribbonlab.ribbon import _decimal
+from ribbonlab.ribbon import _coded, _decimal
 
 from oracles import random_knot, random_regular, random_ribbon
 
@@ -209,6 +220,7 @@ def test_every_reader_takes_plain_decimals_only(token):
 
 
 # These require a valid record and refuse any other with ``ValueError``.
+# Each ``apply_*`` function checks the record before it reads the move.
 REFUSING = (
     canonical_form,
     canonical_bytes,
@@ -220,14 +232,50 @@ REFUSING = (
     lambda d: apply_move(d, Stab(1)),
     lambda d: apply_script(d, MoveScript((TrivialHandle(1),))),
     lambda d: search_equiv(d, d, 1, 0, 10),
+    lambda d: apply_stabilize(d, 1),
+    lambda d: apply_destabilize(d, 1),
+    lambda d: apply_cancel_insert(d, 1, 0, 1, 1),
+    lambda d: apply_cancel_delete(d, 1, 0),
+    lambda d: apply_slide(d, 1, "end", 2, "fwd"),
+    lambda d: apply_cross_slide(d, 1, 0, 2, "fwd"),
+    lambda d: apply_trivial_handle(d, 1),
+    lambda d: remove_trivial_handle(d, 1),
+    lambda d: reverse_handle(d, 1),
 )
 
+
+class Index:
+    """An integer-like value that is not an ``int``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Index({self.value})"
+
+
+# A record keeps every value as given, letters too; ``validate`` reports
+# each one that is not an ``int``.
 NOT_INTEGERS = {
     "float end": (lambda: RibbonData(2, 2, (Handle(1.5, 2, ()),)), "start base 1.5 is not an integer"),
     "float bases": (lambda: RibbonData(2, 2.0, (Handle(1, 2, ()),)), "bases 2.0 is not an integer"),
     "bool end": (lambda: RibbonData(2, 2, (Handle(1, True, ()),)), "end base True is not an integer"),
     "bool dim": (lambda: RibbonData(True, 2, (Handle(1, 2, ()),)), "dim True is not an integer"),
     "string bases": (lambda: RibbonData(2, "2", (Handle(1, 2, ()),)), "bases '2' is not an integer"),
+    "float letter base": (lambda: RibbonData(2, 2, (Handle(1, 2, ((2.0, -1),)),)),
+                          "letter 0 base 2.0 is not an integer"),
+    "bool letter sign": (lambda: RibbonData(2, 2, (Handle(1, 2, ((1, True),)),)),
+                         "letter 0 sign True is not an integer"),
+    "string letter base": (lambda: RibbonData(2, 2, (Handle(1, 2, (("2", -1),)),)),
+                           "letter 0 base '2' is not an integer"),
+    "index letter base": (lambda: RibbonData(2, 2, (Handle(1, 2, ((Index(2), -1),)),)),
+                          "letter 0 base Index(2) is not an integer"),
+    "tuple handle": (lambda: RibbonData(2, 2, ((1, 2, ()),)), "handle (1, 2, ()) is not a Handle"),
+    "letter not a pair": (lambda: RibbonData(2, 2, (Handle(1, 2, ((1, -1, 0),)),)),
+                          "letter 0 is (1, -1, 0), not a (base, sign) pair"),
 }
 
 
@@ -270,23 +318,16 @@ def test_a_dim_below_two_or_no_bases_is_reported_and_rejected(case):
             compute(data)
 
 
-class Index:
-    def __init__(self, value):
-        self.value = value
-
-    def __index__(self):
-        return self.value
-
-
 def test_letters_are_read_exactly_or_rejected():
-    with pytest.raises(ValueError, match="not an integer"):
-        Handle(1, 2, ((1.5, 1),))
-    with pytest.raises(ValueError, match="not an integer"):
-        Handle(1, 2, ((1, 0.5),))
-    with pytest.raises(ValueError, match="not an integer"):
-        Handle(1, 2, ((None, 1),))
-    assert Handle(1, 2, ((Index(2), Index(-1)),)).word == (SignedLetter(2, -1),)
-    assert type(Handle(1, 2, ((Index(2), Index(-1)),)).word[0].base) is int
+    for letter in [(1.5, 1), (1, 0.5), (None, 1), (2.0, -1), (1, True), ("2", -1), (Index(2), -1)]:
+        # a Handle stores the letter's values as given, coercing none
+        stored = Handle(1, 2, (letter,)).word[0]
+        assert type(stored) is SignedLetter
+        assert all(kept is given for kept, given in zip(stored, letter))
+        # and every reader of letters refuses it with ValueError
+        for read in (_coded, free_reduce_word, reverse_flip):
+            with pytest.raises(ValueError, match=re.escape(f"crossing letter {letter!r} is not a pair of integers")):
+                read((letter,))
 
 
 # ---------------------------------------------------------------------------

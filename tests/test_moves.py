@@ -41,6 +41,7 @@ from ribbonlab import (
     slides,
     trivial_quandle,
 )
+from ribbonlab import moves
 from ribbonlab.cli import generate
 
 from oracles import (
@@ -209,6 +210,40 @@ def test_bad_end_and_direction_words_raise_move_error():
     ):
         with pytest.raises(MoveError, match="direction must be 'fwd' or 'rev', got 'up'"):
             call()
+
+
+# One move of each kind, each of which applies to FIELD_DATA, so that a
+# refusal of a changed copy is the changed field's.
+FIELD_DATA = RibbonData(
+    2, 4, (Handle(1, 2, ((3, 1), (3, -1))), Handle(2, 3, ()), Handle(3, 3, ()), Handle(4, 2, ()))
+)
+ONE_OF_EACH = (
+    Stab(1),
+    Destab(4),
+    CancelInsert(1, 0, 1, 1),
+    CancelDelete(1, 0),
+    Slide(2, "start", 4, "rev"),
+    CrossSlide(1, 0, 2, "rev"),
+    TrivialHandle(1),
+    RemoveTrivialHandle(3),
+    ReverseHandle(2),
+)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1", None, True], ids=repr)
+@pytest.mark.parametrize("move", ONE_OF_EACH, ids=lambda m: type(m).__name__)
+def test_an_integer_field_that_is_not_an_int_raises_move_error(move, bad):
+    assert {type(m) for m in ONE_OF_EACH} == set(moves._MOVES)
+    apply = getattr(moves, moves._MOVES[type(move)][1])
+    apply_move(FIELD_DATA, move)
+    values = move._values()
+    for i in [i for i, v in enumerate(values) if type(v) is int]:
+        spoilt = values[:i] + (bad,) + values[i + 1 :]
+        with pytest.raises(MoveError) as through_move:
+            apply_move(FIELD_DATA, type(move)(*spoilt))
+        with pytest.raises(MoveError) as through_apply:
+            apply(FIELD_DATA, *spoilt)
+        assert str(through_move.value) == str(through_apply.value)
 
 
 def test_slides_preserve_coloring_profile():

@@ -91,6 +91,11 @@ def test_malformed_table_rejected():
         FiniteQuandle("bad", ((1, 2), (1,)))
     with pytest.raises(ValueError, match="malformed quandle table"):
         FiniteQuandle("bad", ((1, 5), (2, 1)))
+    # entries are kept as given, never truncated: int() would read this
+    # table as trivial:2
+    for bad in (1.9, True, "1"):
+        with pytest.raises(ValueError, match=f"entry {bad!r} is not an integer"):
+            FiniteQuandle("t", ((bad, 1.2), (2.5, 2.0)))
 
 
 def test_op_inv_inverts():

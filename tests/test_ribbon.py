@@ -139,12 +139,14 @@ def test_validate_bad_sign():
         ((2, -1), (1, 1)),
         [SignedLetter(2, -1), SignedLetter(1, 1)],
         (SignedLetter(2, -1), (1, 1)),
-        (SignedLetter(2.0, -1), SignedLetter(1, True)),
-        (SignedLetter("2", "-1"), SignedLetter(1, 1)),
+        [[2, -1], [1, 1]],
+        ([2, -1], SignedLetter(1, 1)),
         iter([(2, -1), (1, 1)]),
     ],
 )
 def test_handle_converts_words_to_int_letters(word):
+    # plain pairs of ints become letters of the same ints; values that are
+    # not ints are kept as given (see tests/test_intake.py)
     h = Handle(1, 2, word)
     assert h.word == ((2, -1), (1, 1))
     assert type(h.word) is tuple

@@ -1,4 +1,5 @@
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -410,6 +411,9 @@ SPUN = generate("spun-trefoil")  # one handle 1 -> 2 crossing -2 -1
         (1, MergeWitness(2, ()), "ends on base 1"),
         (3, MergeWitness(2, ()), "out of range"),
         (2, MergeWitness(2, ()), "must differ"),
+        ("1", MergeWitness(2, ()), "doomed base '1' is not an integer"),
+        (1, MergeWitness(2.0, ()), "survivor base 2.0 is not an integer"),
+        (1, MergeWitness(2, ((True, "fwd"),)), "route handle True is not an integer"),
     ],
 )
 def test_merge_bases_rejects_malformed_witnesses(doomed, witness, message):
@@ -420,3 +424,26 @@ def test_merge_bases_rejects_malformed_witnesses(doomed, witness, message):
 def test_clone_handle_rejects_a_template_matching_no_handle():
     with pytest.raises(ValueError, match="no matching handle"):
         macro_clone_handle(SPUN, Handle(1, 2, ()))
+    # bases out of range or not integers match no handle of a valid record
+    for template in (Handle(1, 5, ()), Handle("1", 2, ((2, -1), (1, -1)))):
+        with pytest.raises(ValueError, match="no matching handle"):
+            macro_clone_handle(SPUN, template)
+
+
+@pytest.mark.parametrize(
+    "depth,weak_budget,state_cap,message",
+    [
+        ("1", 0, 10, "depth '1' is not an integer"),
+        (1.5, 0, 10, "depth 1.5 is not an integer"),
+        (True, 0, 10, "depth True is not an integer"),
+        (1, 0.0, 10, "weak budget 0.0 is not an integer"),
+        (1, 0, None, "state cap None is not an integer"),
+        (-1, 0, 10, "depth must be >= 0"),
+        (1, -1, 10, "weak budget must be >= 0"),
+        (1, 0, 0, "state cap must be >= 1"),
+    ],
+)
+def test_search_bounds_must_be_integers_in_range(depth, weak_budget, state_cap, message):
+    unknot = generate("unknot")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        search_equiv(unknot, unknot, depth, weak_budget, state_cap)
