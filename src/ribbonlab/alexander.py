@@ -30,7 +30,12 @@ which would need rational row operations, do not arise: at t = 1 a row
 is +1 at its handle's start and -1 at its end (0 for a handle from a
 base to itself), so the matrix there is a graph incidence matrix, which
 is totally unimodular and stays so under pivoting on +-1, and a
-monomial's value at t = 1 is its coefficient.
+monomial's value at t = 1 is its coefficient.  So the polynomial Delta
+of a connected record is never zero: a spanning tree's rows give a
+maximal minor m with m(1) = +-1, and Delta, primitive and dividing m,
+has Delta(1) = +-1 (Gauss's lemma).  Elimination scales the ideal of
+minors by a unit, so a residual of k >= 1 columns has a nonzero maximal
+minor, and the gcd accumulated from zero over its row picks is nonzero.
 
 Third, the row picks of what remains are enumerated, and each minor is a
 determinant over Z[t] (rows first shifted by a power of t, a unit),
@@ -77,11 +82,6 @@ class LaurentPolynomial(_Value):
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return self.terms[0][0]
-
-    def degree(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.terms[-1][0]
 
     def evaluate(self, value):
         return sum(c * value**e for e, c in self.terms)
@@ -282,8 +282,6 @@ def _det(matrix: list[list[list[int]]]) -> list[int]:
     by the previous pivot is exact (Sylvester's identity)."""
     a = [list(row) for row in matrix]
     n = len(a)
-    if n == 0:
-        return [1]
     negate = False
     prev = [1]
     for k in range(n - 1):
@@ -356,28 +354,22 @@ def alexander_polynomial(data: RibbonData) -> LaurentPolynomial:
     if component_count(data) != 1:  # raises first on an invalid record
         raise ValueError("disconnected data has no Alexander polynomial")
     rows, cols = _eliminate_units(_sparse_fox_rows(data), data.base_count - 1)
-    k = len(cols)
-    if k == 0:
+    if not cols:
         return LaurentPolynomial.one()
-    if len(rows) < k:
-        return LaurentPolynomial.zero()
     dense = []
     for row in rows:
         lo = min(min(entry) for entry in row.values())
         dense.append([_dense(row.get(j), lo) for j in cols])
 
-    result: list[int] | None = None
-    for row_pick in combinations(dense, k):
+    result: list[int] = []  # the gcd of no minor yet: the zero polynomial
+    for row_pick in combinations(dense, len(cols)):
         minor = _det(row_pick)
-        if not minor:
-            continue
-        while minor[0] == 0:  # strip the power-of-t content
-            minor = minor[1:]
-        result = _poly_gcd(result, minor) if result is not None else _poly_gcd(minor, [])
-        if len(result) == 1:
-            return LaurentPolynomial.one()
-    if result is None:
-        return LaurentPolynomial.zero()
-    if result and result[0] < 0:
+        if minor:
+            while minor[0] == 0:  # strip the power-of-t content
+                minor = minor[1:]
+            result = _poly_gcd(result, minor)
+            if len(result) == 1:
+                return LaurentPolynomial.one()
+    if result[0] < 0:
         result = [-v for v in result]
     return LaurentPolynomial.from_dict({e: c for e, c in enumerate(result)})

@@ -42,6 +42,7 @@ from .ribbon import (
     _record,
     _require_valid,
     _token_lines,
+    _tupled,
     reversed_handle,
 )
 
@@ -106,19 +107,6 @@ class RemoveTrivialHandle(_Value):
 
 class ReverseHandle(_Value):
     handle: int
-
-
-Move = Union[
-    Stab,
-    Destab,
-    CancelInsert,
-    CancelDelete,
-    Slide,
-    CrossSlide,
-    TrivialHandle,
-    RemoveTrivialHandle,
-    ReverseHandle,
-]
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +210,7 @@ def _ranged(name: str, value, low: int, high: int) -> int:
 
 
 # Every ``apply_*`` function calls one of these two first, so each refuses
-# an invalid record, with its first diagnostic, before it reads the move.
+# an invalid record, with its first message, before it reads the move.
 def _check_base(data: RibbonData, base: int):
     _require_valid(data)
     _ranged("base", base, 1, data.base_count)
@@ -366,6 +354,7 @@ _MOVES = {
     ReverseHandle: ("revh <handle>", "reverse_handle"),
 }
 _KINDS = {syntax.split()[0]: kind for kind, (syntax, _) in _MOVES.items()}
+Move = Union[tuple(_MOVES)]
 
 
 def _entry(move: Move) -> tuple[str, str]:
@@ -378,7 +367,7 @@ def _entry(move: Move) -> tuple[str, str]:
 def apply_move(data: RibbonData, move: Move) -> RibbonData:
     """``move`` applied to ``data`` by its function in ``_MOVES``, which
     takes the move's fields in declared order.  Raises ``ValueError`` with
-    the first problem :func:`validate` finds when ``data`` is not a valid
+    the first message :func:`validate` reports when ``data`` is not a valid
     record, and ``MoveError`` when the move does not apply, also when one
     of its integer fields is not an ``int``."""
     return globals()[_entry(move)[1]](data, *move._values())
@@ -394,7 +383,7 @@ class MoveScript(_Value):
     moves: tuple[Move, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "moves", tuple(self.moves))
+        object.__setattr__(self, "moves", _tupled(self.moves))
 
     def __len__(self) -> int:
         return len(self.moves)
@@ -415,11 +404,20 @@ def is_weak(move: Move) -> bool:
     return isinstance(move, (TrivialHandle, RemoveTrivialHandle))
 
 
+def _moves_of(script: MoveScript) -> tuple[Move, ...]:
+    """The moves of ``script``, a ``MoveScript`` or a sequence of moves, as
+    a tuple; ``ValueError`` when they are not a sequence."""
+    moves = _tupled(script.moves if type(script) is MoveScript else script)
+    if type(moves) is not tuple:
+        raise ValueError(f"script {script!r} is not a sequence of moves")
+    return moves
+
+
 def apply_script(data: RibbonData, script: MoveScript) -> RibbonData:
     """Left-to-right composition, failing fast with the index of the first
     inapplicable move.  Raises ``ValueError`` on a record that is not
     valid, as :func:`apply_move` does."""
-    for i, move in enumerate(script):
+    for i, move in enumerate(_moves_of(script)):
         try:
             data = apply_move(data, move)
         except MoveError as exc:
@@ -437,7 +435,7 @@ def _move_line(move: Move) -> str:
 
 
 def serialize_script(script: MoveScript) -> str:
-    lines = [_move_line(m) for m in script]
+    lines = [_move_line(m) for m in _moves_of(script)]
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -483,7 +481,8 @@ def slides(data: RibbonData) -> list[Slide]:
     """Every slide that applies to ``data``: for each handle in stored
     order, its start end and then its end end, slid along each other handle
     in stored order, ``fwd`` (along a handle starting where the end sits)
-    before ``rev`` (along one ending there)."""
+    before ``rev`` (along one ending there).  Requires a valid record."""
+    _require_valid(data)
     return _slides([(h.start, h.end) for h in data.handles])
 
 
@@ -527,7 +526,7 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
     as canonical keys, without records, from a per-process cache; this
     function builds a record for each successor it returns.
 
-    Raises ``ValueError`` with the first problem :func:`validate` finds
+    Raises ``ValueError`` with the first message :func:`validate` reports
     when ``data`` is not a valid record.
     """
     _require_valid(data)

@@ -43,7 +43,7 @@ import math
 from functools import cached_property
 
 from . import _PUBLIC
-from .ribbon import Diagnostic, Handle, RibbonData, _decimal, _require_valid, _token_lines, _Value
+from .ribbon import Handle, RibbonData, _decimal, _require_valid, _token_lines, _Value
 
 __all__ = list(_PUBLIC["quandle"])
 
@@ -52,8 +52,8 @@ class FiniteQuandle(_Value):
     """An operation table on elements 1..m; ``table[x-1][y-1]`` is ``x * y``.
 
     The constructor stores the rows as tuples of the entries given and
-    enforces only the shape: m rows of m entries, each an ``int`` (a
-    ``bool`` is not) in 1..m, else ``ValueError``.  Use
+    enforces only the shape: a sequence of m rows of m entries, each an
+    ``int`` (a ``bool`` is not) in 1..m, else ``ValueError``.  Use
     :func:`check_quandle_axioms` to test the three axioms.
     """
 
@@ -61,7 +61,10 @@ class FiniteQuandle(_Value):
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        table = tuple(map(tuple, self.table))
+        try:
+            table = tuple(map(tuple, self.table))
+        except TypeError:
+            raise ValueError(f"malformed quandle table: {self.table!r} is not a sequence of rows") from None
         m = len(table)
         if m < 1:
             raise ValueError("malformed quandle table: empty")
@@ -139,7 +142,7 @@ class FiniteQuandle(_Value):
         return tuple(sizes.items())
 
     @cached_property
-    def _axiom_problems(self) -> tuple[Diagnostic, ...]:
+    def _axiom_problems(self) -> tuple[str, ...]:
         # The table is immutable, so its axiom verdict is computed once.
         # An affine table x*y = a*x + (1-a)*y mod m with a a unit mod m is
         # an Alexander quandle: idempotent, each right translation a
@@ -159,20 +162,25 @@ class FiniteQuandle(_Value):
         return x
 
 
-def check_quandle_axioms(q: FiniteQuandle) -> list[Diagnostic]:
-    """Every violated axiom instance, or an empty list."""
-    diags = []
-    m = q.size
+def _require_table(q: FiniteQuandle) -> FiniteQuandle:
+    """``q`` when it is a ``FiniteQuandle``, else ``ValueError``."""
+    if type(q) is not FiniteQuandle:
+        raise ValueError(f"{q!r} is not a FiniteQuandle")
+    return q
+
+
+def check_quandle_axioms(q: FiniteQuandle) -> list[str]:
+    """A message for every violated axiom instance, or an empty list."""
+    problems = []
+    m = _require_table(q).size
     for x in range(1, m + 1):
         v = q.op(x, x)
         if v != x:
-            diags.append(Diagnostic("error", f"{x}*{x} = {v}, expected {x}", f"x={x}"))
+            problems.append(f"{x}*{x} = {v}, expected {x}")
     for y in range(1, m + 1):
         seen = {q.op(x, y) for x in range(1, m + 1)}
         if len(seen) != m:
-            diags.append(
-                Diagnostic("error", f"right translation by {y} is not a bijection", f"y={y}")
-            )
+            problems.append(f"right translation by {y} is not a bijection")
     for x in range(1, m + 1):
         for y in range(1, m + 1):
             xy = q.op(x, y)
@@ -180,14 +188,8 @@ def check_quandle_axioms(q: FiniteQuandle) -> list[Diagnostic]:
                 left = q.op(xy, z)
                 right = q.op(q.op(x, z), q.op(y, z))
                 if left != right:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            f"({x}*{y})*{z} = {left} but ({x}*{z})*({y}*{z}) = {right}",
-                            f"x={x},y={y},z={z}",
-                        )
-                    )
-    return diags
+                    problems.append(f"({x}*{y})*{z} = {left} but ({x}*{z})*({y}*{z}) = {right}")
+    return problems
 
 
 def dihedral_quandle(m: int) -> FiniteQuandle:
@@ -247,7 +249,7 @@ def parse_quandle(text: str | bytes, name: str = "quandle") -> FiniteQuandle:
 
 
 def serialize_quandle(q: FiniteQuandle) -> str:
-    lines = ["quandle 1", f"size {q.size}"]
+    lines = ["quandle 1", f"size {_require_table(q).size}"]
     lines += [" ".join(str(v) for v in row) for row in q.table]
     return "\n".join(lines) + "\n"
 
@@ -276,6 +278,7 @@ class QuandlePresentation(_Value):
 
 def quandle_presentation(data: RibbonData) -> QuandlePresentation:
     """One generator per base, one relation per handle."""
+    _require_valid(data)
     relations = tuple(
         QuandleRelation(h.end, h.start, tuple((l.base, -l.sign) for l in h.word))
         for h in data.handles
@@ -304,6 +307,7 @@ class GroupPresentation(_Value):
 def group_presentation(data: RibbonData) -> GroupPresentation:
     """The presented group of the complement: a crossing of sign s
     contributes the conjugating letter with exponent -s."""
+    _require_valid(data)
     relations = tuple(
         GroupRelation(h.end, h.start, tuple(-l.sign * l.base for l in h.word))
         for h in data.handles
@@ -316,9 +320,9 @@ def group_presentation(data: RibbonData) -> GroupPresentation:
 
 
 def _require_quandle(q: FiniteQuandle):
-    problems = q._axiom_problems
+    problems = _require_table(q)._axiom_problems
     if problems:
-        raise ValueError(f"invalid quandle {q.name}: {problems[0].message}")
+        raise ValueError(f"invalid quandle {q.name}: {problems[0]}")
 
 
 def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):

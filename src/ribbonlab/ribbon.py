@@ -27,10 +27,11 @@ private constructors that store the checked fields as they are and the
 empty verdict with them.  Coloring counts, Alexander polynomials, move
 enumeration and the search's gate, which each require a valid record,
 therefore never walk a parsed or canonical one again; each refuses an
-invalid record with the first problem :func:`validate` reports.  One
-intake rule holds across the library: a public constructor stores the
-values it is given, and what reads a value refuses anything that is not
-an ``int`` (a ``bool`` is not) with ``ValueError``.
+invalid record, or a value that is not one, with the first message
+:func:`validate` reports.  One intake rule holds across the library: a
+public constructor stores the values it is given, and what reads a value
+refuses anything that is not what it reads, such as a field that is not
+an ``int`` (a ``bool`` is not), with ``ValueError``.
 
 Inside the labelling and the move kernels a crossing letter is the integer
 ``2 * base + (sign > 0)`` (see :func:`_coded`).  The labelling returns a
@@ -62,15 +63,26 @@ class SignedLetter(NamedTuple):
     sign: int
 
 
+def _tupled(values):
+    """``values`` as a tuple, or as given for its reader to refuse."""
+    try:
+        return tuple(values)
+    except TypeError:
+        return values
+
+
 def _as_letters(word) -> tuple[SignedLetter, ...]:
     """``word`` as a tuple: each plain pair, a tuple or list of two values,
     wrapped as a ``SignedLetter`` of those values, and every other letter
-    kept as given, for :func:`validate` to report.  A tuple of
-    ``SignedLetter`` values is returned as it is, so a handle built from
-    another's word shares it."""
+    kept as given, for :func:`validate` to report, as is a word that is not
+    a sequence.  A tuple of ``SignedLetter`` values is returned as it is,
+    so a handle built from another's word shares it."""
     if type(word) is tuple and all([type(letter) is SignedLetter for letter in word]):
         return word
-    return tuple([SignedLetter(*l) if type(l) in (tuple, list) and len(l) == 2 else l for l in word])
+    try:
+        return tuple([SignedLetter(*l) if type(l) in (tuple, list) and len(l) == 2 else l for l in word])
+    except TypeError:
+        return word
 
 
 class _Value:
@@ -154,7 +166,7 @@ class RibbonData(_Value):
     handles: tuple[Handle, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "handles", tuple(self.handles))
+        object.__setattr__(self, "handles", _tupled(self.handles))
 
     @cached_property
     def _text(self) -> str:
@@ -168,7 +180,7 @@ class RibbonData(_Value):
         return "\n".join(lines) + "\n"
 
     @cached_property
-    def _problems(self) -> tuple[Diagnostic, ...]:
+    def _problems(self) -> tuple[str, ...]:
         """What :func:`validate` reports, found on first use and kept: the
         record cannot change, so neither can its verdict."""
         return tuple(_diagnose(self))
@@ -202,12 +214,6 @@ def _valid_record(dim: int, base_count: int, handles: tuple[Handle, ...]) -> Rib
     _set(data, "handles", handles)
     _set(data, "_problems", ())
     return data
-
-
-class Diagnostic(_Value):
-    severity: str
-    message: str
-    location: str
 
 
 class RibbonFormatError(ValueError):
@@ -336,7 +342,8 @@ def serialize(data: RibbonData) -> str:
     through :func:`parse_ribbon` unchanged.
 
     The text is built once per record and kept on it, so serializing a
-    record again is a lookup."""
+    record again is a lookup.  Requires a valid record."""
+    _require_valid(data)
     return data._text
 
 
@@ -344,67 +351,73 @@ def serialize(data: RibbonData) -> str:
 # validation and basic topology
 
 
-def validate(data: RibbonData) -> list[Diagnostic]:
-    """Return one diagnostic per violated structural invariant (empty when
-    the record is well formed): a handle that is not a ``Handle``, a letter
-    that is not a ``(base, sign)`` pair, a dim, base count, handle end,
-    letter base or sign that is not an ``int`` (a ``bool`` is not), a dim
-    below 2, no bases, and a handle end or letter base outside
-    1..base_count or a sign other than +1 or -1.  It never raises.
+def validate(data: RibbonData) -> list[str]:
+    """One message per violated structural invariant, none for a well
+    formed record: a value that is not a ``RibbonData``, handles or a word
+    that is not a tuple, a handle that is not a ``Handle``, a letter that
+    is not a ``(base, sign)`` pair, a dim, base count, handle end, letter
+    base or sign that is not an ``int`` (a ``bool`` is not), a dim below 2,
+    no bases, a handle end or letter base outside 1..base_count, or a sign
+    other than +-1.  One in handle i starts ``handle i: ``.  Never raises.
 
     The verdict is found once per record and kept on it; a parsed or
     canonical record is built with it.  Each call returns a new list."""
+    if type(data) is not RibbonData:
+        return [f"{data!r} is not a RibbonData"]
     return list(data._problems)
 
 
-def _diagnose(data: RibbonData) -> list[Diagnostic]:
-    """The diagnostics of :func:`validate`, found by walking the record."""
-    diags = []
-
-    def err(message, location):
-        diags.append(Diagnostic("error", message, location))
-
+def _diagnose(data: RibbonData) -> list[str]:
+    """The messages of :func:`validate`, found by walking the record."""
+    problems = []
+    err = problems.append
     n = data.base_count
     ranged = type(n) is int  # bases are checked against an int count only
 
-    def check_base(name, b, where):
+    def check_base(where, name, b):
         if type(b) is not int:
-            err(f"{name} {b!r} is not an integer", where)
+            err(f"{where}{name} {b!r} is not an integer")
         elif ranged and not 1 <= b <= n:
-            err(f"{name} {b} out of range 1..{n}", where)
+            err(f"{where}{name} {b} out of range 1..{n}")
 
     if type(data.dim) is not int:
-        err(f"dim {data.dim!r} is not an integer", "dim")
+        err(f"dim {data.dim!r} is not an integer")
     elif data.dim < 2:
-        err("dim must be >= 2", "dim")
+        err("dim must be >= 2")
     if not ranged:
-        err(f"bases {n!r} is not an integer", "bases")
+        err(f"bases {n!r} is not an integer")
     elif n < 1:
-        err("bases must be >= 1", "bases")
+        err("bases must be >= 1")
+    if type(data.handles) is not tuple:
+        err(f"handles {data.handles!r} is not a tuple")
+        return problems
     for i, h in enumerate(data.handles, start=1):
-        where = f"handle {i}"
+        where = f"handle {i}: "
         if type(h) is not Handle:
-            err(f"handle {h!r} is not a Handle", where)
+            err(f"{where}{h!r} is not a Handle")
             continue
-        check_base("start base", h.start, where)
-        check_base("end base", h.end, where)
+        check_base(where, "start base", h.start)
+        check_base(where, "end base", h.end)
+        if type(h.word) is not tuple:
+            err(f"{where}word {h.word!r} is not a tuple")
+            continue
         for j, letter in enumerate(h.word):
             if type(letter) is not SignedLetter:
-                err(f"letter {j} is {letter!r}, not a (base, sign) pair", where)
+                err(f"{where}letter {j} is {letter!r}, not a (base, sign) pair")
                 continue
             if type(letter.sign) is not int:
-                err(f"letter {j} sign {letter.sign!r} is not an integer", where)
+                err(f"{where}letter {j} sign {letter.sign!r} is not an integer")
             elif letter.sign not in (1, -1):
-                err(f"letter {j} has sign {letter.sign}, expected +1 or -1", where)
-            check_base(f"letter {j} base", letter.base, where)
-    return diags
+                err(f"{where}letter {j} has sign {letter.sign}, expected +1 or -1")
+            check_base(where, f"letter {j} base", letter.base)
+    return problems
 
 
 def _require_valid(data: RibbonData) -> None:
-    """Raise ValueError with the first problem ``validate`` reports."""
-    problems = data._problems
+    """Raise ValueError with the first message :func:`validate` reports."""
+    problems = data._problems if type(data) is RibbonData else validate(data)
     if problems:
-        raise ValueError(f"invalid data: {problems[0].message}")
+        raise ValueError(f"invalid data: {problems[0]}")
 
 
 def component_count(data: RibbonData) -> int:
@@ -476,6 +489,7 @@ def free_reduce_word(word) -> tuple[SignedLetter, ...]:
 
 
 def free_reduce(data: RibbonData) -> RibbonData:
+    _require_valid(data)
     handles = tuple(Handle(h.start, h.end, free_reduce_word(h.word)) for h in data.handles)
     return RibbonData(data.dim, data.base_count, handles)
 
@@ -488,6 +502,8 @@ def reverse_flip(word) -> tuple[SignedLetter, ...]:
 
 
 def reversed_handle(h: Handle) -> Handle:
+    if type(h) is not Handle:
+        raise ValueError(f"{h!r} is not a Handle")
     return Handle(h.end, h.start, reverse_flip(h.word))
 
 
@@ -505,16 +521,22 @@ def _coded(word) -> tuple[int, ...]:
     """``word``, a sequence of ``(base, sign)`` pairs, with each letter
     coded: the one letter reader of the labelling, the move kernels,
     :func:`free_reduce_word` and :func:`reverse_flip`.  Raises
-    ``ValueError`` on a base or sign that is not an ``int`` (a ``bool`` is
-    not) and on a sign other than +1 or -1, which has no code."""
+    ``ValueError`` on a word that is not a sequence, a letter that is not
+    a pair, a base or sign that is not an ``int`` (a ``bool`` is not) and
+    a sign other than +1 or -1, which has no code."""
     out = []
-    for b, sg in word:
-        if type(b) is not int or type(sg) is not int:
-            raise ValueError(f"crossing letter {(b, sg)!r} is not a pair of integers")
-        if sg != 1 and sg != -1:
-            raise ValueError(f"crossing sign {sg}, expected +1 or -1")
-        out.append(2 * b + (sg > 0))
-    return tuple(out)
+    try:
+        for b, sg in word:
+            if type(b) is not int or type(sg) is not int or (sg != 1 and sg != -1):
+                break
+            out.append(2 * b + (sg > 0))
+        else:
+            return tuple(out)
+    except (TypeError, ValueError):  # the word, or a letter in it, is not a sequence of two
+        raise ValueError(f"word {word!r} is not a sequence of (base, sign) pairs") from None
+    if type(b) is not int or type(sg) is not int:
+        raise ValueError(f"crossing letter {(b, sg)!r} is not a pair of integers")
+    raise ValueError(f"crossing sign {sg}, expected +1 or -1")
 
 
 def _letters(word) -> tuple[SignedLetter, ...]:
@@ -891,7 +913,7 @@ def _record(dim: int, base_count: int, key) -> RibbonData:
 
 def _canonical_state(data: RibbonData):
     """``(base_count, key)`` of the canonical form of ``data``, the state
-    the search stores.  Raises ``ValueError`` with the first problem
+    the search stores.  Raises ``ValueError`` with the first message
     :func:`validate` reports, also where free reduction would delete the
     bad letter."""
     _require_valid(data)
@@ -924,11 +946,12 @@ def canonical_form(data: RibbonData) -> RibbonData:
     record built from handles met before mostly sorts its bases and looks
     the rest up.
 
-    Raises ``ValueError`` on an invalid record with the first problem
+    Raises ``ValueError`` on an invalid record with the first message
     :func:`validate` reports, as every function that requires a valid
     record does, also when free reduction would delete the bad letter.
     """
-    return _record(data.dim, *_canonical_state(data))
+    n, key = _canonical_state(data)  # refuses first what is not a valid record
+    return _record(data.dim, n, key)
 
 
 def canonical_bytes(data: RibbonData) -> bytes:

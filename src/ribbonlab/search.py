@@ -47,6 +47,7 @@ from .moves import (
     RemoveTrivialHandle,
     Slide,
     TrivialHandle,
+    _moves_of,
     _ranged,
     _successor_triples,
     _successors,
@@ -69,6 +70,7 @@ from .ribbon import (
     genus,
     reversed_handle,
     serialize,
+    validate,
 )
 
 __all__ = list(_PUBLIC["search"])
@@ -112,12 +114,12 @@ def default_gate_quandles() -> tuple[FiniteQuandle, ...]:
 
 
 def _require_comparable(a: RibbonData, b: RibbonData):
-    if a.dim != b.dim:
+    if type(a) is type(b) is RibbonData and a.dim != b.dim:
         raise ValueError(f"dim mismatch: {a.dim} vs {b.dim}")
     for name, d in (("first", a), ("second", b)):
-        problems = d._problems
+        problems = validate(d)
         if problems:
-            raise ValueError(f"{name} input invalid: {problems[0].message}")
+            raise ValueError(f"{name} input invalid: {problems[0]}")
         if component_count(d) != 1:
             raise ValueError(f"{name} input is not connected")
 
@@ -462,7 +464,7 @@ def replay_canonical(data: RibbonData, script: MoveScript) -> RibbonData:
     """Replay a certificate script: canonicalize, then alternate one move
     with one re-canonicalization."""
     state = canonical_form(data)
-    for move in script:
+    for move in _moves_of(script):
         state = canonical_form(apply_move(state, move))
     return state
 

@@ -71,7 +71,7 @@ def test_rejects_disconnected():
     ],
 )
 def test_invalid_records_raise_with_the_first_diagnostic(handle, diagnostic):
-    with pytest.raises(ValueError, match=f"^{re.escape('invalid data: ' + diagnostic)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape('invalid data: handle 1: ' + diagnostic)}$"):
         alexander_polynomial(RibbonData(2, 2, (handle,)))
 
 
@@ -106,6 +106,26 @@ def test_evaluates_to_unit_at_one_on_sphere_knots():
         checked += 1
     for data in (UNKNOT, SPUN_TREFOIL):
         assert abs(alexander_polynomial(data).evaluate(1)) == 1
+
+
+def test_evaluates_to_unit_at_one_on_connected_records_of_every_genus():
+    # the fact the module docstring argues: a connected record's polynomial
+    # is never zero, so the computation never meets the zero polynomial
+    rng = random.Random(32)
+    for g in (1, 2, 3):
+        for _ in range(15):
+            data = random_knot(rng, rng.randint(1, 5), extra=g, max_len=4)
+            assert genus(data) == g
+            assert abs(alexander_polynomial(data).evaluate(1)) == 1
+        for _ in range(10):
+            knot = random_knot(rng, rng.randint(2, 4), max_len=4)
+            pieces = [knot, generate(f"torus:{g}")]
+            rng.shuffle(pieces)
+            data = connected_sum(pieces)
+            assert genus(data) == g
+            # a torus summand multiplies the polynomial by 1
+            assert alexander_polynomial(data) == alexander_polynomial(knot)
+            assert abs(alexander_polynomial(data).evaluate(1)) == 1
 
 
 def test_self_handle_word_can_carry_torsion():

@@ -110,17 +110,17 @@ def test_symmetric_shapes_have_one_form(shape):
 @pytest.mark.parametrize(
     "base_count,handle,message",
     [
-        (2, Handle(1, 3, ()), "invalid data: end base 3 out of range 1..2"),
-        (1, Handle(1, 2, ()), "invalid data: end base 2 out of range 1..1"),
-        (2, Handle(0, 2, ()), "invalid data: start base 0 out of range 1..2"),
-        (2, Handle(1, 2, (SignedLetter(3, 1),)), "invalid data: letter 0 base 3 out of range 1..2"),
-        (2, Handle(1, 2, (SignedLetter(0, -1),)), "invalid data: letter 0 base 0 out of range 1..2"),
-        (2, Handle(1, 2, (SignedLetter(1, 2),)), "invalid data: letter 0 has sign 2, expected +1 or -1"),
-        (2, Handle(1, 1, (SignedLetter(2, 0),)), "invalid data: letter 0 has sign 0, expected +1 or -1"),
+        (2, Handle(1, 3, ()), "invalid data: handle 2: end base 3 out of range 1..2"),
+        (1, Handle(1, 2, ()), "invalid data: handle 2: end base 2 out of range 1..1"),
+        (2, Handle(0, 2, ()), "invalid data: handle 2: start base 0 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(3, 1),)), "invalid data: handle 2: letter 0 base 3 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(0, -1),)), "invalid data: handle 2: letter 0 base 0 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(1, 2),)), "invalid data: handle 2: letter 0 has sign 2, expected +1 or -1"),
+        (2, Handle(1, 1, (SignedLetter(2, 0),)), "invalid data: handle 2: letter 0 has sign 0, expected +1 or -1"),
         # bad letters that free reduction would delete
-        (2, Handle(1, 2, (SignedLetter(5, 1), SignedLetter(5, -1))), "invalid data: letter 0 base 5 out of range 1..2"),
-        (2, Handle(1, 2, (SignedLetter(1, 2), SignedLetter(1, -2))), "invalid data: letter 0 has sign 2, expected +1 or -1"),
-        (2, Handle(1, 2, (SignedLetter(0, 1), SignedLetter(0, -1))), "invalid data: letter 0 base 0 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(5, 1), SignedLetter(5, -1))), "invalid data: handle 2: letter 0 base 5 out of range 1..2"),
+        (2, Handle(1, 2, (SignedLetter(1, 2), SignedLetter(1, -2))), "invalid data: handle 2: letter 0 has sign 2, expected +1 or -1"),
+        (2, Handle(1, 2, (SignedLetter(0, 1), SignedLetter(0, -1))), "invalid data: handle 2: letter 0 base 0 out of range 1..2"),
     ],
     # each case named by its fault
     ids=[

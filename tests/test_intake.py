@@ -19,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonlab import (
+    _PUBLIC,
     Equivalent,
+    FiniteQuandle,
     Handle,
+    MergeWitness,
     MoveScript,
     RibbonData,
     RibbonFormatError,
@@ -41,22 +44,36 @@ from ribbonlab import (
     builtin_quandle,
     canonical_bytes,
     canonical_form,
+    certify,
+    check_quandle_axioms,
+    coloring_profile,
     component_count,
     count_colorings,
     dihedral_quandle,
     enumerate_moves,
+    free_reduce,
     free_reduce_word,
     genus,
+    group_presentation,
     is_sphere_knot,
+    list_colorings,
+    macro_clone_handle,
+    macro_merge_bases,
     parse_quandle,
     parse_ribbon,
     parse_script,
+    quandle_presentation,
     remove_trivial_handle,
+    replay_canonical,
     reverse_flip,
     reverse_handle,
+    reversed_handle,
     ribbon,
     search_equiv,
     serialize,
+    serialize_quandle,
+    serialize_script,
+    slides,
     validate,
 )
 from ribbonlab.cli import generate
@@ -260,22 +277,22 @@ class Index:
 # A record keeps every value as given, letters too; ``validate`` reports
 # each one that is not an ``int``.
 NOT_INTEGERS = {
-    "float end": (lambda: RibbonData(2, 2, (Handle(1.5, 2, ()),)), "start base 1.5 is not an integer"),
+    "float end": (lambda: RibbonData(2, 2, (Handle(1.5, 2, ()),)), "handle 1: start base 1.5 is not an integer"),
     "float bases": (lambda: RibbonData(2, 2.0, (Handle(1, 2, ()),)), "bases 2.0 is not an integer"),
-    "bool end": (lambda: RibbonData(2, 2, (Handle(1, True, ()),)), "end base True is not an integer"),
+    "bool end": (lambda: RibbonData(2, 2, (Handle(1, True, ()),)), "handle 1: end base True is not an integer"),
     "bool dim": (lambda: RibbonData(True, 2, (Handle(1, 2, ()),)), "dim True is not an integer"),
     "string bases": (lambda: RibbonData(2, "2", (Handle(1, 2, ()),)), "bases '2' is not an integer"),
     "float letter base": (lambda: RibbonData(2, 2, (Handle(1, 2, ((2.0, -1),)),)),
-                          "letter 0 base 2.0 is not an integer"),
+                          "handle 1: letter 0 base 2.0 is not an integer"),
     "bool letter sign": (lambda: RibbonData(2, 2, (Handle(1, 2, ((1, True),)),)),
-                         "letter 0 sign True is not an integer"),
+                         "handle 1: letter 0 sign True is not an integer"),
     "string letter base": (lambda: RibbonData(2, 2, (Handle(1, 2, (("2", -1),)),)),
-                           "letter 0 base '2' is not an integer"),
+                           "handle 1: letter 0 base '2' is not an integer"),
     "index letter base": (lambda: RibbonData(2, 2, (Handle(1, 2, ((Index(2), -1),)),)),
-                          "letter 0 base Index(2) is not an integer"),
-    "tuple handle": (lambda: RibbonData(2, 2, ((1, 2, ()),)), "handle (1, 2, ()) is not a Handle"),
+                          "handle 1: letter 0 base Index(2) is not an integer"),
+    "tuple handle": (lambda: RibbonData(2, 2, ((1, 2, ()),)), "handle 1: (1, 2, ()) is not a Handle"),
     "letter not a pair": (lambda: RibbonData(2, 2, (Handle(1, 2, ((1, -1, 0),)),)),
-                          "letter 0 is (1, -1, 0), not a (base, sign) pair"),
+                          "handle 1: letter 0 is (1, -1, 0), not a (base, sign) pair"),
 }
 
 
@@ -283,7 +300,7 @@ NOT_INTEGERS = {
 def test_fields_that_are_not_integers_are_reported_and_rejected(case):
     build, message = NOT_INTEGERS[case]
     data = build()
-    assert [d.message for d in validate(data)] == [message]
+    assert validate(data) == [message]
     for compute in REFUSING:
         with pytest.raises(ValueError):
             compute(data)
@@ -296,15 +313,17 @@ def test_fields_that_are_not_integers_are_reported_and_rejected(case):
 OUT_OF_RANGE = {
     "dim 1": (lambda: RibbonData(1, 1, ()), ["dim must be >= 2"]),
     "bases 0": (lambda: RibbonData(2, 0, ()), ["bases must be >= 1"]),
-    "end base 3 of 2": (lambda: RibbonData(2, 2, (Handle(1, 3, ()),)), ["end base 3 out of range 1..2"]),
-    "start base 0": (lambda: RibbonData(2, 2, (Handle(0, 2, ()),)), ["start base 0 out of range 1..2"]),
+    "end base 3 of 2": (lambda: RibbonData(2, 2, (Handle(1, 3, ()),)), ["handle 1: end base 3 out of range 1..2"]),
+    "start base 0": (lambda: RibbonData(2, 2, (Handle(0, 2, ()),)), ["handle 1: start base 0 out of range 1..2"]),
     "letter base 3 of 2": (lambda: RibbonData(2, 2, (Handle(1, 2, ((3, 1),)),)),
-                           ["letter 0 base 3 out of range 1..2"]),
-    "letter base 0": (lambda: RibbonData(2, 2, (Handle(1, 2, ((0, -1),)),)), ["letter 0 base 0 out of range 1..2"]),
+                           ["handle 1: letter 0 base 3 out of range 1..2"]),
+    "letter base 0": (lambda: RibbonData(2, 2, (Handle(1, 2, ((0, -1),)),)),
+                      ["handle 1: letter 0 base 0 out of range 1..2"]),
     "letter sign 2": (lambda: RibbonData(2, 2, (Handle(1, 2, ((1, 2),)),)),
-                      ["letter 0 has sign 2, expected +1 or -1"]),
+                      ["handle 1: letter 0 has sign 2, expected +1 or -1"]),
     "cancelling pair on base 5 of 2": (lambda: RibbonData(2, 2, (Handle(1, 2, ((5, 1), (5, -1))),)),
-                                       ["letter 0 base 5 out of range 1..2", "letter 1 base 5 out of range 1..2"]),
+                                       ["handle 1: letter 0 base 5 out of range 1..2",
+                                        "handle 1: letter 1 base 5 out of range 1..2"]),
 }
 
 
@@ -312,7 +331,7 @@ OUT_OF_RANGE = {
 def test_a_dim_below_two_or_no_bases_is_reported_and_rejected(case):
     build, messages = OUT_OF_RANGE[case]
     data = build()
-    assert [d.message for d in validate(data)] == messages
+    assert validate(data) == messages
     for compute in REFUSING:
         with pytest.raises(ValueError, match=re.escape(messages[0])):
             compute(data)
@@ -360,7 +379,7 @@ def test_a_parsed_record_is_the_record_the_public_constructors_build(data):
         data.dim + 1, data.base_count, data.handles
     )
     # a changed record does not keep the verdict of the one it came from
-    assert [d.message for d in validate(RibbonData(parsed.dim, 0, parsed.handles))][0] == "bases must be >= 1"
+    assert validate(RibbonData(parsed.dim, 0, parsed.handles))[0] == "bases must be >= 1"
     assert validate(RibbonData(1, parsed.base_count, parsed.handles)) == validate(
         RibbonData(1, data.base_count, data.handles)
     )
@@ -391,7 +410,109 @@ def test_a_records_verdict_is_found_once_and_kept(monkeypatch):
         assert str(alexander_polynomial(record)) == "t^2 - t + 1"
     assert len(calls) == 1
     bad = RibbonData(2, 1, (Handle(1, 2, ()),))
-    assert [d.message for d in validate(bad)] == ["end base 2 out of range 1..1"]
+    assert validate(bad) == ["handle 1: end base 2 out of range 1..1"]
     with pytest.raises(ValueError, match="out of range"):
         count_colorings(bad, dihedral_quandle(3))
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# values that are not what they are read as
+#
+# A public constructor keeps what it is given, a container as a tuple when
+# it can be made one; what reads a record, a word, a handle, a script or a
+# quandle table refuses anything else with ``ValueError``, never with a
+# ``TypeError`` or ``AttributeError``, and ``validate`` reports it.
+
+NOT_CONTAINERS = st.one_of(st.sampled_from([None, 5, 1.5, "ab", object()]), st.integers(), st.floats())
+
+KNOT = parse_ribbon("ribbon 1\ndim 2\nbases 2\nhandle 1 2 : -2 -1\n")
+D3 = dihedral_quandle(3)
+SAME = search_equiv(KNOT, KNOT, 0, 0, 10)
+
+# each public function that reads one of those, with the value in each
+# such argument
+READERS = {
+    "serialize": [serialize],
+    "component_count": [component_count],
+    "genus": [genus],
+    "is_sphere_knot": [is_sphere_knot],
+    "free_reduce_word": [free_reduce_word],
+    "free_reduce": [free_reduce],
+    "reverse_flip": [reverse_flip],
+    "reversed_handle": [reversed_handle],
+    "canonical_form": [canonical_form],
+    "canonical_bytes": [canonical_bytes],
+    "serialize_script": [serialize_script, lambda x: serialize_script(MoveScript(x))],
+    "apply_move": [lambda x: apply_move(x, Stab(1)), lambda x: apply_move(KNOT, x)],
+    "apply_script": [
+        lambda x: apply_script(x, MoveScript((Stab(1),))),
+        lambda x: apply_script(KNOT, x),
+        lambda x: apply_script(KNOT, MoveScript(x)),
+    ],
+    "apply_stabilize": [lambda x: apply_stabilize(x, 1)],
+    "apply_destabilize": [lambda x: apply_destabilize(x, 1)],
+    "apply_cancel_insert": [lambda x: apply_cancel_insert(x, 1, 0, 1, 1)],
+    "apply_cancel_delete": [lambda x: apply_cancel_delete(x, 1, 0)],
+    "apply_slide": [lambda x: apply_slide(x, 1, "end", 2, "fwd")],
+    "apply_cross_slide": [lambda x: apply_cross_slide(x, 1, 0, 2, "fwd")],
+    "apply_trivial_handle": [lambda x: apply_trivial_handle(x, 1)],
+    "remove_trivial_handle": [lambda x: remove_trivial_handle(x, 1)],
+    "reverse_handle": [lambda x: reverse_handle(x, 1)],
+    "slides": [slides],
+    "enumerate_moves": [lambda x: enumerate_moves(x, 0), lambda x: enumerate_moves(x, 1)],
+    "FiniteQuandle": [lambda x: FiniteQuandle("q", x)],
+    "check_quandle_axioms": [check_quandle_axioms],
+    "serialize_quandle": [serialize_quandle],
+    "quandle_presentation": [quandle_presentation],
+    "group_presentation": [group_presentation],
+    "count_colorings": [lambda x: count_colorings(x, D3), lambda x: count_colorings(KNOT, x)],
+    "list_colorings": [lambda x: list_colorings(x, D3), lambda x: list_colorings(KNOT, x)],
+    "coloring_profile": [lambda x: coloring_profile(x, (D3,))],
+    "alexander_polynomial": [alexander_polynomial],
+    "search_equiv": [lambda x: search_equiv(x, KNOT, 1, 0, 10), lambda x: search_equiv(KNOT, x, 1, 0, 10)],
+    "certify": [lambda x: certify(x, KNOT, SAME), lambda x: certify(KNOT, x, SAME)],
+    "replay_canonical": [lambda x: replay_canonical(x, MoveScript()), lambda x: replay_canonical(KNOT, x)],
+    "macro_merge_bases": [lambda x: macro_merge_bases(x, 1, MergeWitness(2))],
+    "macro_clone_handle": [lambda x: macro_clone_handle(x, KNOT.handles[0]), lambda x: macro_clone_handle(KNOT, x)],
+}
+# the public names that read none of those: the value classes and errors,
+# ``validate``, which reports, and the readers of texts, sizes, specs and
+# outcomes
+OTHERS = {
+    "SignedLetter", "Handle", "RibbonData", "RibbonFormatError", "MoveError", "ScriptFormatError", "Stab",
+    "Destab", "CancelInsert", "CancelDelete", "Slide", "CrossSlide", "TrivialHandle", "RemoveTrivialHandle",
+    "ReverseHandle", "MoveScript", "LaurentPolynomial", "Equivalent", "Refuted", "Unknown", "MergeWitness",
+    "validate", "parse_ribbon", "parse_script", "parse_quandle", "builtin_quandle", "dihedral_quandle",
+    "trivial_quandle", "serialize_outcome",
+}
+
+
+def test_every_public_name_is_sorted_as_a_reader_or_not():
+    public = {name for names in _PUBLIC.values() for name in names}
+    assert READERS.keys() | OTHERS == public
+    assert not READERS.keys() & OTHERS
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=20, deadline=None)
+@given(value=NOT_CONTAINERS)
+def test_a_reader_refuses_what_it_cannot_read_with_value_error(name, value):
+    for read in READERS[name]:
+        with pytest.raises(ValueError):
+            read(value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(value=NOT_CONTAINERS)
+def test_a_value_that_is_not_a_container_is_kept_and_reported(value):
+    assert validate(value) == [f"{value!r} is not a RibbonData"]
+    kept = not isinstance(value, str)  # a string is a sequence, made a tuple of its characters
+    handle, record, script = Handle(1, 2, value), RibbonData(2, 2, value), MoveScript(value)
+    assert (handle.word is value, record.handles is value, script.moves is value) == (kept, kept, kept)
+    problems = validate(RibbonData(2, 2, (handle,)))
+    assert problems and all(p.startswith("handle 1: ") for p in problems)
+    assert validate(record)
+    for bad in (RibbonData(2, 2, (handle,)), record):
+        with pytest.raises(ValueError, match="^invalid data: "):
+            count_colorings(bad, D3)

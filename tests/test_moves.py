@@ -594,7 +594,7 @@ def test_enumerated_moves_replay_to_their_states(seed, budget, kind):
     ],
 )
 def test_enumerate_moves_rejects_invalid_records_with_the_first_diagnostic(handle, diagnostic, budget):
-    with pytest.raises(ValueError, match=f"^{re.escape('invalid data: ' + diagnostic)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape('invalid data: handle 1: ' + diagnostic)}$"):
         enumerate_moves(RibbonData(2, 2, (handle,)), budget)
 
 
@@ -623,3 +623,9 @@ def test_enumerate_successor_profiles_match_parent():
                 continue
             assert brute_profile(succ, quandles) == parent
         checked_states += 1
+
+
+def test_apply_move_refuses_what_is_not_a_move():
+    for move in (None, (1,), "stab 1", Stab):
+        with pytest.raises(MoveError, match="^unknown move "):
+            apply_move(UNKNOT, move)

@@ -118,18 +118,18 @@ def test_validate_word_letter_out_of_range():
     data = RibbonData(2, 2, (Handle(1, 2, ((5, 1),)),))
     problems = validate(data)
     assert len(problems) == 1
-    assert "out of range" in problems[0].message
+    assert problems == ["handle 1: letter 0 base 5 out of range 1..2"]
 
 
 def test_validate_dim():
     problems = validate(RibbonData(1, 1, ()))
     assert len(problems) == 1
-    assert problems[0].message == "dim must be >= 2"
+    assert problems[0] == "dim must be >= 2"
 
 
 def test_validate_bad_sign():
     data = RibbonData(2, 1, (Handle(1, 1, ((1, 2),)),))
-    assert any("sign" in p.message for p in validate(data))
+    assert validate(data) == ["handle 1: letter 0 has sign 2, expected +1 or -1"]
 
 
 @pytest.mark.parametrize(
@@ -318,3 +318,8 @@ def test_reverse_flip_involution():
     for _ in range(100):
         word = random_word(rng, 4, 10)
         assert reverse_flip(reverse_flip(word)) == word
+
+
+def test_free_reduction_refuses_a_sign_other_than_plus_or_minus_one():
+    with pytest.raises(ValueError, match=r"^crossing sign 2, expected \+1 or -1$"):
+        free_reduce_word([(1, 2)])

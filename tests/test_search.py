@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ribbonlab import (
+    Destab,
     Equivalent,
     Handle,
     MergeWitness,
@@ -31,6 +32,7 @@ from ribbonlab import (
     search,
     search_equiv,
     serialize,
+    serialize_outcome,
     serialize_script,
 )
 from ribbonlab.cli import _random_data, _scramble, generate
@@ -447,3 +449,47 @@ def test_search_bounds_must_be_integers_in_range(depth, weak_budget, state_cap, 
     unknot = generate("unknot")
     with pytest.raises(ValueError, match=re.escape(message)):
         search_equiv(unknot, unknot, depth, weak_budget, state_cap)
+
+
+# ---------------------------------------------------------------------------
+# branches the searches above never take
+
+
+def test_the_reduction_memo_is_emptied_when_it_is_full(monkeypatch):
+    cleared = []
+
+    class Memo(dict):
+        def clear(self):
+            cleared.append(len(self))
+            super().clear()
+
+    unknot = generate("unknot")
+    pairs = [(generate(f"stabilized:{k}:{seed}"), unknot) for k, seed in ((3, 1), (4, 2), (5, 3))]
+    expected = [serialize_outcome(search_equiv(a, b, 0, 0, 10_000)) for a, b in pairs]
+    monkeypatch.setattr(search, "_STEPS", Memo())
+    monkeypatch.setattr(search, "_STEPS_HELD", 2)
+    # a smaller memo changes no outcome
+    assert [serialize_outcome(search_equiv(a, b, 0, 0, 10_000)) for a, b in pairs] == expected
+    assert cleared and set(cleared) == {2}
+    assert len(search._STEPS) <= 2
+
+
+def test_records_of_different_dimensions_are_not_compared():
+    with pytest.raises(ValueError, match="^dim mismatch: 2 vs 3$"):
+        search_equiv(RibbonData(2, 1), RibbonData(3, 1), 1, 0, 10)
+
+
+def test_certify_takes_only_an_equivalent_outcome():
+    unknot = generate("unknot")
+    for outcome in (Refuted("genus", 1, 0), Unknown(2, 0)):
+        with pytest.raises(ValueError, match="^certify requires an Equivalent outcome$"):
+            certify(unknot, unknot, outcome)
+
+
+def test_certify_reports_a_script_that_does_not_replay():
+    unknot = generate("unknot")
+    broken = Equivalent(MoveScript((Destab(1),)), MoveScript(), unknot, 0, 0)
+    notes = []
+    assert certify(unknot, unknot, broken, notes) is False
+    assert notes == ["replay failed: destab 1: degree != 1"]
+    assert certify(unknot, unknot, broken) is False

@@ -35,7 +35,6 @@ from ribbonlab import (
     serialize_script,
 )
 from ribbonlab.quandle import FiniteQuandle
-from ribbonlab.ribbon import Diagnostic
 
 OPEN3A = "ribbon 1\ndim 2\nbases 3\nhandle 1 2 : -1\nhandle 1 3 : -2\n"
 
@@ -46,10 +45,6 @@ VALUES = [
         lambda: RibbonData(2, 3, (Handle(1, 2, ((1, -1),)), Handle(1, 3))),
         "RibbonData(dim=2, base_count=3, handles=(Handle(start=1, end=2, word=(SignedLetter(base=1, sign=-1),)),"
         " Handle(start=1, end=3, word=())))",
-    ),
-    (
-        lambda: Diagnostic("error", "dim must be >= 2", "dim"),
-        "Diagnostic(severity='error', message='dim must be >= 2', location='dim')",
     ),
     (lambda: Stab(1), "Stab(base=1)"),
     (lambda: Destab(1), "Destab(base=1)"),
@@ -90,7 +85,6 @@ IDS = [expected.split("(", 1)[0] for _, expected in VALUES]
 FIELDS = {
     "Handle": ("start", "end", "word"),
     "RibbonData": ("dim", "base_count", "handles"),
-    "Diagnostic": ("severity", "message", "location"),
     "Stab": ("base",),
     "Destab": ("base",),
     "CancelInsert": ("handle", "position", "base", "sign"),
