@@ -49,8 +49,8 @@ _PUBLIC = {
     ),
     "alexander": ("LaurentPolynomial", "alexander_polynomial"),
     "search": (
-        "Equivalent", "Refuted", "Unknown", "MergeWitness", "search_equiv", "certify",
-        "replay_canonical", "serialize_outcome", "macro_merge_bases", "macro_clone_handle",
+        "Equivalent", "Refuted", "Unknown", "search_equiv", "certify", "replay_canonical",
+        "serialize_outcome", "macro_merge_bases", "macro_clone_handle",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -68,20 +68,8 @@ class LaurentPolynomial(_Value):
         return dict(self.terms)
 
     @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "LaurentPolynomial":
         return cls(((0, 1),))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_exponent(self) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial has no exponents")
-        return self.terms[0][0]
 
     def evaluate(self, value):
         return sum(c * value**e for e, c in self.terms)

@@ -24,7 +24,7 @@ format.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, Union
+from typing import Union
 
 from . import _PUBLIC
 from .ribbon import (
@@ -385,17 +385,11 @@ class MoveScript(_Value):
     def __post_init__(self):
         object.__setattr__(self, "moves", _tupled(self.moves))
 
-    def __len__(self) -> int:
-        return len(self.moves)
-
-    def __iter__(self) -> Iterator[Move]:
-        return iter(self.moves)
-
     @property
     def weak_count(self) -> int:
         """Weak moves in the script: trivial handles attached plus trivial
         handles removed.  Each spends one unit of a weak budget."""
-        return sum(is_weak(m) for m in self.moves)
+        return sum(is_weak(m) for m in _moves_of(self))
 
 
 def is_weak(move: Move) -> bool:
@@ -527,9 +521,12 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
     function builds a record for each successor it returns.
 
     Raises ``ValueError`` with the first message :func:`validate` reports
-    when ``data`` is not a valid record.
+    when ``data`` is not a valid record, and when ``weak_budget`` is not an
+    ``int``.
     """
     _require_valid(data)
+    if type(weak_budget) is not int:
+        raise ValueError(f"weak budget {weak_budget!r} is not an integer")
     raw = tuple(map(_triple, data.handles))
     reduced = tuple([(s, _free_reduced(w), e) for s, w, e in raw])
     return [

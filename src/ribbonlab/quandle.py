@@ -43,7 +43,7 @@ import math
 from functools import cached_property
 
 from . import _PUBLIC
-from .ribbon import Handle, RibbonData, _decimal, _require_valid, _token_lines, _Value
+from .ribbon import Handle, RibbonData, _decimal, _require_valid, _token_lines, _tupled, _Value
 
 __all__ = list(_PUBLIC["quandle"])
 
@@ -192,28 +192,31 @@ def check_quandle_axioms(q: FiniteQuandle) -> list[str]:
     return problems
 
 
-def dihedral_quandle(m: int) -> FiniteQuandle:
-    """x * y = 2y - x mod m, on representatives 1..m."""
+def _affine_quandle(kind: str, m: int, a: int) -> FiniteQuandle:
+    """``kind:m``: x * y = a*x + (1-a)*y mod m, on representatives 1..m."""
+    if type(m) is not int:
+        raise ValueError(f"quandle size {m!r} is not an integer")
     if m < 1:
         raise ValueError("quandle size must be >= 1")
-    table = tuple(
-        tuple((2 * (y - 1) - (x - 1)) % m + 1 for y in range(1, m + 1))
-        for x in range(1, m + 1)
-    )
-    return FiniteQuandle(f"dihedral:{m}", table)
+    table = tuple(tuple((a * x + (1 - a) * y) % m + 1 for y in range(m)) for x in range(m))
+    return FiniteQuandle(f"{kind}:{m}", table)
+
+
+def dihedral_quandle(m: int) -> FiniteQuandle:
+    """x * y = 2y - x mod m, on representatives 1..m."""
+    return _affine_quandle("dihedral", m, -1)
 
 
 def trivial_quandle(m: int) -> FiniteQuandle:
     """x * y = x."""
-    if m < 1:
-        raise ValueError("quandle size must be >= 1")
-    table = tuple(tuple(x for _ in range(m)) for x in range(1, m + 1))
-    return FiniteQuandle(f"trivial:{m}", table)
+    return _affine_quandle("trivial", m, 1)
 
 
 def builtin_quandle(spec: str) -> FiniteQuandle | None:
     """Resolve ``dihedral:<m>`` or ``trivial:<m>``, ``m`` a plain decimal;
-    None when the spec names neither."""
+    None when the spec, a ``str``, names neither."""
+    if type(spec) is not str:
+        raise ValueError(f"quandle spec {spec!r} is not a str")
     kind, _, arg = spec.partition(":")
     if kind in ("dihedral", "trivial") and arg:
         try:
@@ -536,7 +539,11 @@ def list_colorings(data: RibbonData, q: FiniteQuandle) -> list[tuple[int, ...]]:
 
 
 def coloring_profile(data: RibbonData, quandles) -> tuple[tuple[str, int], ...]:
-    """Counts over a fixed quandle family, in input order.  Differing
-    profiles certify that no move sequence relates two presentations."""
+    """Counts over a fixed quandle family, a sequence of ``FiniteQuandle``,
+    in input order.  Differing profiles certify that no move sequence
+    relates two presentations."""
     _require_valid(data)
-    return tuple((q.name, count_colorings(data, q)) for q in quandles)
+    family = _tupled(quandles)
+    if type(family) is not tuple:
+        raise ValueError(f"quandle family {quandles!r} is not a sequence")
+    return tuple((_require_table(q).name, count_colorings(data, q)) for q in family)

@@ -64,6 +64,7 @@ from .ribbon import (
     _canonical_state,
     _record,
     _require_valid,
+    _tupled,
     _Value,
     canonical_form,
     component_count,
@@ -157,20 +158,26 @@ def invariant_gate(a: RibbonData, b: RibbonData, weak_budget: int):
 # root's ``(None, None, 0)``: one is built per stored state.
 
 
-def _script_to(visited: dict[tuple, tuple], state) -> MoveScript:
-    moves = []
-    parent, move, _ = visited[state]
+def _path_to(nodes: dict[tuple, tuple], state) -> list[tuple[Move, tuple]]:
+    """The ``(move, state reached)`` steps from the root to ``state``."""
+    steps = []
+    parent, move, _ = nodes[state]
     while move is not None:
-        moves.append(move)
-        parent, move, _ = visited[parent]
-    return MoveScript(tuple(reversed(moves)))
+        steps.append((move, state))
+        state = parent
+        parent, move, _ = nodes[state]
+    return steps[::-1]
 
 
-def _least(dim: int, states):
+def _script_to(visited: dict[tuple, tuple], state) -> MoveScript:
+    return MoveScript(tuple([move for move, _ in _path_to(visited, state)]))
+
+
+def _least(states):
     """The state of least serialized canonical form among ``states``, each
-    a ``(base_count, key)`` pair.  Records of one dimension order alike
-    whatever the dimension, so ties break the same way in every search."""
-    return min(states, key=lambda state: serialize(_record(dim, *state)))
+    a ``(base_count, key)`` pair, read at dim 2: records of one dimension
+    order alike whatever it is, so ties break alike in every search."""
+    return min(states, key=lambda state: serialize(_record(2, *state)))
 
 
 def _size(base_count: int, triples) -> tuple[int, int, int]:
@@ -193,8 +200,9 @@ def _plateau_exit(state, size, limit: int):
     search over states no larger, at the first level that has one, with
     the successors it labelled; the moves are empty when no level up to
     ``_PLATEAU_LEVELS`` has one.  None when more than ``limit`` successors
-    would be labelled.  States are ``(base_count, key)`` pairs."""
-    parents: dict[tuple, tuple | None] = {state: None}
+    would be labelled.  States are ``(base_count, key)`` pairs, and each
+    state reached is stored with its node, as the search stores its own."""
+    parents: dict[tuple, tuple] = {state: (None, None, 0)}
     frontier = [state]
     labelled = 0
     for _ in range(_PLATEAU_LEVELS):
@@ -208,19 +216,12 @@ def _plateau_exit(state, size, limit: int):
                 child_size = _size(*child)
                 if child in parents or child_size > size:
                     continue
-                parents[child] = (parent, move)
+                parents[child] = (parent, move, 0)
                 level.append((child_size, child))
         least = min([child_size for child_size, _ in level], default=size)
         if least < size:
-            # every candidate has the search's dimension, so records of any
-            # one dimension order them as their own texts do
-            child = _least(2, [child for child_size, child in level if child_size == least])
-            steps = []
-            while parents[child] is not None:
-                parent, move = parents[child]
-                steps.append((move, child))
-                child = parent
-            return tuple(steps[::-1]), labelled
+            child = _least([child for child_size, child in level if child_size == least])
+            return tuple(_path_to(parents, child)), labelled
         frontier = [child for _, child in level]
     return (), labelled
 
@@ -385,7 +386,7 @@ def search_equiv(
         return outcome
 
     def met(states) -> SearchOutcome:
-        meet = _least(a.dim, states)
+        meet = _least(states)
         return stop(
             "met",
             Equivalent(
@@ -503,31 +504,23 @@ def certify(a: RibbonData, b: RibbonData, outcome: SearchOutcome, diagnostics: l
 
 def serialize_outcome(outcome: SearchOutcome) -> str:
     """The outcome's head line, then each side's script under its own
-    ``--- script`` line; only an ``Equivalent`` outcome has moves."""
+    ``--- script`` line; only an ``Equivalent`` outcome has moves.
+    ``ValueError`` on a value that is not a search outcome."""
+    scripts = "", ""
     if isinstance(outcome, Equivalent):
         head = "EQUIVALENT"
         scripts = serialize_script(outcome.script_a), serialize_script(outcome.script_b)
     elif isinstance(outcome, Refuted):
         head = f"REFUTED {outcome.invariant} {outcome.value_a} {outcome.value_b}"
-        scripts = "", ""
-    else:
+    elif isinstance(outcome, Unknown):
         head = f"UNKNOWN {outcome.states} {outcome.depth}"
-        scripts = "", ""
+    else:
+        raise ValueError(f"{outcome!r} is not a search outcome")
     return f"{head}\n--- script A\n{scripts[0]}--- script B\n{scripts[1]}"
 
 
 # ---------------------------------------------------------------------------
 # constructive macros
-
-
-class MergeWitness(_Value):
-    """How to walk a freshly attached trivial handle from the doomed base
-    to the surviving one: a sequence of (handle, direction) slide steps.
-    The concatenation of the traversed crossing words is the route; it
-    must avoid the doomed base."""
-
-    survivor: int
-    steps: tuple[tuple[int, str], ...] = ()
 
 
 def _scripted(data: RibbonData):
@@ -542,23 +535,28 @@ def _scripted(data: RibbonData):
     return (lambda: state), do, script
 
 
-def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
+def macro_merge_bases(data: RibbonData, doomed: int, survivor: int, route=()):
     """Absorb one base into another through a trivial handle.
 
-    Attach a trivial handle on the doomed base, slide its far end along the
-    witness route to the survivor, reroute every crossing of the doomed
-    base through it, slide every other handle end off the doomed base, and
-    reduce.  When the realized route is empty the doomed base destabilizes
-    away entirely; otherwise the merging handle remains and the doomed base
-    is left bare (degree one, crossed by nothing).  Handles that the macro
-    itself rendered trivial are removed.  Returns the transformed data and
-    the replayable script.
+    Attach a trivial handle on the ``doomed`` base, slide its far end along
+    ``route``, a sequence of ``(handle, direction)`` slide steps that must
+    avoid the doomed base, to the ``survivor``, reroute every crossing of
+    the doomed base through it, slide every other handle end off the
+    doomed base, and reduce.  When the realized route (the traversed
+    crossing words) is empty the doomed base destabilizes away entirely;
+    otherwise the merging handle remains and the doomed base is left bare
+    (degree one, crossed by nothing).  Handles that the macro itself
+    rendered trivial are removed.  Returns the transformed data and the
+    replayable script.
     """
     _require_valid(data)
     _ranged("doomed base", doomed, 1, data.base_count)
-    _ranged("survivor base", witness.survivor, 1, data.base_count)
-    if doomed == witness.survivor:
+    _ranged("survivor base", survivor, 1, data.base_count)
+    if doomed == survivor:
         raise ValueError("doomed and survivor must differ")
+    steps = _tupled(route)
+    if type(steps) is not tuple or not all([type(step) is tuple and len(step) == 2 for step in steps]):
+        raise ValueError(f"route {route!r} is not a sequence of (handle, direction) pairs")
 
     current, do, script = _scripted(data)
     original = data.handles
@@ -567,7 +565,7 @@ def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
     do(TrivialHandle(doomed))
 
     position = doomed
-    for along, direction in witness.steps:
+    for along, direction in steps:
         _ranged("route handle", along, 1, len(original))
         if direction not in ("fwd", "rev"):
             raise ValueError(f"route malformed: direction {direction!r}")
@@ -582,8 +580,8 @@ def macro_merge_bases(data: RibbonData, doomed: int, witness: MergeWitness):
             raise ValueError("route touches doomed base")
         do(Slide(merge_idx, "end", along, direction))
         position = far
-    if position != witness.survivor:
-        raise ValueError(f"route ends on base {position}, not on survivor {witness.survivor}")
+    if position != survivor:
+        raise ValueError(f"route ends on base {position}, not on survivor {survivor}")
 
     # reroute crossings of the doomed base through the merging handle
     for idx in range(1, len(current().handles) + 1):

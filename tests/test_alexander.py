@@ -84,8 +84,7 @@ def test_normalization_invariants():
             continue
         trials += 1
         poly = alexander_polynomial(data)
-        assert not poly.is_zero()
-        assert poly.min_exponent() == 0
+        assert poly.terms and poly.terms[0][0] == 0
         assert poly.as_dict()[0] > 0
 
 
@@ -132,13 +131,13 @@ def test_self_handle_word_can_carry_torsion():
     # one base, one self-handle crossing itself once: relator a^-1 w^-1 a w
     # with w = a^-1, which abelianizes freely but has nontrivial derivative
     data = RibbonData(2, 1, (Handle(1, 1, ((1, 1),)),))
-    assert not alexander_polynomial(data).is_zero()
+    assert alexander_polynomial(data).terms
 
 
 def test_str_formatting():
     assert str(LaurentPolynomial.from_dict({0: 1, 1: -1, 2: 1})) == "t^2 - t + 1"
     assert str(LaurentPolynomial.one()) == "1"
-    assert str(LaurentPolynomial.zero()) == "0"
+    assert str(LaurentPolynomial()) == "0"
     assert str(LaurentPolynomial.from_dict({0: -2, 1: 3})) == "3*t - 2"
     assert str(LaurentPolynomial.from_dict({-1: 1, 1: 1})) == "t + t^-1"
 

@@ -32,7 +32,8 @@ the quandle's cached verdict instead of being checked again.
 +1``), ``color-bad-quandle-underscore`` (``dihedral:1_0``) and
 ``gen-bad-plus`` (``torus:+2``) were recorded when integers came to be read
 as plain decimals; before, each token read as the integer ``int`` makes
-of it and the command succeeded.
+of it and the command succeeded.  ``gen-bad-random-bases`` (a random
+spec with no bases) pins an error line that no other case reached.
 """
 
 import io
@@ -112,6 +113,7 @@ CASES = {
     "gen-bad-kind": ["gen", "knot"],
     "gen-bad-random": ["gen", "random:3:1:2:5"],
     "gen-bad-random-len": ["gen", "random:2:1:-1:1"],
+    "gen-bad-random-bases": ["gen", "random:0:0:0:1"],
     "gen-bad-stabilized": ["gen", "stabilized:-1:0"],
     "gen-bad-plus": ["gen", "torus:+2"],
     "validate-knot12": ["validate", "knot12.ribbon"],
@@ -174,6 +176,15 @@ def test_search_stats_is_one_json_line_on_stderr(case, capsys, monkeypatch):
     assert sorted(stats["caches"]) == ["handle_readings", "reduction_steps", "successors"]
     for info in stats["caches"].values():
         assert sorted(info) == ["hits", "misses"]
+
+
+def test_a_usage_error_exits_1_with_the_message_and_the_usage_line(capsys):
+    # argparse's wording differs between Python versions, so only the shape
+    # is pinned
+    code, out, err = run_case(["search", "a", "b"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "--depth" in err.splitlines()[0]
+    assert err.endswith(cli._build_parser().format_usage())
 
 
 def test_module_entry_point_runs_once_without_warnings():

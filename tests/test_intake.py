@@ -23,7 +23,6 @@ from ribbonlab import (
     Equivalent,
     FiniteQuandle,
     Handle,
-    MergeWitness,
     MoveScript,
     RibbonData,
     RibbonFormatError,
@@ -71,9 +70,11 @@ from ribbonlab import (
     ribbon,
     search_equiv,
     serialize,
+    serialize_outcome,
     serialize_quandle,
     serialize_script,
     slides,
+    trivial_quandle,
     validate,
 )
 from ribbonlab.cli import generate
@@ -468,30 +469,42 @@ READERS = {
     "group_presentation": [group_presentation],
     "count_colorings": [lambda x: count_colorings(x, D3), lambda x: count_colorings(KNOT, x)],
     "list_colorings": [lambda x: list_colorings(x, D3), lambda x: list_colorings(KNOT, x)],
-    "coloring_profile": [lambda x: coloring_profile(x, (D3,))],
+    "coloring_profile": [lambda x: coloring_profile(x, (D3,)), lambda x: coloring_profile(KNOT, x)],
     "alexander_polynomial": [alexander_polynomial],
     "search_equiv": [lambda x: search_equiv(x, KNOT, 1, 0, 10), lambda x: search_equiv(KNOT, x, 1, 0, 10)],
     "certify": [lambda x: certify(x, KNOT, SAME), lambda x: certify(KNOT, x, SAME)],
     "replay_canonical": [lambda x: replay_canonical(x, MoveScript()), lambda x: replay_canonical(KNOT, x)],
-    "macro_merge_bases": [lambda x: macro_merge_bases(x, 1, MergeWitness(2))],
+    "macro_merge_bases": [lambda x: macro_merge_bases(x, 1, 2), lambda x: macro_merge_bases(KNOT, 1, 2, x)],
     "macro_clone_handle": [lambda x: macro_clone_handle(x, KNOT.handles[0]), lambda x: macro_clone_handle(KNOT, x)],
 }
-# the public names that read none of those: the value classes and errors,
-# ``validate``, which reports, and the readers of texts, sizes, specs and
-# outcomes
+# each public function that reads a text, a spec, a size, a weak budget, a
+# base or an outcome, with the value in each such argument
+KIND_READERS = {
+    "parse_ribbon": [parse_ribbon],
+    "parse_script": [parse_script],
+    "parse_quandle": [parse_quandle],
+    "builtin_quandle": [builtin_quandle],
+    "dihedral_quandle": [dihedral_quandle],
+    "trivial_quandle": [trivial_quandle],
+    "serialize_outcome": [serialize_outcome],
+    "enumerate_moves": [lambda x: enumerate_moves(KNOT, x)],
+    "macro_merge_bases": [lambda x: macro_merge_bases(KNOT, x, 2), lambda x: macro_merge_bases(KNOT, 1, x)],
+}
+# values that are none of those
+WRONG_KINDS = st.one_of(st.sampled_from([None, True, 1.5, object(), (), [2]]), st.floats())
+# the public names that read nothing: the value classes and errors, and
+# ``validate``, which reports
 OTHERS = {
     "SignedLetter", "Handle", "RibbonData", "RibbonFormatError", "MoveError", "ScriptFormatError", "Stab",
     "Destab", "CancelInsert", "CancelDelete", "Slide", "CrossSlide", "TrivialHandle", "RemoveTrivialHandle",
-    "ReverseHandle", "MoveScript", "LaurentPolynomial", "Equivalent", "Refuted", "Unknown", "MergeWitness",
-    "validate", "parse_ribbon", "parse_script", "parse_quandle", "builtin_quandle", "dihedral_quandle",
-    "trivial_quandle", "serialize_outcome",
+    "ReverseHandle", "MoveScript", "LaurentPolynomial", "Equivalent", "Refuted", "Unknown", "validate",
 }
 
 
 def test_every_public_name_is_sorted_as_a_reader_or_not():
     public = {name for names in _PUBLIC.values() for name in names}
-    assert READERS.keys() | OTHERS == public
-    assert not READERS.keys() & OTHERS
+    assert READERS.keys() | KIND_READERS.keys() | OTHERS == public
+    assert not (READERS.keys() | KIND_READERS.keys()) & OTHERS
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -501,6 +514,40 @@ def test_a_reader_refuses_what_it_cannot_read_with_value_error(name, value):
     for read in READERS[name]:
         with pytest.raises(ValueError):
             read(value)
+
+
+@pytest.mark.parametrize("name", sorted(KIND_READERS))
+@settings(max_examples=20, deadline=None)
+@given(value=WRONG_KINDS)
+def test_a_reader_refuses_a_value_of_another_kind_with_value_error(name, value):
+    for read in KIND_READERS[name]:
+        with pytest.raises(ValueError):
+            read(value)
+
+
+# calls that raised ``AttributeError`` or ``TypeError``, or, for
+# ``dihedral_quandle(True)``, returned a one-element quandle
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: parse_ribbon(None),
+        lambda: parse_script(None),
+        lambda: parse_quandle(5),
+        lambda: serialize_outcome(None),
+        lambda: builtin_quandle(None),
+        lambda: coloring_profile(KNOT, None),
+        lambda: enumerate_moves(KNOT, "x"),
+        lambda: enumerate_moves(KNOT, None),
+        lambda: dihedral_quandle(1.5),
+        lambda: dihedral_quandle(True),
+        lambda: trivial_quandle(None),
+        lambda: macro_merge_bases(KNOT, 1, None),
+        lambda: MoveScript(5).weak_count,
+    ],
+)
+def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 @settings(max_examples=50, deadline=None)

@@ -10,7 +10,6 @@ from ribbonlab import (
     Destab,
     Equivalent,
     Handle,
-    MergeWitness,
     MoveScript,
     Refuted,
     RibbonData,
@@ -381,7 +380,7 @@ def test_merge_bases_replays_and_keeps_colorings():
         if not routes:
             continue
         survivor = rng.choice(sorted(routes))
-        out, script = macro_merge_bases(data, doomed, MergeWitness(survivor, routes[survivor]))
+        out, script = macro_merge_bases(data, doomed, survivor, routes[survivor])
         assert apply_script(data, script) == out
         assert brute_profile(out, PROFILE_QUANDLES) == brute_profile(data, PROFILE_QUANDLES)
         merged += 1
@@ -403,24 +402,28 @@ def test_clone_handle_replays_keeps_colorings_and_adds_genus():
 SPUN = generate("spun-trefoil")  # one handle 1 -> 2 crossing -2 -1
 
 
+# each witness is (survivor, route)
 @pytest.mark.parametrize(
     "doomed,witness,message",
     [
-        (1, MergeWitness(2, ((2, "fwd"),)), "handle 2 out of range"),
-        (1, MergeWitness(2, ((1, "up"),)), "direction 'up'"),
-        (1, MergeWitness(2, ((1, "rev"),)), "starts at base 2"),
-        (1, MergeWitness(2, ((1, "fwd"),)), "touches doomed base"),
-        (1, MergeWitness(2, ()), "ends on base 1"),
-        (3, MergeWitness(2, ()), "out of range"),
-        (2, MergeWitness(2, ()), "must differ"),
-        ("1", MergeWitness(2, ()), "doomed base '1' is not an integer"),
-        (1, MergeWitness(2.0, ()), "survivor base 2.0 is not an integer"),
-        (1, MergeWitness(2, ((True, "fwd"),)), "route handle True is not an integer"),
+        (1, (2, ((2, "fwd"),)), "handle 2 out of range"),
+        (1, (2, ((1, "up"),)), "direction 'up'"),
+        (1, (2, ((1, "rev"),)), "starts at base 2"),
+        (1, (2, ((1, "fwd"),)), "touches doomed base"),
+        (1, (2, ()), "ends on base 1"),
+        (3, (2, ()), "out of range"),
+        (2, (2, ()), "must differ"),
+        ("1", (2, ()), "doomed base '1' is not an integer"),
+        (1, (2.0, ()), "survivor base 2.0 is not an integer"),
+        (1, (2, ((True, "fwd"),)), "route handle True is not an integer"),
+        (1, (2, None), "route None is not a sequence"),
+        (1, (2, (1, "fwd")), "is not a sequence of"),
+        (1, (2, ((1, "fwd", 0),)), "is not a sequence of"),
     ],
 )
 def test_merge_bases_rejects_malformed_witnesses(doomed, witness, message):
     with pytest.raises(ValueError, match=message):
-        macro_merge_bases(SPUN, doomed, witness)
+        macro_merge_bases(SPUN, doomed, *witness)
 
 
 def test_clone_handle_rejects_a_template_matching_no_handle():

@@ -15,7 +15,6 @@ from ribbonlab import (
     Equivalent,
     Handle,
     LaurentPolynomial,
-    MergeWitness,
     MoveScript,
     Refuted,
     RemoveTrivialHandle,
@@ -78,7 +77,6 @@ VALUES = [
     ),
     (lambda: Refuted("dihedral:3", 9, 3), "Refuted(invariant='dihedral:3', value_a=9, value_b=3)"),
     (lambda: Unknown(66, 4), "Unknown(states=66, depth=4)"),
-    (lambda: MergeWitness(3, ((1, "fwd"),)), "MergeWitness(survivor=3, steps=((1, 'fwd'),))"),
 ]
 IDS = [expected.split("(", 1)[0] for _, expected in VALUES]
 # the fields of each kind, read off its repr
@@ -102,7 +100,6 @@ FIELDS = {
     "Equivalent": ("script_a", "script_b", "meet", "weak_used_a", "weak_used_b"),
     "Refuted": ("invariant", "value_a", "value_b"),
     "Unknown": ("states", "depth"),
-    "MergeWitness": ("survivor", "steps"),
 }
 
 
@@ -154,8 +151,7 @@ def test_keyword_construction_and_defaults():
     assert Handle(end=2, start=1, word=[(2, -1)]).word == ((2, -1),)
     assert RibbonData(2, 1) == RibbonData(dim=2, base_count=1, handles=[])
     assert MoveScript().moves == () and MoveScript(moves=[Stab(1)]).moves == (Stab(1),)
-    assert LaurentPolynomial() == LaurentPolynomial.zero() and LaurentPolynomial().is_zero()
-    assert MergeWitness(3) == MergeWitness(survivor=3, steps=())
+    assert LaurentPolynomial() == LaurentPolynomial(terms=()) and LaurentPolynomial().terms == ()
     assert Slide(handle=1, which="end", along=2, direction="fwd") == Slide(1, "end", 2, "fwd")
     assert Refuted(invariant="genus", value_a=1, value_b=0) == Refuted("genus", 1, 0)
     assert FiniteQuandle(name="q", table=[[1]]).table == ((1,),)
