@@ -36,11 +36,10 @@ _PUBLIC = {
     ),
     "moves": (
         "MoveError", "ScriptFormatError", "Stab", "Destab", "CancelInsert", "CancelDelete", "Slide",
-        "CrossSlide", "TrivialHandle", "RemoveTrivialHandle", "ReverseHandle", "MoveScript",
-        "parse_script", "serialize_script", "apply_move", "apply_script", "apply_stabilize",
-        "apply_destabilize", "apply_cancel_insert", "apply_cancel_delete", "apply_slide",
-        "apply_cross_slide", "apply_trivial_handle", "remove_trivial_handle", "reverse_handle",
-        "slides", "enumerate_moves",
+        "CrossSlide", "TrivialHandle", "RemoveTrivialHandle", "ReverseHandle", "parse_script",
+        "serialize_script", "apply_move", "apply_script", "apply_stabilize", "apply_destabilize",
+        "apply_cancel_insert", "apply_cancel_delete", "apply_slide", "apply_cross_slide",
+        "apply_trivial_handle", "remove_trivial_handle", "reverse_handle", "slides", "enumerate_moves",
     ),
     "quandle": (
         "FiniteQuandle", "check_quandle_axioms", "dihedral_quandle", "trivial_quandle",

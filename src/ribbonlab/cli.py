@@ -42,7 +42,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        # the usage of the parser that refused: a subcommand's names its options
+        raise UsageError(message, self.format_usage())
 
 
 # ---------------------------------------------------------------------------
@@ -235,12 +236,12 @@ def _build_parser() -> _Parser:
 def run(argv, out=None) -> int:
     """Dispatch one invocation; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
+        message, usage = exc.args
+        print(f"error: {message}", file=sys.stderr)
+        print(usage, end="", file=sys.stderr)
         return 1
 
     try:

@@ -377,40 +377,27 @@ def apply_move(data: RibbonData, move: Move) -> RibbonData:
 # scripts
 
 
-class MoveScript(_Value):
-    """A replayable sequence of moves; an equivalence certificate."""
-
-    moves: tuple[Move, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "moves", _tupled(self.moves))
-
-    @property
-    def weak_count(self) -> int:
-        """Weak moves in the script: trivial handles attached plus trivial
-        handles removed.  Each spends one unit of a weak budget."""
-        return sum(is_weak(m) for m in _moves_of(self))
-
-
 def is_weak(move: Move) -> bool:
     """True for the two moves that change the genus, attaching and
     removing a trivial handle; each spends one unit of a weak budget."""
     return isinstance(move, (TrivialHandle, RemoveTrivialHandle))
 
 
-def _moves_of(script: MoveScript) -> tuple[Move, ...]:
-    """The moves of ``script``, a ``MoveScript`` or a sequence of moves, as
-    a tuple; ``ValueError`` when they are not a sequence."""
-    moves = _tupled(script.moves if type(script) is MoveScript else script)
+def _moves_of(script) -> tuple[Move, ...]:
+    """``script``, a sequence of moves, as a tuple; ``ValueError`` when it
+    is not a sequence.  Each move is refused, with ``MoveError``, where it
+    is read."""
+    moves = _tupled(script)
     if type(moves) is not tuple:
         raise ValueError(f"script {script!r} is not a sequence of moves")
     return moves
 
 
-def apply_script(data: RibbonData, script: MoveScript) -> RibbonData:
-    """Left-to-right composition, failing fast with the index of the first
-    inapplicable move.  Raises ``ValueError`` on a record that is not
-    valid, as :func:`apply_move` does."""
+def apply_script(data: RibbonData, script) -> RibbonData:
+    """The moves of ``script``, any sequence, applied left to right,
+    failing fast with the index of the first inapplicable move.  Raises
+    ``ValueError`` on a record that is not valid, as :func:`apply_move`
+    does, and on a script that is not a sequence."""
     for i, move in enumerate(_moves_of(script)):
         try:
             data = apply_move(data, move)
@@ -428,7 +415,7 @@ def _move_line(move: Move) -> str:
     return " ".join([keyword, *map(str, values)])
 
 
-def serialize_script(script: MoveScript) -> str:
+def serialize_script(script) -> str:
     lines = [_move_line(m) for m in _moves_of(script)]
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -440,10 +427,11 @@ def _int(token: str, lineno: int) -> int:
         raise ScriptFormatError(f"non-integer token '{token}'", lineno) from None
 
 
-def parse_script(text: str | bytes) -> MoveScript:
-    """One move per line, written as in the syntax table ``_MOVES``;
-    handles are 1-indexed in stored order, positions 0-indexed, integers
-    an optional ``-`` and ASCII digits, ``#`` comments allowed."""
+def parse_script(text: str | bytes) -> tuple[Move, ...]:
+    """The moves of ``text``, one per line, written as in the syntax table
+    ``_MOVES``; handles are 1-indexed in stored order, positions
+    0-indexed, integers an optional ``-`` and ASCII digits, ``#`` comments
+    allowed."""
     moves: list[Move] = []
     for lineno, tokens in _token_lines(text):
         kind = _KINDS.get(tokens[0])
@@ -464,7 +452,7 @@ def parse_script(text: str | bytes) -> MoveScript:
         else:
             fields = zip(slots[1:], tokens[1:])
             moves.append(kind(*(token if "|" in slot else _int(token, lineno) for slot, token in fields)))
-    return MoveScript(tuple(moves))
+    return tuple(moves)
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def _as_letters(word) -> tuple[SignedLetter, ...]:
 
 
 class _Value:
-    """The base of the library's immutable values: records, moves, scripts,
+    """The base of the library's immutable values: records, moves,
     presentations and search outcomes.
 
     A subclass declares its fields as annotations, in order, each default

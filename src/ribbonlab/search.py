@@ -43,7 +43,6 @@ from .moves import (
     Destab,
     Move,
     MoveError,
-    MoveScript,
     RemoveTrivialHandle,
     Slide,
     TrivialHandle,
@@ -78,10 +77,11 @@ __all__ = list(_PUBLIC["search"])
 
 
 class Equivalent(_Value):
-    """Both scripts replay (canonically) onto the same meeting form."""
+    """Both scripts, tuples of moves, replay (canonically) onto the same
+    meeting form, spending the recorded weak moves."""
 
-    script_a: MoveScript
-    script_b: MoveScript
+    script_a: tuple[Move, ...]
+    script_b: tuple[Move, ...]
     meet: RibbonData
     weak_used_a: int
     weak_used_b: int
@@ -169,8 +169,8 @@ def _path_to(nodes: dict[tuple, tuple], state) -> list[tuple[Move, tuple]]:
     return steps[::-1]
 
 
-def _script_to(visited: dict[tuple, tuple], state) -> MoveScript:
-    return MoveScript(tuple([move for move, _ in _path_to(visited, state)]))
+def _script_to(visited: dict[tuple, tuple], state) -> tuple[Move, ...]:
+    return tuple([move for move, _ in _path_to(visited, state)])
 
 
 def _least(states):
@@ -461,9 +461,9 @@ def search_equiv(
     return stop("depth", Unknown(states, sides[0]["level"] + sides[1]["level"]))
 
 
-def replay_canonical(data: RibbonData, script: MoveScript) -> RibbonData:
-    """Replay a certificate script: canonicalize, then alternate one move
-    with one re-canonicalization."""
+def replay_canonical(data: RibbonData, script) -> RibbonData:
+    """Replay a certificate script, any sequence of moves: canonicalize,
+    then alternate one move with one re-canonicalization."""
     state = canonical_form(data)
     for move in _moves_of(script):
         state = canonical_form(apply_move(state, move))
@@ -495,7 +495,8 @@ def certify(a: RibbonData, b: RibbonData, outcome: SearchOutcome, diagnostics: l
     if serialize(final_b) != meet:
         note("script B does not reach the meeting form")
         return False
-    used = (outcome.script_a.weak_count, outcome.script_b.weak_count)
+    # both replays succeeded, so every entry is a move
+    used = (sum(map(is_weak, outcome.script_a)), sum(map(is_weak, outcome.script_b)))
     if used != (outcome.weak_used_a, outcome.weak_used_b):
         note("weak-handle accounting does not match the scripts")
         return False
@@ -535,19 +536,20 @@ def _scripted(data: RibbonData):
     return (lambda: state), do, script
 
 
-def macro_merge_bases(data: RibbonData, doomed: int, survivor: int, route=()):
+def macro_merge_bases(data: RibbonData, doomed: int, survivor: int, route):
     """Absorb one base into another through a trivial handle.
 
     Attach a trivial handle on the ``doomed`` base, slide its far end along
     ``route``, a sequence of ``(handle, direction)`` slide steps that must
-    avoid the doomed base, to the ``survivor``, reroute every crossing of
+    avoid the doomed base and end on the ``survivor`` (so it is never
+    empty, the two bases being distinct), reroute every crossing of
     the doomed base through it, slide every other handle end off the
     doomed base, and reduce.  When the realized route (the traversed
     crossing words) is empty the doomed base destabilizes away entirely;
     otherwise the merging handle remains and the doomed base is left bare
     (degree one, crossed by nothing).  Handles that the macro itself
     rendered trivial are removed.  Returns the transformed data and the
-    replayable script.
+    replayable script, a tuple of moves.
     """
     _require_valid(data)
     _ranged("doomed base", doomed, 1, data.base_count)
@@ -627,7 +629,7 @@ def macro_merge_bases(data: RibbonData, doomed: int, survivor: int, route=()):
         if not was_trivial:
             do(RemoveTrivialHandle(idx))
 
-    return current(), MoveScript(tuple(script))
+    return current(), tuple(script)
 
 
 def macro_clone_handle(data: RibbonData, template: Handle):
@@ -655,5 +657,5 @@ def macro_clone_handle(data: RibbonData, template: Handle):
     current, do, script = _scripted(data)
     do(TrivialHandle(template.start))
     do(Slide(len(data.handles) + 1, "end", along, direction))
-    return current(), MoveScript(tuple(script))
+    return current(), tuple(script)
 

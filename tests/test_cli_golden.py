@@ -184,6 +184,13 @@ def test_a_usage_error_exits_1_with_the_message_and_the_usage_line(capsys):
     code, out, err = run_case(["search", "a", "b"], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "--depth" in err.splitlines()[0]
+    # then the usage of the subcommand that refused, which names its options
+    usage = err.split("\n", 1)[1]
+    assert usage.startswith("usage: ribbonlab search ") and "--depth DEPTH" in usage and "--weak WEAK" in usage
+    # a bad command name is refused by the top-level parser
+    code, out, err = run_case(["nosuch"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "nosuch" in err.splitlines()[0]
     assert err.endswith(cli._build_parser().format_usage())
 
 

@@ -23,7 +23,7 @@ from ribbonlab import (
     Equivalent,
     FiniteQuandle,
     Handle,
-    MoveScript,
+    MoveError,
     RibbonData,
     RibbonFormatError,
     ScriptFormatError,
@@ -248,7 +248,7 @@ REFUSING = (
     component_count,
     is_sphere_knot,
     lambda d: apply_move(d, Stab(1)),
-    lambda d: apply_script(d, MoveScript((TrivialHandle(1),))),
+    lambda d: apply_script(d, (TrivialHandle(1),)),
     lambda d: search_equiv(d, d, 1, 0, 10),
     lambda d: apply_stabilize(d, 1),
     lambda d: apply_destabilize(d, 1),
@@ -430,6 +430,7 @@ NOT_CONTAINERS = st.one_of(st.sampled_from([None, 5, 1.5, "ab", object()]), st.i
 KNOT = parse_ribbon("ribbon 1\ndim 2\nbases 2\nhandle 1 2 : -2 -1\n")
 D3 = dihedral_quandle(3)
 SAME = search_equiv(KNOT, KNOT, 0, 0, 10)
+ROUTE = ((1, "fwd"),)  # from base 1 to base 2 of ``KNOT``
 
 # each public function that reads one of those, with the value in each
 # such argument
@@ -444,13 +445,9 @@ READERS = {
     "reversed_handle": [reversed_handle],
     "canonical_form": [canonical_form],
     "canonical_bytes": [canonical_bytes],
-    "serialize_script": [serialize_script, lambda x: serialize_script(MoveScript(x))],
+    "serialize_script": [serialize_script],
     "apply_move": [lambda x: apply_move(x, Stab(1)), lambda x: apply_move(KNOT, x)],
-    "apply_script": [
-        lambda x: apply_script(x, MoveScript((Stab(1),))),
-        lambda x: apply_script(KNOT, x),
-        lambda x: apply_script(KNOT, MoveScript(x)),
-    ],
+    "apply_script": [lambda x: apply_script(x, (Stab(1),)), lambda x: apply_script(KNOT, x)],
     "apply_stabilize": [lambda x: apply_stabilize(x, 1)],
     "apply_destabilize": [lambda x: apply_destabilize(x, 1)],
     "apply_cancel_insert": [lambda x: apply_cancel_insert(x, 1, 0, 1, 1)],
@@ -473,8 +470,8 @@ READERS = {
     "alexander_polynomial": [alexander_polynomial],
     "search_equiv": [lambda x: search_equiv(x, KNOT, 1, 0, 10), lambda x: search_equiv(KNOT, x, 1, 0, 10)],
     "certify": [lambda x: certify(x, KNOT, SAME), lambda x: certify(KNOT, x, SAME)],
-    "replay_canonical": [lambda x: replay_canonical(x, MoveScript()), lambda x: replay_canonical(KNOT, x)],
-    "macro_merge_bases": [lambda x: macro_merge_bases(x, 1, 2), lambda x: macro_merge_bases(KNOT, 1, 2, x)],
+    "replay_canonical": [lambda x: replay_canonical(x, ()), lambda x: replay_canonical(KNOT, x)],
+    "macro_merge_bases": [lambda x: macro_merge_bases(x, 1, 2, ROUTE), lambda x: macro_merge_bases(KNOT, 1, 2, x)],
     "macro_clone_handle": [lambda x: macro_clone_handle(x, KNOT.handles[0]), lambda x: macro_clone_handle(KNOT, x)],
 }
 # each public function that reads a text, a spec, a size, a weak budget, a
@@ -488,7 +485,7 @@ KIND_READERS = {
     "trivial_quandle": [trivial_quandle],
     "serialize_outcome": [serialize_outcome],
     "enumerate_moves": [lambda x: enumerate_moves(KNOT, x)],
-    "macro_merge_bases": [lambda x: macro_merge_bases(KNOT, x, 2), lambda x: macro_merge_bases(KNOT, 1, x)],
+    "macro_merge_bases": [lambda x: macro_merge_bases(KNOT, x, 2, ROUTE), lambda x: macro_merge_bases(KNOT, 1, x, ROUTE)],
 }
 # values that are none of those
 WRONG_KINDS = st.one_of(st.sampled_from([None, True, 1.5, object(), (), [2]]), st.floats())
@@ -497,7 +494,7 @@ WRONG_KINDS = st.one_of(st.sampled_from([None, True, 1.5, object(), (), [2]]), s
 OTHERS = {
     "SignedLetter", "Handle", "RibbonData", "RibbonFormatError", "MoveError", "ScriptFormatError", "Stab",
     "Destab", "CancelInsert", "CancelDelete", "Slide", "CrossSlide", "TrivialHandle", "RemoveTrivialHandle",
-    "ReverseHandle", "MoveScript", "LaurentPolynomial", "Equivalent", "Refuted", "Unknown", "validate",
+    "ReverseHandle", "LaurentPolynomial", "Equivalent", "Refuted", "Unknown", "validate",
 }
 
 
@@ -541,8 +538,8 @@ def test_a_reader_refuses_a_value_of_another_kind_with_value_error(name, value):
         lambda: dihedral_quandle(1.5),
         lambda: dihedral_quandle(True),
         lambda: trivial_quandle(None),
-        lambda: macro_merge_bases(KNOT, 1, None),
-        lambda: MoveScript(5).weak_count,
+        lambda: macro_merge_bases(KNOT, 1, None, ROUTE),
+        lambda: certify(KNOT, KNOT, Equivalent(5, (), KNOT, 0, 0)),
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):
@@ -550,13 +547,32 @@ def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):
         call()
 
 
+# a script is any sequence of moves: what is not a sequence is refused
+# with ``ValueError``, an entry that is not a move with ``MoveError``
+SCRIPT_READERS = {
+    "apply_script": lambda x: apply_script(KNOT, x),
+    "serialize_script": serialize_script,
+    "replay_canonical": lambda x: replay_canonical(KNOT, x),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCRIPT_READERS))
+def test_a_script_reader_refuses_a_non_sequence_and_a_non_move(name):
+    read = SCRIPT_READERS[name]
+    for value in (5, None):
+        with pytest.raises(ValueError, match="is not a sequence of moves"):
+            read(value)
+    with pytest.raises(MoveError, match="unknown move 'x'"):
+        read(("x",))
+
+
 @settings(max_examples=50, deadline=None)
 @given(value=NOT_CONTAINERS)
 def test_a_value_that_is_not_a_container_is_kept_and_reported(value):
     assert validate(value) == [f"{value!r} is not a RibbonData"]
     kept = not isinstance(value, str)  # a string is a sequence, made a tuple of its characters
-    handle, record, script = Handle(1, 2, value), RibbonData(2, 2, value), MoveScript(value)
-    assert (handle.word is value, record.handles is value, script.moves is value) == (kept, kept, kept)
+    handle, record = Handle(1, 2, value), RibbonData(2, 2, value)
+    assert (handle.word is value, record.handles is value) == (kept, kept)
     problems = validate(RibbonData(2, 2, (handle,)))
     assert problems and all(p.startswith("handle 1: ") for p in problems)
     assert validate(record)

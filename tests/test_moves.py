@@ -12,7 +12,6 @@ from ribbonlab import (
     Destab,
     Handle,
     MoveError,
-    MoveScript,
     RemoveTrivialHandle,
     ReverseHandle,
     RibbonData,
@@ -378,15 +377,14 @@ def test_reverse_handle_spun_trefoil():
 
 
 def test_script_stab_destab_roundtrip():
-    script = MoveScript((Stab(1), Destab(2)))
-    assert apply_script(UNKNOT, script) == UNKNOT
+    assert apply_script(UNKNOT, (Stab(1), Destab(2))) == UNKNOT
 
 
 def test_empty_script_is_identity():
     rng = random.Random(49)
     for _ in range(10):
         data = random_ribbon(rng)
-        assert apply_script(data, MoveScript()) == data
+        assert apply_script(data, ()) == data
 
 
 def test_recorded_random_walk_replays():
@@ -401,10 +399,9 @@ def test_recorded_random_walk_replays():
         move = rng.choice(pool)
         moves.append(move)
         current = apply_move(current, move)
-    script = MoveScript(tuple(moves))
-    assert apply_script(data, script) == current
+    assert apply_script(data, moves) == current
     # the text form replays identically too
-    assert apply_script(data, parse_script(serialize_script(script))) == current
+    assert apply_script(data, parse_script(serialize_script(moves))) == current
 
 
 def test_script_composition_associates():
@@ -417,38 +414,34 @@ def test_script_composition_associates():
         move = rng.choice(pool)
         moves.append(move)
         current = apply_move(current, move)
-    s1, s2 = MoveScript(tuple(moves[:4])), MoveScript(tuple(moves[4:]))
-    whole = MoveScript(tuple(moves))
-    assert apply_script(data, whole) == apply_script(apply_script(data, s1), s2)
+    assert apply_script(data, moves) == apply_script(apply_script(data, moves[:4]), moves[4:])
 
 
 def test_script_failure_reports_position():
-    script = MoveScript((Stab(1), CancelDelete(1, 0)))
     with pytest.raises(MoveError, match="move 1:") as info:
-        apply_script(UNKNOT, script)
+        apply_script(UNKNOT, (Stab(1), CancelDelete(1, 0)))
     assert info.value.script_index == 1
 
 
 def test_script_text_round_trip_all_moves():
-    script = MoveScript(
-        (
-            Stab(2),
-            Destab(1),
-            CancelInsert(1, 0, 3, -1),
-            CancelDelete(2, 4),
-            Slide(1, "start", 2, "rev"),
-            CrossSlide(2, 3, 1, "fwd"),
-            TrivialHandle(1),
-            RemoveTrivialHandle(2),
-            ReverseHandle(1),
-        )
+    script = (
+        Stab(2),
+        Destab(1),
+        CancelInsert(1, 0, 3, -1),
+        CancelDelete(2, 4),
+        Slide(1, "start", 2, "rev"),
+        CrossSlide(2, 3, 1, "fwd"),
+        TrivialHandle(1),
+        RemoveTrivialHandle(2),
+        ReverseHandle(1),
     )
     assert parse_script(serialize_script(script)) == script
 
 
-def test_weak_count():
-    script = MoveScript((TrivialHandle(1), Stab(1), TrivialHandle(2), RemoveTrivialHandle(1)))
-    assert script.weak_count == 3
+def test_is_weak_marks_trivial_handles_attached_and_removed():
+    # the weak moves a script spends: trivial handles attached or removed
+    script = (TrivialHandle(1), Stab(1), TrivialHandle(2), RemoveTrivialHandle(1))
+    assert sum(map(moves.is_weak, script)) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from ribbonlab import (
     Destab,
     Equivalent,
     Handle,
-    MoveScript,
     Refuted,
     RibbonData,
     Stab,
@@ -124,7 +123,7 @@ def test_removing_trivial_handles_spends_the_budget():
     assert isinstance(search_equiv(torus, unknot, 4, 1, 10_000), Unknown)
     found = search_equiv(torus, unknot, 3, 2, 10_000)
     assert isinstance(found, Equivalent)
-    assert (found.script_a.weak_count, found.script_b.weak_count) == (found.weak_used_a, found.weak_used_b)
+    assert (sum(map(is_weak, found.script_a)), sum(map(is_weak, found.script_b))) == (found.weak_used_a, found.weak_used_b)
     assert max(found.weak_used_a, found.weak_used_b) <= 2
     assert certify(torus, unknot, found)
 
@@ -140,7 +139,7 @@ def test_removing_trivial_handles_spends_the_budget():
         (
             "stabilized:3:1",
             lambda found: Equivalent(
-                MoveScript(found.script_a.moves[1:]), found.script_b, found.meet, found.weak_used_a, found.weak_used_b
+                found.script_a[1:], found.script_b, found.meet, found.weak_used_a, found.weak_used_b
             ),
             "script A does not reach the meeting form",
         ),
@@ -148,7 +147,7 @@ def test_removing_trivial_handles_spends_the_budget():
             "stabilized:3:1",
             lambda found: Equivalent(
                 found.script_a,
-                MoveScript(found.script_b.moves + (Stab(1),)),
+                found.script_b + (Stab(1),),
                 found.meet,
                 found.weak_used_a,
                 found.weak_used_b,
@@ -491,8 +490,12 @@ def test_certify_takes_only_an_equivalent_outcome():
 
 def test_certify_reports_a_script_that_does_not_replay():
     unknot = generate("unknot")
-    broken = Equivalent(MoveScript((Destab(1),)), MoveScript(), unknot, 0, 0)
+    broken = Equivalent((Destab(1),), (), unknot, 0, 0)
     notes = []
     assert certify(unknot, unknot, broken, notes) is False
     assert notes == ["replay failed: destab 1: degree != 1"]
     assert certify(unknot, unknot, broken) is False
+    # an entry that is not a move is refused on replay, before weak moves are counted
+    notes = []
+    assert certify(unknot, unknot, Equivalent(("x",), (), unknot, 0, 0), notes) is False
+    assert notes == ["replay failed: unknown move 'x'"]

@@ -15,7 +15,6 @@ from ribbonlab import (
     Equivalent,
     Handle,
     LaurentPolynomial,
-    MoveScript,
     Refuted,
     RemoveTrivialHandle,
     ReverseHandle,
@@ -54,7 +53,6 @@ VALUES = [
     (lambda: TrivialHandle(1), "TrivialHandle(base=1)"),
     (lambda: RemoveTrivialHandle(1), "RemoveTrivialHandle(handle=1)"),
     (lambda: ReverseHandle(1), "ReverseHandle(handle=1)"),
-    (lambda: MoveScript((Stab(1), TrivialHandle(2))), "MoveScript(moves=(Stab(base=1), TrivialHandle(base=2)))"),
     (
         lambda: dihedral_quandle(3),
         "FiniteQuandle(name='dihedral:3', table=((1, 3, 2), (3, 2, 1), (2, 1, 3)))",
@@ -71,8 +69,8 @@ VALUES = [
     ),
     (lambda: LaurentPolynomial(((0, 1), (1, -1))), "LaurentPolynomial(terms=((0, 1), (1, -1)))"),
     (
-        lambda: Equivalent(MoveScript((Stab(1),)), MoveScript(), RibbonData(2, 1), 0, 0),
-        "Equivalent(script_a=MoveScript(moves=(Stab(base=1),)), script_b=MoveScript(moves=()),"
+        lambda: Equivalent((Stab(1),), (), RibbonData(2, 1), 0, 0),
+        "Equivalent(script_a=(Stab(base=1),), script_b=(),"
         " meet=RibbonData(dim=2, base_count=1, handles=()), weak_used_a=0, weak_used_b=0)",
     ),
     (lambda: Refuted("dihedral:3", 9, 3), "Refuted(invariant='dihedral:3', value_a=9, value_b=3)"),
@@ -92,7 +90,6 @@ FIELDS = {
     "TrivialHandle": ("base",),
     "RemoveTrivialHandle": ("handle",),
     "ReverseHandle": ("handle",),
-    "MoveScript": ("moves",),
     "FiniteQuandle": ("name", "table"),
     "QuandlePresentation": ("generators", "relations"),
     "GroupPresentation": ("generators", "relations"),
@@ -150,7 +147,6 @@ def test_keyword_construction_and_defaults():
     assert Handle(1, 2) == Handle(start=1, end=2, word=()) == Handle(1, end=2)
     assert Handle(end=2, start=1, word=[(2, -1)]).word == ((2, -1),)
     assert RibbonData(2, 1) == RibbonData(dim=2, base_count=1, handles=[])
-    assert MoveScript().moves == () and MoveScript(moves=[Stab(1)]).moves == (Stab(1),)
     assert LaurentPolynomial() == LaurentPolynomial(terms=()) and LaurentPolynomial().terms == ()
     assert Slide(handle=1, which="end", along=2, direction="fwd") == Slide(1, "end", 2, "fwd")
     assert Refuted(invariant="genus", value_a=1, value_b=0) == Refuted("genus", 1, 0)
@@ -198,7 +194,7 @@ def test_each_move_kind_applies_and_writes_its_fields_in_order():
     for move, after in CHAIN:
         data = apply_move(data, move)
         assert serialize(data) == "ribbon 1\ndim 2\n" + after
-    script = MoveScript(tuple(move for move, _ in CHAIN))
+    script = tuple(move for move, _ in CHAIN)
     assert serialize_script(script) == SCRIPT
     assert parse_script(SCRIPT) == script
-    assert [serialize_script(MoveScript((move,))) for move, _ in CHAIN] == [line + "\n" for line in SCRIPT.splitlines()]
+    assert [serialize_script((move,)) for move, _ in CHAIN] == [line + "\n" for line in SCRIPT.splitlines()]
