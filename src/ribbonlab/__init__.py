@@ -35,7 +35,7 @@ _PUBLIC = {
         "reverse_flip", "reversed_handle", "canonical_form", "canonical_bytes",
     ),
     "moves": (
-        "MoveError", "ScriptFormatError", "Stab", "Destab", "CancelInsert", "CancelDelete", "Slide",
+        "MoveError", "Stab", "Destab", "CancelInsert", "CancelDelete", "Slide",
         "CrossSlide", "TrivialHandle", "RemoveTrivialHandle", "ReverseHandle", "parse_script",
         "serialize_script", "apply_move", "apply_script", "apply_stabilize", "apply_destabilize",
         "apply_cancel_insert", "apply_cancel_delete", "apply_slide", "apply_cross_slide",

@@ -331,7 +331,7 @@ def run(argv, out=None) -> int:
             print(serialize(generate(args.spec)), end="", file=out)
             return 0
 
-    # RibbonFormatError, ScriptFormatError and MoveError are ValueErrors
+    # RibbonFormatError (of any text format) and MoveError are ValueErrors
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,14 +30,15 @@ from . import _PUBLIC
 from .ribbon import (
     Handle,
     RibbonData,
+    RibbonFormatError,
     SignedLetter,
     _Value,
     _cancelling,
     _canonical_key,
     _coded,
-    _decimal,
     _flipped,
     _free_reduced,
+    _int,
     _letters,
     _record,
     _require_valid,
@@ -55,12 +56,6 @@ class MoveError(ValueError):
     def __init__(self, message: str, index: int | None = None):
         super().__init__(message if index is None else f"move {index}: {message}")
         self.script_index = index
-
-
-class ScriptFormatError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class Stab(_Value):
@@ -420,33 +415,27 @@ def serialize_script(script) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def _int(token: str, lineno: int) -> int:
-    try:
-        return _decimal(token)
-    except ValueError:
-        raise ScriptFormatError(f"non-integer token '{token}'", lineno) from None
-
-
 def parse_script(text: str | bytes) -> tuple[Move, ...]:
     """The moves of ``text``, one per line, written as in the syntax table
     ``_MOVES``; handles are 1-indexed in stored order, positions
     0-indexed, integers an optional ``-`` and ASCII digits, ``#`` comments
-    allowed."""
+    allowed.  Malformed text raises ``RibbonFormatError``, as a malformed
+    record does."""
     moves: list[Move] = []
     for lineno, tokens in _token_lines(text):
         kind = _KINDS.get(tokens[0])
         if kind is None:
-            raise ScriptFormatError(f"unknown move '{tokens[0]}'", lineno)
+            raise RibbonFormatError(f"unknown move '{tokens[0]}'", lineno)
         syntax = _MOVES[kind][0]
         slots = syntax.split()
         if len(tokens) != len(slots):
-            raise ScriptFormatError(f"'{tokens[0]}' takes {len(slots) - 1} arguments", lineno)
+            raise RibbonFormatError(f"'{tokens[0]}' takes {len(slots) - 1} arguments", lineno)
         if any("|" in slot and token not in slot.split("|") for slot, token in zip(slots, tokens)):
-            raise ScriptFormatError(f"expected '{syntax}'", lineno)
+            raise RibbonFormatError(f"expected '{syntax}'", lineno)
         if kind is CancelInsert:
             letter = _int(tokens[3], lineno)
             if letter == 0:
-                raise ScriptFormatError("insert letter must be nonzero", lineno)
+                raise RibbonFormatError("insert letter must be nonzero", lineno)
             handle, position = _int(tokens[1], lineno), _int(tokens[2], lineno)
             moves.append(CancelInsert(handle, position, abs(letter), 1 if letter > 0 else -1))
         else:

@@ -43,7 +43,9 @@ import math
 from functools import cached_property
 
 from . import _PUBLIC
-from .ribbon import Handle, RibbonData, _decimal, _require_valid, _token_lines, _tupled, _Value
+from .ribbon import (
+    Handle, RibbonData, RibbonFormatError, _decimal, _header, _int, _require_valid, _token_lines, _tupled, _Value
+)
 
 __all__ = list(_PUBLIC["quandle"])
 
@@ -99,11 +101,10 @@ class FiniteQuandle(_Value):
     @cached_property
     def _affine(self) -> tuple[int, int] | None:
         # (m, a) when the table on labels 0..m-1 is x*y = a*x + (1-a)*y
-        # mod m, else None.  a is read off 1*0 = a.
+        # mod m, else None.  a is read off 1*0 = a, or off 0*0 = 0 when m
+        # is 1: every a agrees mod 1, so the one-element table is (1, 0).
         m = self.size
-        if m < 2:
-            return None
-        a = self.op(2, 1) - 1
+        a = self.table[1 % m][0] - 1
         for x, row in enumerate(self.table):
             for y, v in enumerate(row):
                 if v - 1 != (a * x + (1 - a) * y) % m:
@@ -230,25 +231,14 @@ def builtin_quandle(spec: str) -> FiniteQuandle | None:
 def parse_quandle(text: str | bytes, name: str = "quandle") -> FiniteQuandle:
     """Quandle file format: ``quandle 1``, ``size <m>``, then m rows of m
     integers (row x lists x * y for y = 1..m), each an optional ``-`` and
-    ASCII digits."""
+    ASCII digits.  The header, integers and row count are refused as in a
+    ``ribbon 1`` text; ``FiniteQuandle`` checks the table's shape and range."""
     rows = _token_lines(text)
-    if not rows or rows[0][1] != ["quandle", "1"]:
-        raise ValueError("malformed quandle file: expected 'quandle 1' header")
-    if len(rows) < 2 or rows[1][1][0] != "size" or len(rows[1][1]) != 2:
-        raise ValueError("malformed quandle file: expected 'size <m>'")
-    try:
-        m = _decimal(rows[1][1][1])
-    except ValueError:
-        raise ValueError("malformed quandle file: non-integer size") from None
+    (m,) = _header(rows, "quandle", ("size <m>", 1))
     if len(rows) != 2 + m:
-        raise ValueError(f"malformed quandle file: expected {m} table rows, got {len(rows) - 2}")
-    table = []
-    for lineno, tokens in rows[2:]:
-        try:
-            table.append(tuple(map(_decimal, tokens)))
-        except ValueError:
-            raise ValueError(f"malformed quandle file: non-integer entry on line {lineno}") from None
-    return FiniteQuandle(name, tuple(table))
+        lineno = rows[min(len(rows) - 1, 2 + m)][0]  # the last row, or the first extra one
+        raise RibbonFormatError(f"expected {m} table rows, got {len(rows) - 2}", lineno)
+    return FiniteQuandle(name, tuple([tuple([_int(t, lineno) for t in tokens]) for lineno, tokens in rows[2:]]))
 
 
 def serialize_quandle(q: FiniteQuandle) -> str:

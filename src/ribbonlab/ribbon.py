@@ -9,9 +9,10 @@ handle its two attachment bases together with the ordered sequence of
 signed base crossings along its core.  ``RibbonData`` is that record, and
 every computation in this package is a function of it.
 
-This module owns the record itself: the ``ribbon 1`` text format,
-structural validation, free reduction of crossing words, genus bookkeeping
-via the Euler characteristic, and a canonical form that quotients out base
+This module owns the record itself: the ``ribbon 1`` text format, whose
+reader the script and ``quandle 1`` formats share, structural validation,
+free reduction of crossing words, genus bookkeeping via the Euler
+characteristic, and a canonical form that quotients out base
 relabelling, handle order, handle orientation, and cancelling crossing
 pairs.  The canonical form picks its base numbering by
 individualization-refinement, the canonical labelling scheme of nauty and
@@ -218,7 +219,8 @@ def _valid_record(dim: int, base_count: int, handles: tuple[Handle, ...]) -> Rib
 
 
 class RibbonFormatError(ValueError):
-    """Raised on malformed input text, with the offending line number."""
+    """The one error for malformed text in the ``ribbon 1``, move script
+    and ``quandle 1`` formats; its message starts ``line N: ``."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
@@ -263,13 +265,32 @@ def _decimal(token: str) -> int:
     raise ValueError(f"not a decimal integer: {token!r}")
 
 
-def _ribbon_int(token: str, lineno: int) -> int:
-    """A token of a ``ribbon 1`` text read by :func:`_decimal`, or the
-    format error of line ``lineno``."""
+def _int(token: str, lineno: int) -> int:
+    """``token`` read by :func:`_decimal`, or the format error of line ``lineno``."""
     try:
         return _decimal(token)
     except ValueError:
         raise RibbonFormatError(f"non-integer token '{token}'", lineno) from None
+
+
+def _header(rows: list[tuple[int, list[str]]], kind: str, *fields: tuple[str, int]) -> list[int]:
+    """The integers of the header of the token lines ``rows``: the line
+    ``<kind> 1``, then per ``(syntax, least)`` field, such as ``("dim <n>",
+    2)``, a line of its name and an integer of at least ``least``, checked
+    as it is read.  A missing line is reported on the line before it."""
+    lineno = rows[0][0] if rows else 1
+    if not rows or rows[0][1] != [kind, "1"]:
+        raise RibbonFormatError(f"malformed header, expected '{kind} 1'", lineno)
+    values = []
+    for i, (syntax, least) in enumerate(fields, start=1):
+        name = syntax.split()[0]
+        if len(rows) <= i or rows[i][1][0] != name or len(rows[i][1]) != 2:
+            raise RibbonFormatError(f"expected '{syntax}'", rows[i][0] if len(rows) > i else lineno)
+        lineno, tokens = rows[i]
+        values.append(_int(tokens[1], lineno))
+        if values[-1] < least:
+            raise RibbonFormatError(f"{name} must be >= {least}", lineno)
+    return values
 
 
 # ``_letter(SignedLetter, (base, sign))`` is what ``SignedLetter(base, sign)``
@@ -295,41 +316,21 @@ def parse_ribbon(text: str | bytes) -> RibbonData:
     that requires a valid record does not walk a parsed one again.
     """
     rows = _token_lines(text)
-    if not rows:
-        raise RibbonFormatError("malformed header, expected 'ribbon 1'", 1)
-
-    lineno, tokens = rows[0]
-    if tokens != ["ribbon", "1"]:
-        raise RibbonFormatError("malformed header, expected 'ribbon 1'", lineno)
-
-    if len(rows) < 2 or rows[1][1][0] != "dim" or len(rows[1][1]) != 2:
-        raise RibbonFormatError("expected 'dim <n>'", rows[1][0] if len(rows) > 1 else lineno)
-    lineno, tokens = rows[1]
-    dim = _ribbon_int(tokens[1], lineno)
-    if dim < 2:
-        raise RibbonFormatError("dim must be >= 2", lineno)
-
-    if len(rows) < 3 or rows[2][1][0] != "bases" or len(rows[2][1]) != 2:
-        raise RibbonFormatError("expected 'bases <k>'", rows[2][0] if len(rows) > 2 else lineno)
-    lineno, tokens = rows[2]
-    base_count = _ribbon_int(tokens[1], lineno)
-    if base_count < 1:
-        raise RibbonFormatError("bases must be >= 1", lineno)
-
+    dim, base_count = _header(rows, "ribbon", ("dim <n>", 2), ("bases <k>", 1))
     handles = []
     for lineno, tokens in rows[3:]:
         if tokens[0] != "handle":
             raise RibbonFormatError(f"expected 'handle', got '{tokens[0]}'", lineno)
         if len(tokens) < 4 or tokens[3] != ":":
             raise RibbonFormatError("expected 'handle <start> <end> : ...'", lineno)
-        start = _ribbon_int(tokens[1], lineno)
-        end = _ribbon_int(tokens[2], lineno)
+        start = _int(tokens[1], lineno)
+        end = _int(tokens[2], lineno)
         for v in (start, end):
             if not 1 <= v <= base_count:
                 raise RibbonFormatError(f"base index {v} out of range", lineno)
         word = []
         for token in tokens[4:]:
-            v = _ribbon_int(token, lineno)
+            v = _int(token, lineno)
             base, sign = (v, 1) if v > 0 else (-v, -1)
             if not base:
                 raise RibbonFormatError("crossing letter must be nonzero", lineno)

@@ -356,6 +356,8 @@ def search_equiv(
             raise ValueError(f"{name} {value!r} is not an integer")
         if value < least:
             raise ValueError(f"{name} must be >= {least}")
+    if stats is not None and not isinstance(stats, dict):
+        raise ValueError(f"stats {stats!r} is not a dict")
     levels: list[list] = []
     sides = []
     # the time per phase, read only when ``stats`` is asked for
@@ -477,6 +479,8 @@ def certify(a: RibbonData, b: RibbonData, outcome: SearchOutcome, diagnostics: l
     when a list is supplied."""
     if not isinstance(outcome, Equivalent):
         raise ValueError("certify requires an Equivalent outcome")
+    if diagnostics is not None and not isinstance(diagnostics, list):
+        raise ValueError(f"diagnostics {diagnostics!r} is not a list")
 
     def note(message):
         if diagnostics is not None:

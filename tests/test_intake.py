@@ -26,7 +26,6 @@ from ribbonlab import (
     MoveError,
     RibbonData,
     RibbonFormatError,
-    ScriptFormatError,
     SignedLetter,
     Stab,
     TrivialHandle,
@@ -221,11 +220,11 @@ def test_every_reader_takes_plain_decimals_only(token):
         parse_ribbon(f"ribbon 1\ndim 2\nbases {token}\n")
     with pytest.raises(RibbonFormatError, match=re.escape(f"line 4: non-integer token '{token}'")):
         parse_ribbon(f"ribbon 1\ndim 2\nbases 3\nhandle 1 2 : {token}\n")
-    with pytest.raises(ScriptFormatError, match=re.escape(f"line 1: non-integer token '{token}'")):
+    with pytest.raises(RibbonFormatError, match=re.escape(f"line 1: non-integer token '{token}'")):
         parse_script(f"stab {token}\n")
-    with pytest.raises(ValueError, match="non-integer size"):
+    with pytest.raises(RibbonFormatError, match=re.escape(f"line 2: non-integer token '{token}'")):
         parse_quandle(f"quandle 1\nsize {token}\n1\n")
-    with pytest.raises(ValueError, match="non-integer entry on line 3"):
+    with pytest.raises(RibbonFormatError, match=re.escape(f"line 3: non-integer token '{token}'")):
         parse_quandle(f"quandle 1\nsize 1\n{token}\n")
     with pytest.raises(ValueError, match="bad quandle size"):
         builtin_quandle(f"dihedral:{token}")
@@ -492,7 +491,7 @@ WRONG_KINDS = st.one_of(st.sampled_from([None, True, 1.5, object(), (), [2]]), s
 # the public names that read nothing: the value classes and errors, and
 # ``validate``, which reports
 OTHERS = {
-    "SignedLetter", "Handle", "RibbonData", "RibbonFormatError", "MoveError", "ScriptFormatError", "Stab",
+    "SignedLetter", "Handle", "RibbonData", "RibbonFormatError", "MoveError", "Stab",
     "Destab", "CancelInsert", "CancelDelete", "Slide", "CrossSlide", "TrivialHandle", "RemoveTrivialHandle",
     "ReverseHandle", "LaurentPolynomial", "Equivalent", "Refuted", "Unknown", "validate",
 }
@@ -540,6 +539,12 @@ def test_a_reader_refuses_a_value_of_another_kind_with_value_error(name, value):
         lambda: trivial_quandle(None),
         lambda: macro_merge_bases(KNOT, 1, None, ROUTE),
         lambda: certify(KNOT, KNOT, Equivalent(5, (), KNOT, 0, 0)),
+        # ran the whole search, then raised ``AttributeError`` on ``stats``
+        lambda: search_equiv(KNOT, KNOT, 1, 0, 10, stats=5),
+        lambda: search_equiv(KNOT, KNOT, 1, 0, 10, stats=[]),
+        # raised ``AttributeError``, and only when the certificate failed
+        lambda: certify(KNOT, KNOT, Equivalent(("x",), (), KNOT, 0, 0), 5),
+        lambda: certify(KNOT, KNOT, SAME, {}),
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):

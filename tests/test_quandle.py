@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import re
@@ -11,6 +12,7 @@ from ribbonlab import (
     FiniteQuandle,
     Handle,
     RibbonData,
+    RibbonFormatError,
     SignedLetter,
     builtin_quandle,
     check_quandle_axioms,
@@ -24,7 +26,7 @@ from ribbonlab import (
     serialize_quandle,
     trivial_quandle,
 )
-from ribbonlab.cli import generate
+from ribbonlab.cli import generate, run
 
 from oracles import (
     alexander_quandle,
@@ -119,10 +121,18 @@ def test_quandle_file_round_trip():
 
 
 def test_quandle_file_malformed():
-    with pytest.raises(ValueError, match="malformed quandle file"):
-        parse_quandle("quandle 2\nsize 1\n1\n")
-    with pytest.raises(ValueError, match="malformed quandle file"):
-        parse_quandle("quandle 1\nsize 2\n1 2\n")
+    # header, integer and row-count problems are refused as in a ``ribbon 1``
+    # text, with the line
+    for text, message in (
+        ("quandle 2\nsize 1\n1\n", "line 1: malformed header, expected 'quandle 1'"),
+        ("quandle 1\nsize 2\n1 2\n", "line 3: expected 2 table rows, got 1"),
+        ("quandle 1\nsize 1\n1\n1\n", "line 4: expected 1 table rows, got 2"),
+        ("quandle 1\nsize x\n", "line 2: non-integer token 'x'"),
+        ("quandle 1\nsize 0\n", "line 2: size must be >= 1"),
+        ("quandle 1\nsize -1\n", "line 2: size must be >= 1"),
+    ):
+        with pytest.raises(RibbonFormatError, match=f"^{re.escape(message)}$"):
+            parse_quandle(text)
 
 
 def test_builtin_quandle_specs():
@@ -311,10 +321,24 @@ def test_affine_detection():
     assert dihedral_quandle(7)._affine == (7, 6)
     assert trivial_quandle(4)._affine == (4, 1)
     assert alexander_quandle(5, 2)._affine == (5, 2)
-    assert trivial_quandle(1)._affine is None
+    # every a agrees mod 1, so the one-element table is affine
+    assert trivial_quandle(1)._affine == dihedral_quandle(1)._affine == (1, 0)
     for q in NOT_AFFINE:
         assert q._affine is None
         assert check_quandle_axioms(q) == []
+
+
+def test_a_one_element_quandle_counts_one_coloring_of_any_record(tmp_path):
+    # counted as affine, where the backtracker recursed once per base and
+    # raised ``RecursionError``
+    bare = RibbonData(2, 3000, ())
+    path = tmp_path / "bare.ribbon"
+    path.write_text("ribbon 1\ndim 2\nbases 3000\n")
+    for spec in ("trivial:1", "dihedral:1"):
+        assert count_colorings(bare, builtin_quandle(spec)) == 1
+        out = io.StringIO()
+        assert run(["color", str(path), "--quandle", spec], out=out) == 0
+        assert out.getvalue() == "1\n"
 
 
 def test_orbits_of_the_inner_automorphism_group():
@@ -432,8 +456,9 @@ def test_an_empty_table_is_refused():
 
 
 def test_a_quandle_file_needs_a_size_line():
-    for text in ("quandle 1\n", "quandle 1\nsize\n", "quandle 1\nsize 1 1\n1\n", "quandle 1\nrows 1\n1\n"):
-        with pytest.raises(ValueError, match="^malformed quandle file: expected 'size <m>'$"):
+    for text, line in (("quandle 1\n", 1), ("quandle 1\nsize\n", 2), ("quandle 1\nsize 1 1\n1\n", 2),
+                       ("quandle 1\nrows 1\n1\n", 2)):
+        with pytest.raises(RibbonFormatError, match=f"^line {line}: expected 'size <m>'$"):
             parse_quandle(text)
 
 
