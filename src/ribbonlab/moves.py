@@ -526,8 +526,9 @@ def _labelled(base_count: int, raw, reduced, weak: bool):
 
 # Each entry keeps a state's successors alive, as (move, (base count,
 # key)) pairs.  Within one search no state is expanded twice, so the cache
-# pays off across searches in one process (a shared unknot side, the
-# plateau searches of the reductions), which needs far fewer entries.
+# pays off across searches in one process (a shared unknot side), which
+# needs far fewer entries.  Only the breadth-first search reads it: the
+# reductions label the successors they take from ``_successor_triples``.
 @lru_cache(maxsize=1 << 10)
 def _successors(base_count: int, key, weak: bool) -> tuple:
     """The successors of the canonical state ``(base_count, key)``, as

@@ -380,29 +380,34 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
                         queue.append(start)
         return True
 
-    def assign(b, v, weight):
-        color[b] = v
-        trail = [b]
-        if propagate(trail, [b]):
-            solve(b + 1, weight)
-        for t in trail:
-            color[t] = 0
-
-    def solve(b, weight):
-        nonlocal count
-        while b <= n and color[b]:
-            b += 1
-        if b > n:
+    # Depth first, on an explicit stack rather than one call per unforced
+    # base: each frame is [base, next color to try, last color to try,
+    # bases its current color assigned].
+    roots = [(v, 1) for v in range(1, m + 1)] if collect else q._orbits
+    for v, weight in roots:
+        stack = [[1, v, v, None]]
+        while stack:
+            frame = stack[-1]
+            b, c, last, trail = frame
+            if trail is not None:
+                for t in trail:
+                    color[t] = 0
+            if c > last:
+                stack.pop()
+                continue
+            color[b] = c
+            trail = frame[3] = [b]
+            frame[1] = c + 1
+            if not propagate(trail, [b]):
+                continue
+            while b <= n and color[b]:
+                b += 1
+            if b <= n:
+                stack.append([b, 1, m, None])
+                continue
             count += weight
             if collect:
                 found.append(tuple(color[1 : n + 1]))
-            return
-        for v in range(1, m + 1):
-            assign(b, v, weight)
-
-    roots = [(v, 1) for v in range(1, m + 1)] if collect else q._orbits
-    for v, weight in roots:
-        assign(1, v, weight)
     return count, found
 
 

@@ -198,37 +198,52 @@ def _plateau_exit(state, size, limit: int):
     """The moves from the canonical ``state`` to the least (size,
     serialized form) state smaller than ``size``, found by a breadth-first
     search over states no larger, at the first level that has one, with
-    the successors it labelled; the moves are empty when no level up to
-    ``_PLATEAU_LEVELS`` has one.  None when more than ``limit`` successors
-    would be labelled.  States are ``(base_count, key)`` pairs, and each
-    state reached is stored with its node, as the search stores its own."""
+    the number of children it labelled; the moves are empty when no level
+    up to ``_PLATEAU_LEVELS`` has one.  None when it would label more than
+    ``limit`` children.  States are ``(base_count, key)`` pairs, and each
+    state reached is stored with its node, as the search stores its own.
+
+    Each level reads the sizes of all its children from the unlabelled
+    successor triples first, and labels only those of least size, in
+    enumeration order, the first move to each state winning: the least of
+    the smaller children when some are smaller, else the children of the
+    plateau's size, which the next level expands.  The last level labels
+    nothing unless a child is smaller than the plateau."""
     parents: dict[tuple, tuple] = {state: (None, None, 0)}
     frontier = [state]
     labelled = 0
-    for _ in range(_PLATEAU_LEVELS):
-        level = []
+    for level in range(_PLATEAU_LEVELS):
+        least = size
+        smallest: list[tuple] = []  # (parent, move, base count, triples) of size ``least``
         for parent in frontier:
-            successors = _successors(*parent, False)
-            labelled += len(successors)
-            if labelled > limit:
-                return None
-            for move, child in successors:
-                child_size = _size(*child)
-                if child in parents or child_size > size:
-                    continue
+            n, key = parent
+            for move, base_count, triples in _successor_triples(n, key, key, False):
+                child_size = _size(base_count, triples)
+                if child_size < least:
+                    least = child_size
+                    smallest = []
+                if child_size == least:
+                    smallest.append((parent, move, base_count, triples))
+        if least == size and level == _PLATEAU_LEVELS - 1:
+            break
+        labelled += len(smallest)
+        if labelled > limit:
+            return None
+        reached = []
+        for parent, move, base_count, triples in smallest:
+            child = base_count, _canonical_key(base_count, triples)
+            if child not in parents:
                 parents[child] = (parent, move, 0)
-                level.append((child_size, child))
-        least = min([child_size for child_size, _ in level], default=size)
+                reached.append(child)
         if least < size:
-            child = _least([child for child_size, child in level if child_size == least])
-            return tuple(_path_to(parents, child)), labelled
-        frontier = [child for _, child in level]
+            return tuple(_path_to(parents, _least(reached))), labelled
+        frontier = reached
     return (), labelled
 
 
 def _reduce(root, limit: int) -> tuple[list[tuple[Move, tuple]], int]:
     """The reduction of a canonical state ``(base_count, key)``, as (move,
-    state reached) pairs, and the states it labelled:
+    state reached) pairs, and the labellings it performed:
     :func:`_reduction_step` repeated until it finds nothing or would label
     more than ``limit`` states in all.  Every step lowers the size, so the
     reduction ends."""
@@ -246,9 +261,9 @@ def _reduce(root, limit: int) -> tuple[list[tuple[Move, tuple]], int]:
 
 # Reductions of different inputs run into the same small states (the
 # trees a stabilized unknot destabilizes through, say), so each state's
-# finished step is memoized per process with the states it labelled, as
-# successors are; a step the limit cut is not.  The memo is emptied when
-# it holds _STEPS_HELD states.
+# finished step is memoized per process with the labellings it performed;
+# a step the limit cut is not.  The memo is emptied when it holds
+# _STEPS_HELD states.
 _STEPS: dict[tuple, tuple[tuple[tuple[Move, tuple], ...], int]] = {}
 _STEPS_HELD = 1 << 10
 _steps_info = {"hits": 0, "misses": 0}
@@ -256,16 +271,20 @@ _steps_info = {"hits": 0, "misses": 0}
 
 def _reduction_step(state, limit: int):
     """The moves of one reduction step from a canonical state
-    ``(base_count, key)``, each with the state it reaches, and the states
-    the step labelled; the moves are empty when nothing smaller is found.
-    None when the step would label more than ``limit`` states.
+    ``(base_count, key)``, each with the state it reaches, and the
+    labellings the step performed; the moves are empty when nothing smaller
+    is found.  None when the step would label more than ``limit`` states.
 
     The step takes the smallest successor at weak budget 0, the first in
     enumeration order on ties.  Sizes are read from the unlabelled
-    successor triples, so the step labels only the successor it takes; the
-    states are canonical, so the choice does not depend on how the input
-    was numbered.  When no successor is smaller but some are no larger,
-    :func:`_plateau_exit` looks further."""
+    successor triples, so the step labels only the successor it takes and
+    counts that one labelling; the states are canonical, so the choice does
+    not depend on how the input was numbered.  Destabilizations are
+    enumerated first and, at weak budget 0, no other move removes a base;
+    each removes one base and one empty handle, so all have one size, the
+    least, and the step takes the first without reading further.  When no
+    successor is smaller but some are no larger, :func:`_plateau_exit`
+    looks further, and the step counts the children it labelled."""
     found = _STEPS.get(state)
     if found is not None:
         _steps_info["hits"] += 1
@@ -278,14 +297,18 @@ def _reduction_step(state, limit: int):
         candidate = _size(base_count, triples)
         if best is None or candidate < best[0]:
             best = (candidate, move, base_count, triples)
-    if best[0] < size:
+        if type(move) is Destab:
+            break
+    if best[0] > size:  # every successor is larger: there is no plateau
+        found = (), 0
+    elif best[0] == size:
+        found = _plateau_exit(state, size, limit)
+    elif limit < 1:
+        return None
+    else:
         _, move, base_count, triples = best
         found = ((move, (base_count, _canonical_key(base_count, triples))),), 1
-    elif best[0] > size:  # every successor is larger: there is no plateau
-        found = (), 0
-    else:
-        found = _plateau_exit(state, size, limit)
-    if found is None or found[1] > limit:
+    if found is None:  # the plateau exit would label past the limit
         return None
     if len(_STEPS) >= _STEPS_HELD:
         _STEPS.clear()
@@ -327,12 +350,15 @@ def search_equiv(
     ``depth`` caps the breadth-first levels of both sides together,
     ``weak_budget`` the weak moves (trivial handles attached or removed)
     on each side separately, and ``state_cap`` the canonical states
-    stored, reduction paths included.  The reductions label at most the
-    cap less the two roots, side A first, and stop where the next step
-    would label more; the search tests the cap before each new state.  So
-    a search stores at most the larger of the cap and 2.  The smaller
-    frontier is expanded level by level and levels are completed before
-    meets are resolved.
+    stored, reduction paths included.  The reductions spend at most the
+    cap less the two roots, side A first, one for each state they label (a
+    greedy step labels the successor it takes, a plateau exit the children
+    of least size of each level it reaches), and stop at the step that
+    would spend more, before it labels past what is left; a plateau exit
+    cut at its second level has labelled its first, which is not spent.
+    The search tests the cap before each new state.  So a search stores
+    at most the larger of the cap and 2.  The smaller frontier is expanded
+    level by level and levels are completed before meets are resolved.
 
     When a dict is supplied as ``stats``, it is filled in with how the
     search went: ``reduced``, the reduction moves per side; ``levels``,

@@ -28,8 +28,11 @@ from ribbonlab import (
     apply_destabilize,
     free_reduce_word,
     group_presentation,
+    serialize,
     slides,
 )
+from ribbonlab.moves import _successors
+from ribbonlab.ribbon import _record
 
 
 def satisfies_relations(data, q, assign):
@@ -506,3 +509,40 @@ def all_moves_pool(data, rng, weak_left=1, max_bases=7):
                 if letter.base == v.end:
                     moves.append(CrossSlide(i, pos, via, "rev"))
     return moves
+
+
+def _state_size(state):
+    """Bases, then total word letters, then handles of a state
+    ``(base_count, key)``."""
+    n, key = state
+    return n, sum(len(word) for _, word, _ in key), len(key)
+
+
+def full_labelling_step(state):
+    """One reduction step from the canonical state ``(base_count, key)``
+    at weak budget 0, labelling every successor of each state it expands
+    (``moves._successors``): the (move, state reached) pairs, empty when
+    nothing smaller is found.  The first successor of least size when one
+    is smaller; else, through the successors of the root's size, the
+    least by (size, serialized form) of their smaller successors."""
+    size = _state_size(state)
+    successors = _successors(*state, False)
+    sizes = [_state_size(child) for _, child in successors]
+    if min(sizes) < size:
+        return (successors[sizes.index(min(sizes))],)
+    parents = {state: None}
+    plateau = []
+    for (move, child), child_size in zip(successors, sizes):
+        if child_size == size and child not in parents:
+            parents[child] = (move, state)
+            plateau.append(child)
+    smaller = {}
+    for parent in plateau:
+        for move, child in _successors(*parent, False):
+            if _state_size(child) < size and child not in smaller:
+                smaller[child] = (move, parent)
+    if not smaller:
+        return ()
+    child = min(smaller, key=lambda c: (_state_size(c), serialize(_record(2, *c))))
+    move, parent = smaller[child]
+    return (parents[parent][0], parent), (move, child)

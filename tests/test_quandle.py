@@ -341,6 +341,17 @@ def test_a_one_element_quandle_counts_one_coloring_of_any_record(tmp_path):
         assert out.getvalue() == "1\n"
 
 
+def test_the_backtracker_does_not_recurse_per_base():
+    # it recursed once per unforced base and raised ``RecursionError``
+    assert list_colorings(RibbonData(2, 3000, ()), trivial_quandle(1)) == [(1,) * 3000]
+    # base i + 1 crosses the handle from base i to it, so it is forced to
+    # take base i's color only once it is colored itself: every base is
+    # branched on, and only the constant colorings survive
+    chain = RibbonData(2, 3000, tuple(Handle(i, i + 1, (SignedLetter(i + 1, 1),)) for i in range(1, 3000)))
+    assert count_colorings(chain, s4_transpositions()) == 6
+    assert list_colorings(chain, s4_transpositions()) == [(v,) * 3000 for v in range(1, 7)]
+
+
 def test_orbits_of_the_inner_automorphism_group():
     # (least element, orbit size), worked out by hand
     assert s4_transpositions()._orbits == ((1, 6),)

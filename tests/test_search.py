@@ -25,6 +25,7 @@ from ribbonlab import (
     is_sphere_knot,
     macro_clone_handle,
     macro_merge_bases,
+    moves,
     parse_ribbon,
     reversed_handle,
     search,
@@ -34,11 +35,12 @@ from ribbonlab import (
     serialize_script,
 )
 from ribbonlab.cli import _random_data, _scramble, generate
-from ribbonlab.moves import _successors, enumerate_moves, is_weak
+from ribbonlab.moves import enumerate_moves, is_weak
 from ribbonlab.ribbon import _canonical_state, _record
 from ribbonlab.search import _GATE, _reduce
 
-from oracles import GATE_ORACLES, all_moves_pool, brute_profile, random_knot, stable_walk_pool
+from oracles import GATE_ORACLES, all_moves_pool, brute_profile, full_labelling_step, random_knot, stable_walk_pool
+from test_caches import random_state
 
 PROFILE_QUANDLES = (dihedral_quandle(3), dihedral_quandle(5))
 GOLDEN = Path(__file__).parent / "golden"
@@ -222,17 +224,54 @@ def test_state_cap_is_tested_before_each_new_state(cap):
     assert sum(stats["states"].values()) == max(cap, 2)
 
 
-def test_the_state_cap_bounds_the_reductions():
-    """A 30-base knot at cap 10: a plateau search there labels hundreds
-    of successors per state it expands, so the reductions stop where the
-    cap runs out, having expanded at most one state past it."""
+def test_the_state_cap_bounds_the_reductions(monkeypatch):
+    """A 30-base knot at cap 10: its plateau exits label dozens of children
+    a level, so the reductions stop where the cap runs out, having labelled
+    no more states than the cap less the two roots."""
     knot = canonical_form(_random_data(30, 31, 3, 5))
-    expanded = _successors.cache_info().misses
+    labelled = []
+    for module in (search, moves):  # the reductions' labellings, and the cached successors'
+        labelling = module._canonical_key
+
+        def counted(base_count, triples, labelling=labelling):
+            labelled.append(base_count)
+            return labelling(base_count, triples)
+
+        monkeypatch.setattr(module, "_canonical_key", counted)
+    monkeypatch.setattr(search, "_STEPS", {})  # label, not read the memo
     stats = {}
     search_equiv(knot, apply_stabilize(knot, 1), 0, 0, 10, stats=stats)
     assert sum(stats["states"].values()) <= 10
-    assert _successors.cache_info().misses - expanded <= 1
+    assert len(labelled) <= 10 - 2
     assert stats["reduced"]["a"] + stats["reduced"]["b"] <= 8
+
+
+def reduction_start(rng):
+    """A canonical state to reduce: a random knot stabilized 1-4 times and
+    scrambled by up to 10 moves, or a ``random_state``."""
+    if rng.random() < 0.5:
+        return _canonical_state(random_state(rng))
+    data = random_knot(rng, rng.randint(1, 3), extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
+    for _ in range(rng.randint(1, 4)):
+        data = apply_stabilize(data, rng.randint(1, data.base_count))
+    return _canonical_state(_scramble(data, rng, rng.randint(0, 10)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_reduction_steps_match_the_full_labelling_oracle(seed):
+    """Every step of a reduction, under an unbounded limit, takes the moves
+    and states that labelling every successor finds: the greedy step stops
+    reading at the first destabilization, and a plateau exit labels only
+    the children of least size."""
+    state = reduction_start(random.Random(seed))
+    while True:
+        search._STEPS.pop(state, None)  # compute the step, not its memo
+        taken, _ = search._reduction_step(state, 1 << 62)
+        assert taken == full_labelling_step(state)
+        if not taken:
+            return
+        state = taken[-1][1]
 
 
 def test_deep_scrambles_reduce_before_they_meet():
