@@ -4,6 +4,7 @@ inputs, and the coded letters and keys the labelling and the search use."""
 
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from ribbonlab import (
     free_reduce_word,
     reverse_flip,
 )
+from ribbonlab import ribbon
 from ribbonlab.cli import generate
-from ribbonlab.ribbon import _canonical_state, _coded, _flipped, _free_reduced, _letters, _record
+from ribbonlab.moves import Stab, _successor_triples
+from ribbonlab.ribbon import _LEAF, _canonical_state, _coded, _flipped, _free_reduced, _letters, _reading, _record
 
 from oracles import (
     exhaustive_canonical_key,
@@ -105,6 +108,89 @@ def test_symmetric_shapes_have_one_form(shape):
     data = shape(12)
     forms = {canonical_bytes(shuffled(data, rng)) for _ in range(20)}
     assert forms == {canonical_bytes(data)}
+
+
+def leafy_knot(rng, bases, leaves):
+    """A random knot with ``leaves`` leaves hung on its bases, several on
+    one base, and on each other in chains."""
+    knot = random_knot(rng, bases, extra=2, max_len=2)
+    handles = list(knot.handles)
+    for new in range(bases + 1, bases + leaves + 1):
+        handles.append(Handle(new, rng.randint(1, bases if rng.random() < 0.8 else new - 1), ()))
+    return RibbonData(2, bases + leaves, tuple(handles))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [star(401), leafy_knot(random.Random(6), 8, 80)],
+    ids=["star400", "leafy-knot"],
+)
+def test_leafy_records_have_one_form(data):
+    rng = random.Random(12)
+    forms = {canonical_bytes(shuffled(data, rng)) for _ in range(20)}
+    assert forms == {canonical_bytes(data)}
+
+
+def tied_signatures(base_count, triples):
+    """The first-round signatures that two or more bases hold."""
+    incidences = [[] for _ in range(base_count)]
+    for triple in triples:
+        for b, incidence in _reading(triple).first:
+            incidences[b].append(incidence)
+    held = Counter(tuple(sorted(found)) for found in incidences)
+    return {signature for signature, count in held.items() if count > 1}
+
+
+@pytest.fixture
+def labelling_paths(monkeypatch):
+    """Counts of ``_Colouring.refine`` calls and of search tree nodes,
+    kept while the test runs."""
+    counts = Counter()
+    refine = ribbon._Colouring.refine
+
+    def counted_refine(self, *args):
+        counts["refine"] += 1
+        return refine(self, *args)
+
+    class CountedNode(ribbon._TreeNode):
+        def __init__(self, *args):
+            counts["tree"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(ribbon._Colouring, "refine", counted_refine)
+    monkeypatch.setattr(ribbon, "_TreeNode", CountedNode)
+    return counts
+
+
+def test_tied_leaves_are_placed_without_refinement_or_tree_search(labelling_paths):
+    rng = random.Random(26)
+    placed = 0
+    for _ in range(200):
+        knot = random_knot(rng, rng.randint(2, 7), extra=rng.randint(0, 2), max_len=rng.randint(0, 3))
+        n, key = _canonical_state(knot)
+        if tied_signatures(n, key):
+            continue  # not a discrete knot
+        for move, count, triples in _successor_triples(n, key, key, False):
+            if type(move) is Stab and tied_signatures(count, triples) == {_LEAF}:
+                labelling_paths.clear()
+                ribbon._canonical_key(count, triples)
+                assert not labelling_paths
+                placed += 1
+    assert placed > 50
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        RibbonData(2, 2, (Handle(1, 2, ()),)),  # two leaves on each other
+        # leaves on bases 1 and 3 of a square, which refinement cannot split
+        RibbonData(2, 6, tuple(Handle(s, e, ()) for s, e in ((1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (6, 3)))),
+    ],
+    ids=["pair", "square-with-two-leaves"],
+)
+def test_other_ties_still_refine_and_search_the_tree(labelling_paths, data):
+    canonical_form(data)
+    assert labelling_paths["refine"] and labelling_paths["tree"]
 
 
 @pytest.mark.parametrize(
