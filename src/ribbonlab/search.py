@@ -194,14 +194,16 @@ def _size(base_count: int, triples) -> tuple[int, int, int]:
 _PLATEAU_LEVELS = 2
 
 
-def _plateau_exit(state, size, limit: int):
+def _plateau_exit(state, size, children, limit: int):
     """The moves from the canonical ``state`` to the least (size,
     serialized form) state smaller than ``size``, found by a breadth-first
     search over states no larger, at the first level that has one, with
     the number of children it labelled; the moves are empty when no level
     up to ``_PLATEAU_LEVELS`` has one.  None when it would label more than
-    ``limit`` children.  States are ``(base_count, key)`` pairs, and each
-    state reached is stored with its node, as the search stores its own.
+    ``limit`` children.  ``children`` holds the state's successor triples
+    as ``_successor_triples`` yields them, already read by the caller.
+    States are ``(base_count, key)`` pairs, and each state reached is
+    stored with its node, as the search stores its own.
 
     Each level reads the sizes of all its children from the unlabelled
     successor triples first, and labels only those of least size, in
@@ -210,14 +212,13 @@ def _plateau_exit(state, size, limit: int):
     plateau's size, which the next level expands.  The last level labels
     nothing unless a child is smaller than the plateau."""
     parents: dict[tuple, tuple] = {state: (None, None, 0)}
-    frontier = [state]
+    frontier = [(state, children)]  # (parent, its successor triples)
     labelled = 0
     for level in range(_PLATEAU_LEVELS):
         least = size
         smallest: list[tuple] = []  # (parent, move, base count, triples) of size ``least``
-        for parent in frontier:
-            n, key = parent
-            for move, base_count, triples in _successor_triples(n, key, key, False):
+        for parent, successors in frontier:
+            for move, base_count, triples in successors:
                 child_size = _size(base_count, triples)
                 if child_size < least:
                     least = child_size
@@ -237,7 +238,7 @@ def _plateau_exit(state, size, limit: int):
                 reached.append(child)
         if least < size:
             return tuple(_path_to(parents, _least(reached))), labelled
-        frontier = reached
+        frontier = [((n, key), _successor_triples(n, key, key, False)) for n, key in reached]
     return (), labelled
 
 
@@ -284,7 +285,8 @@ def _reduction_step(state, limit: int):
     each removes one base and one empty handle, so all have one size, the
     least, and the step takes the first without reading further.  When no
     successor is smaller but some are no larger, :func:`_plateau_exit`
-    looks further, and the step counts the children it labelled."""
+    looks further, starting from the successor triples already read, and
+    the step counts the children it labelled."""
     found = _STEPS.get(state)
     if found is not None:
         _steps_info["hits"] += 1
@@ -293,7 +295,10 @@ def _reduction_step(state, limit: int):
     n, key = state
     size = _size(n, key)
     best = None
-    for move, base_count, triples in _successor_triples(n, key, key, False):
+    children = []  # read once, and handed to a plateau exit
+    for child in _successor_triples(n, key, key, False):
+        children.append(child)
+        move, base_count, triples = child
         candidate = _size(base_count, triples)
         if best is None or candidate < best[0]:
             best = (candidate, move, base_count, triples)
@@ -302,7 +307,7 @@ def _reduction_step(state, limit: int):
     if best[0] > size:  # every successor is larger: there is no plateau
         found = (), 0
     elif best[0] == size:
-        found = _plateau_exit(state, size, limit)
+        found = _plateau_exit(state, size, children, limit)
     elif limit < 1:
         return None
     else:
