@@ -30,7 +30,9 @@ automorphism, and composing one with a coloring is a bijection from the
 colorings that give base 1 the color a to those that give it a * y, so
 every color of one orbit starts the same number of colorings.  On a
 connected quandle such as the transpositions of S4 that is one branch
-instead of m.
+instead of m.  A record whose relations fall into independent parts, where
+no handle joins or crosses bases of two parts, is counted part by part and
+the counts multiplied, each base that no handle touches counting m.
 
 The parallel group-presentation reading (crossings become conjugations)
 lives here too; the Alexander polynomial derived from it is in
@@ -44,7 +46,17 @@ from functools import cached_property
 
 from . import _PUBLIC
 from .ribbon import (
-    Handle, RibbonData, RibbonFormatError, _decimal, _header, _int, _require_valid, _token_lines, _tupled, _Value
+    Handle,
+    RibbonData,
+    RibbonFormatError,
+    SignedLetter,
+    _decimal,
+    _header,
+    _int,
+    _require_valid,
+    _token_lines,
+    _tupled,
+    _Value,
 )
 
 __all__ = list(_PUBLIC["quandle"])
@@ -411,6 +423,47 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
     return count, found
 
 
+def _relation_parts(data: RibbonData) -> tuple[list[RibbonData], int]:
+    """The records of the components of the relation graph that hold a
+    handle, each on its own bases numbered in order, and the number of
+    bases no handle touches.  In the relation graph a handle joins its
+    start, its end and every base it crosses, so no relation reads bases
+    of two components: a coloring of ``data`` is a coloring of each part
+    side by side, with any color on each untouched base."""
+    n = data.base_count
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    touched = [False] * (n + 1)
+    for h in data.handles:
+        root = find(h.start)
+        touched[h.start] = True
+        for b in (h.end, *[l.base for l in h.word]):
+            touched[b] = True
+            other = find(b)
+            if other != root:
+                parent[other] = root
+    members: dict[int, list[int]] = {}
+    for b in range(1, n + 1):
+        if touched[b]:
+            members.setdefault(find(b), []).append(b)
+    number = [0] * (n + 1)
+    handles: dict[int, list[Handle]] = {}
+    for root, bases in members.items():
+        handles[root] = []
+        for i, b in enumerate(bases, start=1):
+            number[b] = i
+    for h in data.handles:
+        word = tuple([SignedLetter(number[l.base], l.sign) for l in h.word])
+        handles[find(h.start)].append(Handle(number[h.start], number[h.end], word))
+    parts = [RibbonData(data.dim, len(bases), tuple(handles[root])) for root, bases in members.items()]
+    return parts, n - sum(touched)
+
+
 def _affine_rows(data: RibbonData, m: int, a: int) -> list[dict[int, int]]:
     """One linear form mod m per handle, as {base: coefficient}: the start
     color carried through the word, minus the end color.  A crossing of
@@ -509,8 +562,11 @@ def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> i
 def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
     """Exact number of assignments of quandle elements to bases satisfying
     every handle relation.  Alexander quandles are counted by linear
-    algebra mod m, every other quandle by backtracking.  Raises on an
-    invalid record or quandle."""
+    algebra mod m, every other quandle by backtracking, once per component
+    of the relation graph (see :func:`_relation_parts`), the counts
+    multiplied: a record of independent parts costs the sum of their
+    searches, not their product.  Raises on an invalid record or
+    quandle."""
     _require_valid(data)
     _require_quandle(q)
     affine = q._affine
@@ -521,7 +577,13 @@ def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
         for p, e in q._factors:
             count *= _kernel_size(rows, data.base_count, p, e)
         return count
-    count, _ = _solve_colorings(data, q, collect=False)
+    parts, untouched = _relation_parts(data)
+    if len(parts) == 1 and not untouched:
+        count, _ = _solve_colorings(data, q, collect=False)
+        return count
+    count = q.size**untouched
+    for part in parts:
+        count *= _solve_colorings(part, q, collect=False)[0]
     return count
 
 

@@ -26,6 +26,7 @@ from ribbonlab import (
     serialize_quandle,
     trivial_quandle,
 )
+from ribbonlab import quandle
 from ribbonlab.cli import generate, run
 
 from oracles import (
@@ -350,6 +351,62 @@ def test_the_backtracker_does_not_recurse_per_base():
     chain = RibbonData(2, 3000, tuple(Handle(i, i + 1, (SignedLetter(i + 1, 1),)) for i in range(1, 3000)))
     assert count_colorings(chain, s4_transpositions()) == 6
     assert list_colorings(chain, s4_transpositions()) == [(v,) * 3000 for v in range(1, 7)]
+
+
+def test_independent_bases_are_counted_apart():
+    # the backtracker enumerated all 6^480 colorings of 480 bare bases
+    started = time.perf_counter()
+    assert count_colorings(RibbonData(2, 480, ()), s4_transpositions()) == 6**480
+    assert time.perf_counter() - started < 1
+
+
+def disjoint_union_of(records, bare):
+    """The records side by side, then ``bare`` bases no handle touches."""
+    handles, offset = [], 0
+    for data in records:
+        for h in data.handles:
+            word = tuple(SignedLetter(l.base + offset, l.sign) for l in h.word)
+            handles.append(Handle(h.start + offset, h.end + offset, word))
+        offset += data.base_count
+    return RibbonData(2, offset + bare, tuple(handles))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), which=st.integers(0, len(NOT_AFFINE) - 1))
+def test_a_record_of_independent_parts_counts_the_product(seed, which):
+    # two knots side by side and bare bases, one part's handle crossing
+    # nothing of the other, under a random numbering
+    q = NOT_AFFINE[which]
+    rng = random.Random(seed)
+    knots = [knot_for(rng.random(), q, max_assignments=200) for _ in range(2)]
+    bare = rng.randint(0, 3)
+    data = disjoint_union_of(knots, bare)
+    expected = brute_force_colorings(knots[0], q) * brute_force_colorings(knots[1], q) * q.size**bare
+    assert count_colorings(shuffled(data, rng), q) == expected
+    if q.size**data.base_count <= 5000:
+        assert brute_force_colorings(data, q) == expected
+
+
+def test_a_connected_record_is_counted_by_one_search(monkeypatch):
+    # knots shaped like the coloring inputs of the benchmark, whose counts
+    # must not change: one backtracking search over the record itself
+    searched = []
+    solve = quandle._solve_colorings
+
+    def spy(data, q, collect):
+        searched.append(data)
+        return solve(data, q, collect)
+
+    monkeypatch.setattr(quandle, "_solve_colorings", spy)
+    rng = random.Random(14)
+    q = s4_transpositions()
+    for bases in (9, 10, 11, 12, 13, 14, 2):
+        knot = SPUN_TREFOIL if bases == 2 else random_knot(rng, bases, extra=rng.randint(1, 2))
+        searched.clear()
+        count = count_colorings(knot, q)
+        assert searched == [knot] and searched[0] is knot
+        assert count == solve(knot, q, False)[0]
+    assert count_colorings(SPUN_TREFOIL, q) == 30
 
 
 def test_orbits_of_the_inner_automorphism_group():
