@@ -46,17 +46,8 @@ from functools import cached_property
 
 from . import _PUBLIC
 from .ribbon import (
-    Handle,
-    RibbonData,
-    RibbonFormatError,
-    SignedLetter,
-    _decimal,
-    _header,
-    _int,
-    _require_valid,
-    _token_lines,
-    _tupled,
-    _Value,
+    Handle, RibbonData, RibbonFormatError, SignedLetter, _decimal, _header, _int, _require_valid, _token_lines,
+    _tupled, _Value
 )
 
 __all__ = list(_PUBLIC["quandle"])
@@ -452,11 +443,10 @@ def _relation_parts(data: RibbonData) -> tuple[list[RibbonData], int]:
         if touched[b]:
             members.setdefault(find(b), []).append(b)
     number = [0] * (n + 1)
-    handles: dict[int, list[Handle]] = {}
-    for root, bases in members.items():
-        handles[root] = []
+    for bases in members.values():
         for i, b in enumerate(bases, start=1):
             number[b] = i
+    handles: dict[int, list[Handle]] = {root: [] for root in members}
     for h in data.handles:
         word = tuple([SignedLetter(number[l.base], l.sign) for l in h.word])
         handles[find(h.start)].append(Handle(number[h.start], number[h.end], word))

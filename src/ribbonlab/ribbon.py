@@ -588,7 +588,7 @@ def _flipped(word) -> tuple[int, ...]:
 # to ``_canonical_key`` directly (see ``moves._successors``); only other
 # records pass through ``canonical_form``, which codes and reduces their
 # words.  The 216 open searches of one block of the benchmark, each process
-# starting cold, label 19 000 records made of 57 500 handles, 6 300 of them
+# starting cold, label 19 600 records made of 57 500 handles, 6 300 of them
 # distinct within their process.  So what depends on one handle alone is
 # computed once per process and kept in ``_reading``, a bounded LRU cache
 # keyed on the triple: the handle's bases, signs and base positions, and
@@ -602,10 +602,10 @@ def _flipped(word) -> tuple[int, ...]:
 # leaves on one base are swapped by automorphisms, so every leaf of the
 # search tree encodes alike.  The round places such leaves by their
 # attachment bases itself (see ``_Colouring.first_round``).  Of the 19 600
-# labellings of that block, 97 % end in the first round, 78 % with every
-# signature distinct and 19 % by placing leaves; without the leaf rule a
-# star of 800 leaves took 21-27 s, with it 11 ms.  Otherwise refinement
-# goes on from the bases the round moved.
+# records that block labels, 97 % end in the first round: 78 % with every
+# signature distinct and 19 % by placing leaves.  Without the leaf rule a
+# star of 800 leaves took 21-27 s, and it takes 11 ms.  Otherwise
+# refinement goes on from the bases the round moved.
 #
 # The key is the winning leaf's handles with coded words, so it is the
 # canonical record's handle list, and the search keys its states on it.
@@ -674,10 +674,11 @@ _LEAF = (((2, ()), (0,)),)
 
 
 def _placed_leaves(readings, colours, leaves):
-    """Whether the ``leaves`` pendant leaves, which hold colours 0 to
-    leaves - 1 among ``colours`` of every other base's own, hang on bases
-    that are not leaves; if so, their colours are placed in the order of
-    their attachment bases' colours (see :meth:`_Colouring.first_round`)."""
+    """Give the ``leaves`` pendant leaves, which hold colours 0 to
+    leaves - 1 of ``colours`` while every other base holds one of its own,
+    those colours in the order of their attachment bases' colours (see
+    :meth:`_Colouring.first_round`), and return True; or return False,
+    changing nothing, when a leaf hangs on a leaf."""
     attached = []
     for reading in readings:
         ids = reading.ids
