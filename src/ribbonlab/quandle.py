@@ -47,7 +47,7 @@ from functools import cached_property
 from . import _PUBLIC
 from .ribbon import (
     Handle, RibbonData, RibbonFormatError, SignedLetter, _decimal, _header, _int, _require_valid, _token_lines,
-    _tupled, _Value
+    _tupled, _Value, component_count
 )
 
 __all__ = list(_PUBLIC["quandle"])
@@ -567,10 +567,10 @@ def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
         for p, e in q._factors:
             count *= _kernel_size(rows, data.base_count, p, e)
         return count
-    parts, untouched = _relation_parts(data)
-    if len(parts) == 1 and not untouched:
+    if component_count(data) == 1:  # handle ends alone join every base
         count, _ = _solve_colorings(data, q, collect=False)
         return count
+    parts, untouched = _relation_parts(data)
     count = q.size**untouched
     for part in parts:
         count *= _solve_colorings(part, q, collect=False)[0]
