@@ -22,17 +22,22 @@ is measured by elimination mod each prime power of m, and the counts are
 multiplied (Chinese remaindering); this is polynomial in the number of
 bases.  Every other table, and every listing of colorings, goes through
 a backtracking search with unit propagation, which is exponential in the
-number of bases it has to branch on.  A count branches on base 1 only
-once per orbit of the inner automorphism group Inn(Q), generated by the
-right translations ``x -> x * y``, and weights each solution by the
-orbit's size.  This is exact: the axioms make every right translation an
-automorphism, and composing one with a coloring is a bijection from the
-colorings that give base 1 the color a to those that give it a * y, so
-every color of one orbit starts the same number of colorings.  On a
-connected quandle such as the transpositions of S4 that is one branch
-instead of m.  A record whose relations fall into independent parts, where
-no handle joins or crosses bases of two parts, is counted part by part and
-the counts multiplied, each base that no handle touches counting m.
+number of bases it has to branch on.
+
+The search compiles the record's relations once and then runs once per
+relation part: the bases fall into parts where no handle joins or crosses
+bases of two parts, a base no handle touches being a part of its own, and
+the parts' counts are multiplied, so independent parts cost the sum of
+their searches, not their product.  A knot is one part, and a listing is
+always the one part of every base.  A count branches on a part's least
+base only once per orbit of the inner automorphism group Inn(Q),
+generated by the right translations ``x -> x * y``, and weights each
+solution by the orbit's size.  This is exact: the axioms make every right
+translation an automorphism, and composing one with a coloring is a
+bijection from the colorings that give that base the color a to those
+that give it a * y, so every color of one orbit starts the same number of
+colorings.  On a connected quandle such as the transpositions of S4 that
+is one branch instead of m.
 
 The parallel group-presentation reading (crossings become conjugations)
 lives here too; the Alexander polynomial derived from it is in
@@ -46,11 +51,31 @@ from functools import cached_property
 
 from . import _PUBLIC
 from .ribbon import (
-    Handle, RibbonData, RibbonFormatError, SignedLetter, _decimal, _header, _int, _require_valid, _token_lines,
-    _tupled, _Value, component_count
+    RibbonData, RibbonFormatError, _decimal, _header, _int, _require_valid, _token_lines, _tupled, _Value,
+    component_count
 )
 
 __all__ = list(_PUBLIC["quandle"])
+
+
+def _classes(n: int, links) -> list[list[int]]:
+    """The classes of 1..n that the pairs ``links`` join, found by
+    union-find: each in increasing order, ordered by least member."""
+    parent = list(range(n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:  # a root is the least member of its class
+            parent[max(rx, ry)] = min(rx, ry)
+    classes: dict[int, list[int]] = {}
+    for x in range(1, n + 1):
+        classes.setdefault(find(x), []).append(x)
+    return list(classes.values())
 
 
 class FiniteQuandle(_Value):
@@ -123,27 +148,10 @@ class FiniteQuandle(_Value):
     @cached_property
     def _orbits(self) -> tuple[tuple[int, int], ...]:
         # (least element, size) for each orbit of Inn(Q), the group the
-        # right translations x -> x * y generate: the components of the
-        # graph joining every x to every x * y, found by union-find.
-        m = self.size
-        parent = list(range(m + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x, row in enumerate(self.table, start=1):
-            for v in row:
-                rx, rv = find(x), find(v)
-                if rx != rv:
-                    parent[max(rx, rv)] = min(rx, rv)
-        sizes: dict[int, int] = {}
-        for x in range(1, m + 1):
-            root = find(x)
-            sizes[root] = sizes.get(root, 0) + 1
-        return tuple(sizes.items())
+        # right translations x -> x * y generate: the classes of the graph
+        # joining every x to every x * y.
+        links = [(x, v) for x, row in enumerate(self.table, start=1) for v in row]
+        return tuple((c[0], len(c)) for c in _classes(self.size, links))
 
     @cached_property
     def _axiom_problems(self) -> tuple[str, ...]:
@@ -322,21 +330,29 @@ def _require_quandle(q: FiniteQuandle):
 
 
 def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
-    """Backtracking with unit propagation over base assignments.
+    """Backtracking with unit propagation over base assignments, run once
+    per relation part (see :func:`_relation_parts`), the parts' counts
+    multiplied.
 
-    A relation whose start and crossing bases are all assigned forces the
-    end generator; one assigned the other way round forces the start
-    through the inverse operation.  Each relation is compiled once into
-    steps ``(base, rows)`` with ``rows[v][c]`` the running color after
-    crossing a base colored c, read from the table or its inverse.
+    The record's relations are compiled once, each into steps ``(base,
+    rows)`` with ``rows[v][c]`` the running color after crossing a base
+    colored c, read from the table or its inverse.  A relation whose start
+    and crossing bases are all assigned forces the end generator; one
+    assigned the other way round forces the start through the inverse
+    operation.  No relation reads bases of two parts, so a part's search
+    assigns only the part's bases and leaves them all unassigned when it
+    ends.
 
-    A count branches on base 1 once per orbit of the inner automorphism
-    group Inn(Q) and weights what it finds by the orbit's size: a right
-    translation ``x -> x * y`` is an automorphism (the axioms, checked
-    before any count, say so), so composing it with a coloring gives a
-    coloring, and this is a bijection from the colorings with base 1
-    colored a to those with base 1 colored a * y.  A listing branches on
-    every color of base 1.  Counts are exact integers.
+    A count branches on the least base of each part once per orbit of the
+    inner automorphism group Inn(Q) and weights what it finds by the
+    orbit's size: a right translation ``x -> x * y`` is an automorphism
+    (the axioms, checked before any count, say so), so composing it with
+    a coloring of the part gives one, and this is a bijection from the
+    colorings with that base colored a to those with it colored a * y.  A
+    listing is the one part 1..n and branches on every color of base 1.
+    A count is that one part too when the handle ends alone join every
+    base, which :func:`component_count` tells without building the parts.
+    Counts are exact integers.
     """
     n = data.base_count
     m = q.size
@@ -353,7 +369,7 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
 
     color = [0] * (n + 1)
     found: list[tuple[int, ...]] = []
-    count = 0
+    count = 1
 
     def propagate(trail, queue):
         while queue:
@@ -383,75 +399,59 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
                         queue.append(start)
         return True
 
+    # after[b] is the base after b in its part, 0 after the part's last
+    after = [*range(1, n + 1), 0]
+    if collect or component_count(data) == 1:  # handle ends alone join every base
+        firsts = [1]
+    else:
+        parts = _relation_parts(data)
+        firsts = [part[0] for part in parts]
+        for part in parts:
+            for a, b in zip(part, [*part[1:], 0]):
+                after[a] = b
     # Depth first, on an explicit stack rather than one call per unforced
     # base: each frame is [base, next color to try, last color to try,
     # bases its current color assigned].
     roots = [(v, 1) for v in range(1, m + 1)] if collect else q._orbits
-    for v, weight in roots:
-        stack = [[1, v, v, None]]
-        while stack:
-            frame = stack[-1]
-            b, c, last, trail = frame
-            if trail is not None:
-                for t in trail:
-                    color[t] = 0
-            if c > last:
-                stack.pop()
-                continue
-            color[b] = c
-            trail = frame[3] = [b]
-            frame[1] = c + 1
-            if not propagate(trail, [b]):
-                continue
-            while b <= n and color[b]:
-                b += 1
-            if b <= n:
-                stack.append([b, 1, m, None])
-                continue
-            count += weight
-            if collect:
-                found.append(tuple(color[1 : n + 1]))
+    for first in firsts:
+        part_count = 0
+        for v, weight in roots:
+            stack = [[first, v, v, None]]
+            while stack:
+                frame = stack[-1]
+                b, c, last, trail = frame
+                if trail is not None:
+                    for t in trail:
+                        color[t] = 0
+                if c > last:
+                    stack.pop()
+                    continue
+                color[b] = c
+                trail = frame[3] = [b]
+                frame[1] = c + 1
+                if not propagate(trail, [b]):
+                    continue
+                while color[b]:  # color[0] is 0
+                    b = after[b]
+                if b:
+                    stack.append([b, 1, m, None])
+                    continue
+                part_count += weight
+                if collect:
+                    found.append(tuple(color[1 : n + 1]))
+        count *= part_count
     return count, found
 
 
-def _relation_parts(data: RibbonData) -> tuple[list[RibbonData], int]:
-    """The records of the components of the relation graph that hold a
-    handle, each on its own bases numbered in order, and the number of
-    bases no handle touches.  In the relation graph a handle joins its
-    start, its end and every base it crosses, so no relation reads bases
-    of two components: a coloring of ``data`` is a coloring of each part
-    side by side, with any color on each untouched base."""
-    n = data.base_count
-    parent = list(range(n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    touched = [False] * (n + 1)
-    for h in data.handles:
-        root = find(h.start)
-        touched[h.start] = True
-        for b in (h.end, *[l.base for l in h.word]):
-            touched[b] = True
-            other = find(b)
-            if other != root:
-                parent[other] = root
-    members: dict[int, list[int]] = {}
-    for b in range(1, n + 1):
-        if touched[b]:
-            members.setdefault(find(b), []).append(b)
-    number = [0] * (n + 1)
-    for bases in members.values():
-        for i, b in enumerate(bases, start=1):
-            number[b] = i
-    handles: dict[int, list[Handle]] = {root: [] for root in members}
-    for h in data.handles:
-        word = tuple([SignedLetter(number[l.base], l.sign) for l in h.word])
-        handles[find(h.start)].append(Handle(number[h.start], number[h.end], word))
-    parts = [RibbonData(data.dim, len(bases), tuple(handles[root])) for root, bases in members.items()]
-    return parts, n - sum(touched)
+def _relation_parts(data: RibbonData) -> list[list[int]]:
+    """The bases of each component of the relation graph, in increasing
+    order, ordered by least base.  In the relation graph a handle joins
+    its start, its end and every base it crosses, so no relation reads
+    bases of two parts: a coloring of ``data`` is a coloring of each part
+    side by side.  A base that no handle touches is a part of its own."""
+    links = [(h.start, h.end) for h in data.handles]
+    links += [(h.start, l.base) for h in data.handles for l in h.word]
+    return _classes(data.base_count, links)
 
 
 def _affine_rows(data: RibbonData, m: int, a: int) -> list[dict[int, int]]:
@@ -552,11 +552,10 @@ def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> i
 def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
     """Exact number of assignments of quandle elements to bases satisfying
     every handle relation.  Alexander quandles are counted by linear
-    algebra mod m, every other quandle by backtracking, once per component
-    of the relation graph (see :func:`_relation_parts`), the counts
-    multiplied: a record of independent parts costs the sum of their
-    searches, not their product.  Raises on an invalid record or
-    quandle."""
+    algebra mod m, every other quandle by the one backtracking search of
+    :func:`_solve_colorings`, run once per component of the relation
+    graph (see :func:`_relation_parts`) on the record's own bases, the
+    counts multiplied.  Raises on an invalid record or quandle."""
     _require_valid(data)
     _require_quandle(q)
     affine = q._affine
@@ -567,14 +566,7 @@ def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
         for p, e in q._factors:
             count *= _kernel_size(rows, data.base_count, p, e)
         return count
-    if component_count(data) == 1:  # handle ends alone join every base
-        count, _ = _solve_colorings(data, q, collect=False)
-        return count
-    parts, untouched = _relation_parts(data)
-    count = q.size**untouched
-    for part in parts:
-        count *= _solve_colorings(part, q, collect=False)[0]
-    return count
+    return _solve_colorings(data, q, collect=False)[0]
 
 
 def list_colorings(data: RibbonData, q: FiniteQuandle) -> list[tuple[int, ...]]:

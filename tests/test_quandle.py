@@ -387,9 +387,8 @@ def test_a_record_of_independent_parts_counts_the_product(seed, which):
         assert brute_force_colorings(data, q) == expected
 
 
-def test_a_connected_record_is_counted_by_one_search(monkeypatch):
-    # knots shaped like the coloring inputs of the benchmark, whose counts
-    # must not change: one backtracking search over the record itself
+def spied_searches(monkeypatch):
+    """The records ``quandle._solve_colorings`` is called with, from now on."""
     searched = []
     solve = quandle._solve_colorings
 
@@ -398,6 +397,14 @@ def test_a_connected_record_is_counted_by_one_search(monkeypatch):
         return solve(data, q, collect)
 
     monkeypatch.setattr(quandle, "_solve_colorings", spy)
+    return searched
+
+
+def test_a_connected_record_is_counted_by_one_search(monkeypatch):
+    # knots shaped like the coloring inputs of the benchmark, whose counts
+    # must not change: one backtracking search over the record itself
+    solve = quandle._solve_colorings
+    searched = spied_searches(monkeypatch)
     rng = random.Random(14)
     q = s4_transpositions()
     for bases in (9, 10, 11, 12, 13, 14, 2):
@@ -407,6 +414,24 @@ def test_a_connected_record_is_counted_by_one_search(monkeypatch):
         assert searched == [knot] and searched[0] is knot
         assert count == solve(knot, q, False)[0]
     assert count_colorings(SPUN_TREFOIL, q) == 30
+
+
+def test_a_record_of_independent_parts_is_counted_by_one_search(monkeypatch):
+    # each part was counted by a search of its own on a renumbered copy;
+    # the one search over the record runs once per part on its own bases
+    rng = random.Random(15)
+    q = s4_transpositions()
+    knots = [random_knot(rng, bases, extra=1) for bases in (5, 9)]
+    counts = [count_colorings(knot, q) for knot in knots]
+    searched = spied_searches(monkeypatch)
+    for bare in (0, 1, 3, 480):
+        data = disjoint_union_of([knots[0], SPUN_TREFOIL, knots[1]], bare)
+        searched.clear()
+        assert count_colorings(data, q) == counts[0] * 30 * counts[1] * 6**bare
+        assert searched == [data] and searched[0] is data
+    searched.clear()
+    assert count_colorings(RibbonData(2, 7, ()), q) == 6**7
+    assert len(searched) == 1
 
 
 def test_orbits_of_the_inner_automorphism_group():
