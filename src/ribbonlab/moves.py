@@ -402,12 +402,23 @@ def apply_script(data: RibbonData, script) -> RibbonData:
 
 
 def _move_line(move: Move) -> str:
-    keyword = _entry(move)[0].split(maxsplit=1)[0]
+    """``move``'s script line, which :func:`parse_script` reads back as
+    ``move``.  Each field is checked against the syntax slot that reads
+    it: an ``int`` (a ``bool`` is not) for ``<name>``, one of the listed
+    words for ``a|b``, and for ``ins`` a base >= 1 and a sign of +1 or
+    -1; anything else raises ``MoveError``."""
+    syntax = _entry(move)[0]
+    slots = syntax.split()
+    values = move._values()
     if isinstance(move, CancelInsert):
-        values = (move.handle, move.position, move.sign * move.base)
-    else:
-        values = move._values()
-    return " ".join([keyword, *map(str, values)])
+        handle, position, base, sign = values
+        if type(base) is not int or base < 1 or type(sign) is not int or sign not in (1, -1):
+            raise MoveError(f"{move!r} does not fit '{syntax}': its letter needs a base >= 1 and a sign of +1 or -1")
+        values = (handle, position, sign * base)
+    for slot, v in zip(slots[1:], values):
+        if not (v in slot.split("|") if "|" in slot else type(v) is int):
+            raise MoveError(f"{move!r} does not fit '{syntax}'")
+    return " ".join([slots[0], *map(str, values)])
 
 
 def serialize_script(script) -> str:

@@ -438,6 +438,39 @@ def test_script_text_round_trip_all_moves():
     assert parse_script(serialize_script(script)) == script
 
 
+def test_every_pooled_move_round_trips_through_its_script_line():
+    rng = random.Random(54)
+    seen = set()
+    for _ in range(200):
+        data = random_ribbon(rng)
+        script = tuple(all_moves_pool(data, rng, weak_left=1))
+        assert parse_script(serialize_script(script)) == script
+        seen.update(map(type, script))
+    assert seen == set(moves._MOVES)
+
+
+@pytest.mark.parametrize(
+    "move",
+    [
+        # the first three were written as lines that read back otherwise:
+        # 'ins 1 0 10' (base 10, sign +1), 'ins 1 0 -2' (base 2, sign -1)
+        # and 'stab True', which is not a script line; the rest break the
+        # other slots
+        CancelInsert(1, 0, 2, 5),
+        CancelInsert(1, 0, -2, 1),
+        Stab(True),
+        CancelInsert(1, 0, 0, 1),
+        CancelInsert(1, True, 2, 1),
+        Slide(1, "middle", 2, "fwd"),
+        CrossSlide(1, 0, 2, 1),
+        ReverseHandle("1"),
+    ],
+)
+def test_a_move_that_does_not_fit_its_script_line_is_refused(move):
+    with pytest.raises(MoveError, match="does not fit"):
+        serialize_script((move,))
+
+
 def test_is_weak_marks_trivial_handles_attached_and_removed():
     # the weak moves a script spends: trivial handles attached or removed
     script = (TrivialHandle(1), Stab(1), TrivialHandle(2), RemoveTrivialHandle(1))
