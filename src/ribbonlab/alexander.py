@@ -62,6 +62,8 @@ class LaurentPolynomial(_Value):
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
+        if not isinstance(coeffs, dict):
+            raise ValueError(f"coefficients {coeffs!r} are not a dict")
         return cls(tuple(sorted((e, c) for e, c in coeffs.items() if c)))
 
     def as_dict(self) -> dict[int, int]:

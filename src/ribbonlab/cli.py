@@ -115,6 +115,8 @@ def generate(spec: str) -> RibbonData:
 
     from .moves import apply_stabilize
 
+    if type(spec) is not str:
+        raise ValueError(f"generator spec {spec!r} is not a str")
     parts = spec.split(":")
     kind = parts[0]
 

@@ -23,6 +23,7 @@ from ribbonlab import (
     Equivalent,
     FiniteQuandle,
     Handle,
+    LaurentPolynomial,
     MoveError,
     RibbonData,
     RibbonFormatError,
@@ -545,6 +546,8 @@ def test_a_reader_refuses_a_value_of_another_kind_with_value_error(name, value):
         # raised ``AttributeError``, and only when the certificate failed
         lambda: certify(KNOT, KNOT, Equivalent(("x",), (), KNOT, 0, 0), 5),
         lambda: certify(KNOT, KNOT, SAME, {}),
+        lambda: generate(5),
+        lambda: LaurentPolynomial.from_dict(5),
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):
