@@ -7,12 +7,12 @@ values differ: coloring counts over a fixed quandle family, which every
 move keeps, then genus, which the weak moves change and which therefore
 refutes only when no weak move is allowed.  A reduction then simplifies
 each side's canonical form by moves that lower its size (bases, then total
-word letters, then handles), looking two levels past a plateau.  A
-bidirectional breadth-first search from both canonical forms, which may
-also meet on either reduction path, can certify equivalence by exhibiting
-move scripts from both inputs to a common canonical meeting form.  Failing
-that, an Unknown outcome carries the exploration statistics when the caps
-run out.
+word letters, then handles), each step searching up to two levels deep
+over states no larger.  A bidirectional breadth-first search from both
+canonical forms, which may also meet on either reduction path, can
+certify equivalence by exhibiting move scripts from both inputs to a
+common canonical meeting form.  Failing that, an Unknown outcome carries
+the exploration statistics when the caps run out.
 Unknown is a first-class answer: the neighbor set is deliberately finite,
 so the search is incomplete by design and never claims a negative beyond
 what the gate recomputes.
@@ -158,19 +158,14 @@ def invariant_gate(a: RibbonData, b: RibbonData, weak_budget: int):
 # root's ``(None, None, 0)``: one is built per stored state.
 
 
-def _path_to(nodes: dict[tuple, tuple], state) -> list[tuple[Move, tuple]]:
-    """The ``(move, state reached)`` steps from the root to ``state``."""
-    steps = []
-    parent, move, _ = nodes[state]
-    while move is not None:
-        steps.append((move, state))
-        state = parent
-        parent, move, _ = nodes[state]
-    return steps[::-1]
-
-
 def _script_to(visited: dict[tuple, tuple], state) -> tuple[Move, ...]:
-    return tuple([move for move, _ in _path_to(visited, state)])
+    """The moves from the root to ``state``."""
+    moves = []
+    parent, move, _ = visited[state]
+    while move is not None:
+        moves.append(move)
+        parent, move, _ = visited[parent]
+    return tuple(moves[::-1])
 
 
 def _least(states):
@@ -186,60 +181,12 @@ def _size(base_count: int, triples) -> tuple[int, int, int]:
     return base_count, sum([len(w) for _, w, _ in triples]), len(triples)
 
 
-# How many levels past a state with no smaller successor the reduction
-# looks for a smaller one.  Random 3-base knots stabilized 6 or 15 times and
-# scrambled by 12 or 30 moves, 8 of each, searched at depth 26 or 62: by
-# greedy steps alone (one level adds nothing to them) the search decided 14
-# of the 16 in 14 s, with two levels all 16 in 0.2 s.
+# How many levels of states no larger than the root a reduction step reads
+# for a smaller one, the root's successors being the first.  Random 3-base
+# knots stabilized 6 or 15 times and scrambled by 12 or 30 moves, 8 of
+# each, searched at depth 26 or 62: by greedy steps alone, one level, the
+# search decided 14 of the 16 in 14 s, with two levels all 16 in 0.2 s.
 _PLATEAU_LEVELS = 2
-
-
-def _plateau_exit(state, size, children, limit: int):
-    """The moves from the canonical ``state`` to the least (size,
-    serialized form) state smaller than ``size``, found by a breadth-first
-    search over states no larger, at the first level that has one, with
-    the number of children it labelled; the moves are empty when no level
-    up to ``_PLATEAU_LEVELS`` has one.  None when it would label more than
-    ``limit`` children.  ``children`` holds the state's successor triples
-    as ``_successor_triples`` yields them, already read by the caller.
-    States are ``(base_count, key)`` pairs, and each state reached is
-    stored with its node, as the search stores its own.
-
-    Each level reads the sizes of all its children from the unlabelled
-    successor triples first, and labels only those of least size, in
-    enumeration order, the first move to each state winning: the least of
-    the smaller children when some are smaller, else the children of the
-    plateau's size, which the next level expands.  The last level labels
-    nothing unless a child is smaller than the plateau."""
-    parents: dict[tuple, tuple] = {state: (None, None, 0)}
-    frontier = [(state, children)]  # (parent, its successor triples)
-    labelled = 0
-    for level in range(_PLATEAU_LEVELS):
-        least = size
-        smallest: list[tuple] = []  # (parent, move, base count, triples) of size ``least``
-        for parent, successors in frontier:
-            for move, base_count, triples in successors:
-                child_size = _size(base_count, triples)
-                if child_size < least:
-                    least = child_size
-                    smallest = []
-                if child_size == least:
-                    smallest.append((parent, move, base_count, triples))
-        if least == size and level == _PLATEAU_LEVELS - 1:
-            break
-        labelled += len(smallest)
-        if labelled > limit:
-            return None
-        reached = []
-        for parent, move, base_count, triples in smallest:
-            child = base_count, _canonical_key(base_count, triples)
-            if child not in parents:
-                parents[child] = (parent, move, 0)
-                reached.append(child)
-        if least < size:
-            return tuple(_path_to(parents, _least(reached))), labelled
-        frontier = [((n, key), _successor_triples(n, key, key, False)) for n, key in reached]
-    return (), labelled
 
 
 def _reduce(root, limit: int) -> tuple[list[tuple[Move, tuple]], int]:
@@ -276,45 +223,62 @@ def _reduction_step(state, limit: int):
     labellings the step performed; the moves are empty when nothing smaller
     is found.  None when the step would label more than ``limit`` states.
 
-    The step takes the smallest successor at weak budget 0, the first in
-    enumeration order on ties.  Sizes are read from the unlabelled
-    successor triples, so the step labels only the successor it takes and
-    counts that one labelling; the states are canonical, so the choice does
-    not depend on how the input was numbered.  Destabilizations are
+    The step is a breadth-first search over states no larger than the
+    root, at most ``_PLATEAU_LEVELS`` levels deep, the root's successors at
+    weak budget 0 being the first.  Each level reads the sizes of its
+    children from the unlabelled successor triples first, and labels only
+    those of least size, in enumeration order, the first move to each state
+    winning: the smaller children when some are smaller, else the children
+    of the root's size, which the next level expands.  The last level
+    labels nothing unless a child is smaller.  The states are canonical, so
+    the step does not depend on how the input was numbered.
+
+    The first level is the greedy step: when a child is smaller it labels
+    only the first smallest one and takes it.  Destabilizations are
     enumerated first and, at weak budget 0, no other move removes a base;
     each removes one base and one empty handle, so all have one size, the
-    least, and the step takes the first without reading further.  When no
-    successor is smaller but some are no larger, :func:`_plateau_exit`
-    looks further, starting from the successor triples already read, and
-    the step counts the children it labelled."""
+    least, and the level stops reading at the first.  A deeper level takes
+    the least (size, serialized form) of its smaller children."""
     found = _STEPS.get(state)
     if found is not None:
         _steps_info["hits"] += 1
         return found if found[1] <= limit else None
     _steps_info["misses"] += 1
-    n, key = state
-    size = _size(n, key)
-    best = None
-    children = []  # read once, and handed to a plateau exit
-    for child in _successor_triples(n, key, key, False):
-        children.append(child)
-        move, base_count, triples = child
-        candidate = _size(base_count, triples)
-        if best is None or candidate < best[0]:
-            best = (candidate, move, base_count, triples)
-        if type(move) is Destab:
+    size = _size(*state)
+    reached = {state: ()}  # each state reached, with the moves to it; the first move wins
+    frontier = [(state, ())]
+    labelled = 0
+    path: tuple = ()
+    for level in range(_PLATEAU_LEVELS):
+        least = size
+        smallest: list[tuple] = []  # (moves to the parent, move, base count, triples) of size ``least``
+        for (n, key), moves in frontier:
+            for move, base_count, triples in _successor_triples(n, key, key, False):
+                child_size = _size(base_count, triples)
+                if child_size < least:
+                    least = child_size
+                    smallest = []
+                if child_size == least:
+                    smallest.append((moves, move, base_count, triples))
+                if level == 0 and type(move) is Destab:
+                    break
+        if least == size and level == _PLATEAU_LEVELS - 1:
             break
-    if best[0] > size:  # every successor is larger: there is no plateau
-        found = (), 0
-    elif best[0] == size:
-        found = _plateau_exit(state, size, children, limit)
-    elif limit < 1:
-        return None
-    else:
-        _, move, base_count, triples = best
-        found = ((move, (base_count, _canonical_key(base_count, triples))),), 1
-    if found is None:  # the plateau exit would label past the limit
-        return None
+        if least < size and level == 0:
+            del smallest[1:]
+        labelled += len(smallest)
+        if labelled > limit:
+            return None
+        frontier = []
+        for moves, move, base_count, triples in smallest:
+            child = base_count, _canonical_key(base_count, triples)
+            to = moves + ((move, child),)
+            if reached.setdefault(child, to) is to:
+                frontier.append((child, to))
+        if least < size:
+            path = frontier[0][1] if len(frontier) == 1 else reached[_least([child for child, _ in frontier])]
+            break
+    found = path, labelled
     if len(_STEPS) >= _STEPS_HELD:
         _STEPS.clear()
     _STEPS[state] = found
@@ -357,10 +321,11 @@ def search_equiv(
     on each side separately, and ``state_cap`` the canonical states
     stored, reduction paths included.  The reductions spend at most the
     cap less the two roots, side A first, one for each state they label (a
-    greedy step labels the successor it takes, a plateau exit the children
-    of least size of each level it reaches), and stop at the step that
-    would spend more, before it labels past what is left; a plateau exit
-    cut at its second level has labelled its first, which is not spent.
+    step labels the children of least size of each level it reaches, the
+    first of them alone when the root has a smaller successor), and stop
+    at the step that would spend more, before it labels past what is left;
+    a step cut at its second level has labelled its first, which is not
+    spent.
     The search tests the cap before each new state.  So a search stores
     at most the larger of the cap and 2.  The smaller frontier is expanded
     level by level and levels are completed before meets are resolved.

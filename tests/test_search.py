@@ -246,6 +246,27 @@ def test_the_state_cap_bounds_the_reductions(monkeypatch):
     assert stats["reduced"]["a"] + stats["reduced"]["b"] <= 8
 
 
+@pytest.mark.parametrize("k", [1, 4, 12])
+def test_a_stabilized_unknot_reduces_without_building_a_record(monkeypatch, k):
+    """Each step of a k-fold stabilized unknot's reduction destabilizes,
+    with one candidate to take, so no step builds a record or its text."""
+    rng = random.Random(k)
+    data = RibbonData(2, 1, ())
+    for _ in range(k):
+        data = apply_stabilize(data, rng.randint(1, data.base_count))
+
+    def refuse(*args):
+        raise AssertionError("a reduction step built a record")
+
+    monkeypatch.setattr(search, "_STEPS", {})  # take the steps, not the memo
+    monkeypatch.setattr(search, "_record", refuse)
+    monkeypatch.setattr(search, "serialize", refuse)
+    path, spent = _reduce(_canonical_state(data), 1 << 62)
+    assert [type(move) for move, _ in path] == [Destab] * k
+    assert path[-1][1] == (1, ())
+    assert spent == k
+
+
 def reduction_start(rng):
     """A canonical state to reduce: a random knot stabilized 1-4 times and
     scrambled by up to 10 moves, or a ``random_state``."""
