@@ -605,7 +605,12 @@ def _flipped(word) -> tuple[int, ...]:
 # records that block labels, 97 % end in the first round: 78 % with every
 # signature distinct and 19 % by placing leaves.  Without the leaf rule a
 # star of 800 leaves took 21-27 s, and it takes 11 ms.  Otherwise
-# refinement goes on from the bases the round moved.
+# refinement goes on from the bases the round moved.  A refined colouring,
+# at the root or at a node of the tree, is itself a leaf when each of its
+# cells of more than one base holds twins, bases whose swap maps the
+# handles to themselves, such as bases no handle touches: every leaf below
+# it encodes alike.  400 such bases took 2.0 s, one at a time through the
+# tree, and take 0.3 ms.
 #
 # The key is the winning leaf's handles with coded words, so it is the
 # canonical record's handle list, and the search keys its states on it.
@@ -884,6 +889,45 @@ class _TreeNode:
         return None
 
 
+def _twins(readings, handles_of, a, b):
+    """Whether swapping bases ``a`` and ``b`` maps the handles, each read
+    in its smaller orientation, to themselves: whether it maps the handles
+    through ``a`` onto those through ``b``, given their ``readings`` and
+    each base's handles."""
+    moved, there = [], []
+    for h in handles_of[a]:
+        ids, signs, rev_signs = readings[h][:3]
+        ids = tuple([b if x == a else a if x == b else x for x in ids])
+        moved.append(min((ids, signs), (ids[::-1], rev_signs)))
+    for h in handles_of[b]:
+        ids, signs, rev_signs = readings[h][:3]
+        there.append(min((ids, signs), (ids[::-1], rev_signs)))
+    moved.sort()
+    there.sort()
+    return moved == there
+
+
+def _leaf_colours(colouring, readings, handles_of):
+    """The colours of a leaf below the refined ``colouring``: its own when
+    every cell is a singleton, else, when every cell of more than one base
+    holds pairwise twins, each cell's bases taking its colours in their
+    stored order; None otherwise.  Two such orders differ by swaps of
+    twins, which are automorphisms, so every leaf below has this leaf's
+    encoding.  Swaps of twins compose, so a cell whose bases are twins of
+    its first holds pairwise twins."""
+    cells = colouring.cells
+    if len(cells) == len(colouring.colours):
+        return colouring.colours
+    colours = list(colouring.colours)
+    for c, cell in cells.items():
+        if len(cell) > 1:
+            for i, b in enumerate(cell):
+                if i and not _twins(readings, handles_of, cell[0], b):
+                    return None
+                colours[b] = c + i
+    return colours
+
+
 def _canonical_key(base_count, triples):
     """The least relabelled encoding over the leaves of the
     individualization-refinement tree, given valid, freely reduced
@@ -921,8 +965,9 @@ def _canonical_key(base_count, triples):
         for b in reading.spots:
             handles_of[b].append(h)
     root.refine(readings, handles_of, touched)
-    if len(root.cells) == base_count:
-        return leaf_key(root.colours)
+    colours = _leaf_colours(root, readings, handles_of)
+    if colours is not None:
+        return leaf_key(colours)
     first = best = None  # (key, colours, path) of the first and the least leaf
     generators: list[dict[int, int]] = []
     stack = [_TreeNode(root, ())]
@@ -934,10 +979,10 @@ def _canonical_key(base_count, triples):
             continue
         colouring = node.colouring.individualized(v).refine(readings, handles_of, [v])
         path = node.path + (v,)
-        if len(colouring.cells) < base_count:
+        colours = _leaf_colours(colouring, readings, handles_of)
+        if colours is None:
             stack.append(_TreeNode(colouring, path, node.target))
             continue
-        colours = colouring.colours
         key = leaf_key(colours)
         if first is None:
             first = best = (key, colours, path)

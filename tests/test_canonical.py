@@ -180,17 +180,82 @@ def test_tied_leaves_are_placed_without_refinement_or_tree_search(labelling_path
 
 
 @pytest.mark.parametrize(
-    "data",
+    "data,tree",
     [
-        RibbonData(2, 2, (Handle(1, 2, ()),)),  # two leaves on each other
+        # two leaves on each other: twins, so the refined colouring is a leaf
+        (RibbonData(2, 2, (Handle(1, 2, ()),)), False),
         # leaves on bases 1 and 3 of a square, which refinement cannot split
-        RibbonData(2, 6, tuple(Handle(s, e, ()) for s, e in ((1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (6, 3)))),
+        (RibbonData(2, 6, tuple(Handle(s, e, ()) for s, e in ((1, 2), (2, 3), (3, 4), (4, 1), (5, 1), (6, 3)))), True),
     ],
     ids=["pair", "square-with-two-leaves"],
 )
-def test_other_ties_still_refine_and_search_the_tree(labelling_paths, data):
+def test_other_ties_still_refine_and_search_the_tree(labelling_paths, data, tree):
     canonical_form(data)
-    assert labelling_paths["refine"] and labelling_paths["tree"]
+    assert labelling_paths["refine"]
+    assert bool(labelling_paths["tree"]) == tree
+
+
+def twin_record(rng, bare, loops, leaves, pair):
+    """``bare`` bases crossed by nothing, ``loops`` bases with one trivial
+    loop each, ``leaves`` leaves on one base and, if ``pair``, the two
+    bases of ``handle 1 2 :``, shuffled: each cell that refinement leaves
+    holds twins."""
+    handles = [Handle(b, b, ()) for b in range(bare + 1, bare + loops + 1)]
+    n = bare + loops
+    if leaves:
+        handles += [Handle(n + 1, n + 1 + i, ()) for i in range(1, leaves + 1)]
+        n += leaves + 1
+    if pair:
+        handles.append(Handle(n + 1, n + 2, ()))
+        n += 2
+    return shuffled(RibbonData(2, n, tuple(handles)), rng)
+
+
+def test_twin_bases_give_one_form_without_a_tree_search(labelling_paths):
+    """Shuffled records made of bare bases, loops, leaves on one base and
+    ``handle 1 2 :`` each give one form, with no tree search, and up to 7
+    bases two of them share a form exactly when the exhaustive oracle's
+    keys agree."""
+    rng = random.Random(28)
+    small = [
+        (bare, loops, leaves, pair)
+        for bare in range(4)
+        for loops in range(4)
+        for leaves in (0, 2, 3)
+        for pair in (False, True)
+        if 0 < bare + loops + (leaves and leaves + 1) + 2 * pair <= 7
+    ]
+    classes = set()
+    for sizes in small + [(400, 0, 0, False), (0, 200, 0, False), (9, 9, 9, True)]:
+        records = [twin_record(rng, *sizes) for _ in range(5)]
+        forms = {canonical_bytes(data) for data in records}
+        assert len(forms) == 1, sizes
+        if sizes in small:
+            classes.add((forms.pop(), exhaustive_canonical_key(records[0])))
+    assert not labelling_paths["tree"]
+    assert len({form for form, _ in classes}) == len({key for _, key in classes}) == len(classes)
+
+
+def test_twins_below_the_root_end_the_tree_search(labelling_paths):
+    """Two joined bases with two leaves each: refinement leaves the four
+    leaves in one cell, and once one leaf is individualized every cell
+    left holds twins, so the root is the one tree node."""
+    data = RibbonData(2, 6, tuple(Handle(s, e, ()) for s, e in ((1, 2), (1, 3), (1, 4), (4, 5), (4, 6))))
+    rng = random.Random(28)
+    records = [shuffled(data, rng) for _ in range(10)]
+    assert len({canonical_bytes(record) for record in records}) == 1
+    assert labelling_paths["tree"] == len(records)
+
+
+def test_bases_told_apart_by_crossing_signs_alone_are_no_twins(labelling_paths):
+    """Bases 1 and 2 each cross bases 3 and 4 once, with opposite signs:
+    refinement cannot split them, and no swap of two bases maps the
+    handles to themselves, so the tree search orders them."""
+    signs = ((1, 3, 1), (1, 4, -1), (2, 3, -1), (2, 4, 1))
+    data = RibbonData(2, 4, tuple(Handle(s, e, (SignedLetter(e, sign),)) for s, e, sign in signs))
+    rng = random.Random(28)
+    assert len({canonical_bytes(shuffled(data, rng)) for _ in range(30)}) == 1
+    assert labelling_paths["tree"]
 
 
 @pytest.mark.parametrize(
