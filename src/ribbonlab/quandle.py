@@ -17,10 +17,15 @@ quandle; ``dihedral:m`` (a = -1) and ``trivial:m`` (a = 1) are both of
 this kind.  There a crossing maps the running color by the affine map
 ``v -> alpha*v + (1-alpha)*c`` with ``alpha = a`` or ``a^-1``, so each
 handle relation is one homogeneous linear equation mod m, and the count
-is the size of the kernel of that system (Inoue, JKTR 2001).  The kernel
-is measured by elimination mod each prime power of m, and the counts are
-multiplied (Chinese remaindering); this is polynomial in the number of
-bases.  Every other table, and every listing of colorings, goes through
+is the size of the kernel of that system (Inoue, JKTR 2001).  The rows
+are eliminated on their +-1 entries, the kernel of what is left is
+measured mod each prime power of m, and the counts are multiplied
+(Chinese remaindering); this is polynomial in the number of bases.  For
+a = -1 the rows are integers that do not depend on m, so one elimination
+over Z per record serves every ``dihedral:m`` count, as every Fox
+coloring count reads off one integer coloring matrix (Przytycki,
+*3-coloring and other elementary invariants of knots*, 1998).  Every
+other table, and every listing of colorings, goes through
 a backtracking search with unit propagation, which is exponential in the
 number of bases it has to branch on.
 
@@ -459,22 +464,135 @@ def _affine_rows(data: RibbonData, m: int, a: int) -> list[dict[int, int]]:
     color carried through the word, minus the end color.  A crossing of
     sign s maps the running color v to alpha*v + (1-alpha)*c, with c the
     crossed base's color and alpha = a for s = -1, a^-1 for s = +1.  The
-    end base comes first, so elimination pivots on it when its coefficient
-    is a unit, which keeps a tree of handles from filling in."""
+    coefficients are residues in (-m/2, m/2], so that a unit +-1 reads as
+    it does over Z (see :func:`_dihedral_rows`); zero coefficients and
+    empty rows are dropped."""
     a_inv = pow(a, -1, m)
+    half = (m - 1) // 2
     rows = []
     for h in data.handles:
         row = {h.end: -1}
         scale = 1  # product of the alphas after the current letter
-        for letter in reversed(h.word):
-            alpha = a if letter.sign < 0 else a_inv
-            row[letter.base] = row.get(letter.base, 0) + scale * (1 - alpha)
+        for base, sign in reversed(h.word):
+            alpha = a if sign < 0 else a_inv
+            row[base] = row.get(base, 0) + scale * (1 - alpha)
             scale = scale * alpha % m
         row[h.start] = row.get(h.start, 0) + scale
-        row = {b: c % m for b, c in row.items() if c % m}
+        row = {b: (c + half) % m - half for b, c in row.items()}
+        row = {b: c for b, c in row.items() if c}
         if row:
             rows.append(row)
     return rows
+
+
+def _dihedral_rows(data: RibbonData) -> list[dict[int, int]]:
+    """The rows of :func:`_affine_rows` when a = -1 mod m, over Z.  There
+    alpha is -1 whatever the sign, so every coefficient is an integer that
+    does not depend on m: -1 at the end base, +-1 at the start (the product
+    of the alphas) and +-2 per crossing letter (1 - alpha = 2 times the
+    alphas after it), summed where a base repeats.  One set of rows holds
+    mod every m, which is what lets one elimination serve every
+    ``dihedral:m`` count."""
+    rows = []
+    for h in data.handles:
+        row = {h.end: -1}
+        scale = 2  # 1 - alpha times the alphas after the current letter
+        for base, _ in reversed(h.word):
+            row[base] = row.get(base, 0) + scale
+            scale = -scale
+        row[h.start] = row.get(h.start, 0) + scale // 2
+        row = {b: c for b, c in row.items() if c}
+        if row:
+            rows.append(row)
+    return rows
+
+
+def _unit_residual(rows: list[dict[int, int]], unknowns: int, m: int = 0):
+    """Eliminate ``rows`` (which it edits) on entries +-1 until none is
+    left, over Z when ``m`` is 0, else mod m on residues in (-m/2, m/2];
+    returns the rows left, each a tuple of (base, coefficient) pairs, and
+    the number of unknowns left.
+
+    A step on the entry c = +-1 of row r in column b solves row r for base
+    b: it subtracts ``row_i[b] * c`` times row r from every other row i
+    with an entry in column b, then drops row r and column b.  These row
+    operations have integer factors and determinant 1, and base b is then
+    fixed by the others, so for every modulus dividing m (every modulus
+    at all when m is 0) the solutions of the rows and of the residual in
+    the unknowns left are in bijection.  An integer residual therefore
+    serves every ``dihedral:m`` count; :func:`_kernel_size` takes the
+    units other than +-1 and the entries that are no unit mod p.
+
+    The order keeps fill-in down.  Leaves go first: a +-1 entry alone in
+    its column, such as the end base of a handle at the tip of a tree of
+    handles, drops its row and changes no other, which often leaves
+    another leaf.  Then each step takes the +-1 entry of least Markowitz
+    cost (row entries - 1) * (column entries - 1), a bound on the entries
+    it adds.  In this order a ``dihedral:7`` count of ``gen
+    random:2000:2000:8:7`` takes a quarter to a third of the time it takes
+    pivoting mod 7 on the first unit of each row.
+    """
+    half = (m - 1) // 2
+    count: dict[int, int] = {}  # base -> rows with an entry in its column
+    for row in rows:
+        for b in row:
+            count[b] = count.get(b, 0) + 1
+    pivots = 0
+    while True:  # leaves, pass by pass: dropping a row can make a leaf of one passed
+        kept = []
+        for row in rows:
+            for b, c in row.items():
+                if (c == 1 or c == -1) and count[b] == 1:
+                    for k in row:
+                        count[k] -= 1
+                    break
+            else:
+                kept.append(row)
+        if len(kept) == len(rows):
+            break
+        pivots += len(rows) - len(kept)
+        rows = kept
+    while rows:
+        best = None
+        for row in rows:
+            length = len(row) - 1
+            for b, c in row.items():
+                if c == 1 or c == -1:
+                    cost = length * (count[b] - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, row, b)
+            if best is not None and not best[0]:
+                break
+        if best is None:
+            break
+        _, pivot, b = best
+        c = pivot.pop(b)
+        pivots += 1
+        for k in pivot:
+            count[k] -= 1
+        kept = []
+        for row in rows:
+            if row is pivot:
+                continue
+            factor = row.pop(b, 0) * c  # row -= factor * (pivot + c * x_b)
+            if factor:
+                for k, x in pivot.items():
+                    had = k in row
+                    y = row.get(k, 0) - factor * x
+                    if m:
+                        y = (y + half) % m - half
+                    if y:
+                        row[k] = y
+                        if not had:
+                            count[k] += 1
+                    elif had:
+                        del row[k]
+                        count[k] -= 1
+                if not row:
+                    continue
+            kept.append(row)
+        rows = kept
+    return tuple([tuple(row.items()) for row in rows]), unknowns - pivots
 
 
 def _prime_powers(m: int) -> list[tuple[int, int]]:
@@ -501,8 +619,9 @@ def _valuation(c: int, p: int) -> int:
     return v
 
 
-def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> int:
-    """Number of solutions mod p^e of the homogeneous system ``rows``.
+def _kernel_size(rows, unknowns: int, p: int, e: int) -> int:
+    """Number of solutions mod p^e of the homogeneous system ``rows``, each
+    a sequence of (base, coefficient) pairs; ``rows`` is not changed.
 
     Each step pivots on an entry of least p-valuation v over the whole
     remaining system (the first unit entry when there is one), clears its
@@ -512,7 +631,7 @@ def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> i
     diagonal, and the count is prod p^v_i * (p^e)^(unknowns - rank).
     """
     q = p**e
-    rows = [r for r in ({b: c % q for b, c in row.items() if c % q} for row in rows) if r]
+    rows = [r for r in ({b: c % q for b, c in row if c % q} for row in rows) if r]
     count = 1
     rank = 0
     while rows:
@@ -549,22 +668,54 @@ def _kernel_size(rows: list[dict[int, int]], unknowns: int, p: int, e: int) -> i
     return count * q ** (unknowns - rank)
 
 
+def _dihedral_residual(data: RibbonData):
+    """The integer residual of ``data`` at a = -1 (see :func:`_dihedral_rows`
+    and :func:`_unit_residual`), eliminated on first use and kept on the
+    record as its ``validate`` verdict is: the record cannot change, and
+    every ``dihedral:m`` count of it reads the same residual."""
+    kept = data.__dict__.get("_dihedral_residual")
+    if kept is None:
+        kept = data.__dict__["_dihedral_residual"] = _unit_residual(_dihedral_rows(data), data.base_count)
+    return kept
+
+
 def count_colorings(data: RibbonData, q: FiniteQuandle) -> int:
     """Exact number of assignments of quandle elements to bases satisfying
-    every handle relation.  Alexander quandles are counted by linear
-    algebra mod m, every other quandle by the one backtracking search of
+    every handle relation.  Raises on an invalid record or quandle.
+
+    An Alexander quandle (Z/m, a) is counted by linear algebra: the
+    handle rows are eliminated on their +-1 entries by
+    :func:`_unit_residual`, and the count is the product over the prime
+    powers p^e of m of the residual's solutions mod p^e
+    (:func:`_kernel_size`).  When a = -1 mod m the rows are integers that
+    do not depend on m (:func:`_dihedral_rows`) and each step of the
+    elimination is invertible over Z, so one residual over Z, kept on the
+    record, holds mod every m: the first dihedral count of a record
+    eliminates, and every later one, whatever its m, reads only the
+    residual.  Which path a table takes is read off its table
+    (``_affine``), never off its name.  Other affine tables eliminate
+    their rows mod m (:func:`_affine_rows`) on each count.
+
+    Every other quandle is counted by the one backtracking search of
     :func:`_solve_colorings`, run once per component of the relation
     graph (see :func:`_relation_parts`) on the record's own bases, the
-    counts multiplied.  Raises on an invalid record or quandle."""
+    counts multiplied."""
     _require_valid(data)
     _require_quandle(q)
     affine = q._affine
     if affine is not None:
         m, a = affine
-        rows = _affine_rows(data, m, a)
+        if m == 1:  # one element colors any record one way; no rows needed
+            return 1
+        if (a + 1) % m:
+            rows, unknowns = _unit_residual(_affine_rows(data, m, a), data.base_count, m)
+        else:
+            rows, unknowns = _dihedral_residual(data)
+        if not rows:
+            return m**unknowns
         count = 1
         for p, e in q._factors:
-            count *= _kernel_size(rows, data.base_count, p, e)
+            count *= _kernel_size(rows, unknowns, p, e)
         return count
     return _solve_colorings(data, q, collect=False)[0]
 

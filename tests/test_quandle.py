@@ -22,7 +22,9 @@ from ribbonlab import (
     group_presentation,
     list_colorings,
     parse_quandle,
+    parse_ribbon,
     quandle_presentation,
+    serialize,
     serialize_quandle,
     trivial_quandle,
 )
@@ -37,6 +39,7 @@ from oracles import (
     graph_components,
     random_knot,
     random_ribbon,
+    random_word,
     relabelled_quandle,
     s3_conjugation,
     s4_transpositions,
@@ -304,9 +307,16 @@ def test_group_presentation_unknot_and_trivial_handle():
 # ---------------------------------------------------------------------------
 # the linear path for Alexander quandles against enumeration
 
+# Tables with a = -1 take one integer elimination per record, dihedral:6
+# under another name (a = 5 mod 6) too; the others eliminate mod m.
 AFFINE = [dihedral_quandle(m) for m in (2, 4, 6, 8, 9, 12)] + [
     alexander_quandle(5, 2),
     alexander_quandle(7, 3),
+    alexander_quandle(9, 2),
+    alexander_quandle(8, 3),
+    alexander_quandle(12, 5),
+    alexander_quandle(15, 2),
+    alexander_quandle(6, 5),
     trivial_quandle(2),
     trivial_quandle(5),
 ]
@@ -340,6 +350,11 @@ def test_a_one_element_quandle_counts_one_coloring_of_any_record(tmp_path):
         out = io.StringIO()
         assert run(["color", str(path), "--quandle", spec], out=out) == 0
         assert out.getvalue() == "1\n"
+    # and eliminates no rows of a record that has handles
+    data = generate("random:1000:1001:3:5")
+    for spec in ("trivial:1", "dihedral:1"):
+        assert count_colorings(data, builtin_quandle(spec)) == 1
+    assert "_dihedral_residual" not in vars(data)
 
 
 def test_the_backtracker_does_not_recurse_per_base():
@@ -457,9 +472,12 @@ def knot_for(seed, q, max_assignments=3000):
 @settings(max_examples=120, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), which=st.integers(0, len(AFFINE) - 1))
 def test_affine_counts_match_enumeration(seed, which):
+    # a knot, then a record of as many bases that may be disconnected or
+    # bare (see ``small_record``)
     q = AFFINE[which]
-    data = knot_for(seed, q)
-    assert count_colorings(data, q) == brute_force_colorings(data, q)
+    knot = knot_for(seed, q)
+    for data in (knot, small_record(random.Random(seed), knot.base_count)):
+        assert count_colorings(data, q) == brute_force_colorings(data, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -541,6 +559,82 @@ def test_dihedral_seven_on_two_hundred_bases():
     assert expected >= 7**20
     assert count_colorings(data, q) == expected
 
+
+# ---------------------------------------------------------------------------
+# one integer elimination for every dihedral count of a record
+
+def small_record(rng, bases):
+    """A random record on ``bases`` bases: a knot, a record that may be
+    disconnected, a knot beside bare bases, or bare bases alone."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return random_knot(rng, bases, extra=rng.randint(0, 3), max_len=rng.randint(0, 5))
+    if kind == 1:
+        handles = tuple(Handle(rng.randint(1, bases), rng.randint(1, bases), random_word(rng, bases, 5))
+                        for _ in range(rng.randint(0, bases + 2)))
+        return RibbonData(2, bases, handles)
+    if kind == 2:
+        knot = rng.randint(1, bases)
+        return shuffled(disjoint_union_of([random_knot(rng, knot, extra=rng.randint(0, 2))], bases - knot), rng)
+    return RibbonData(2, bases, ())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), bases=st.integers(1, 4))
+def test_every_dihedral_count_of_a_record_matches_enumeration(seed, bases):
+    # every m from 1 to 16 that enumeration can reach, in random order on
+    # one record: the first count eliminates, the others read its residual
+    rng = random.Random(seed)
+    data = small_record(rng, bases)
+    sizes = [m for m in range(1, 17) if m**bases <= 3000]
+    rng.shuffle(sizes)
+    for m in sizes:
+        q = dihedral_quandle(m)
+        assert count_colorings(data, q) == brute_force_colorings(data, q), m
+
+
+def test_the_integer_path_is_chosen_by_the_table_not_by_the_name():
+    # dihedral:6 read back from its file is named "quandle"; it counts as
+    # dihedral:6 does, through the residual kept on the record, while a
+    # table with a != -1 keeps nothing there
+    table = parse_quandle(serialize_quandle(dihedral_quandle(6)))
+    assert table.name == "quandle" and table._affine == (6, 5)
+    data = generate("spun-trefoil")
+    assert "_dihedral_residual" not in vars(data)
+    assert count_colorings(data, alexander_quandle(5, 2)) == 5
+    assert "_dihedral_residual" not in vars(data)
+    assert count_colorings(data, table) == 18 == count_colorings(generate("spun-trefoil"), dihedral_quandle(6))
+    # 3 * (x1 - x2) = 0, with no +-1 entry to eliminate
+    assert vars(data)["_dihedral_residual"] == ((((2, -3), (1, 3)),), 2)
+
+
+def test_a_count_leaves_the_kept_residual_as_it_was():
+    # two spun trefoils and a stabilized unknot summed: a residual of two
+    # rows, on which each count mod 9 or 12 pivots on an entry 3
+    data = connected_sum([SPUN_TREFOIL, SPUN_TREFOIL, generate("stabilized:2:1")])
+    assert count_colorings(data, dihedral_quandle(9)) == 81
+    kept = vars(data)["_dihedral_residual"]
+    before = repr(kept)
+    assert kept == ((((2, -3), (1, 3)), ((4, -3), (1, 3))), 3)
+    assert count_colorings(data, dihedral_quandle(9)) == 81
+    assert count_colorings(data, dihedral_quandle(12)) == 108
+    assert count_colorings(data, dihedral_quandle(5)) == 5
+    assert vars(data)["_dihedral_residual"] is kept
+    assert repr(kept) == before
+    # the same text parsed again keeps nothing until it is counted
+    again = parse_ribbon(serialize(data))
+    assert "_dihedral_residual" not in vars(again)
+    assert count_colorings(again, dihedral_quandle(3)) == 27
+
+
+def test_a_thousand_base_random_record_is_counted_in_seconds():
+    # the count's cost follows the fill-in of the elimination and the size
+    # of its integer entries; leaves first, then least fill, keeps both
+    # down (see ``quandle._unit_residual``)
+    data = generate("random:1000:1001:3:5")
+    started = time.perf_counter()
+    assert count_colorings(data, dihedral_quandle(7)) == 7
+    assert time.perf_counter() - started < 10
 
 
 def test_an_empty_table_is_refused():

@@ -27,6 +27,7 @@ from ribbonlab import (
     macro_merge_bases,
     moves,
     parse_ribbon,
+    quandle,
     reversed_handle,
     search,
     search_equiv,
@@ -84,6 +85,28 @@ def test_the_gate_counts_through_count_colorings(monkeypatch):
     outcome = search_equiv(generate("spun-trefoil"), generate("unknot"), 2, 0, 100)
     assert outcome == Refuted("dihedral:3", 9, 3)
     assert calls == ["dihedral:3", "dihedral:3"]
+
+
+def test_the_gate_eliminates_each_record_once_for_all_its_counts(monkeypatch):
+    # the gate cannot separate a stabilized unknot from the unknot, so it
+    # counts both records over dihedral:3, 5 and 7; the integer elimination
+    # runs once per record and every count reads the residual kept on it
+    eliminated = []
+    unit_residual = quandle._unit_residual
+
+    def counting(rows, unknowns, m=0):
+        eliminated.append((unknowns, m))
+        return unit_residual(rows, unknowns, m)
+
+    monkeypatch.setattr(quandle, "_unit_residual", counting)
+    stabilized, unknot = generate("stabilized:4:1"), generate("unknot")
+    assert search.invariant_gate(stabilized, unknot, 0) is None
+    assert sorted(eliminated) == [(1, 0), (5, 0)]
+    assert search.invariant_gate(stabilized, unknot, 0) is None
+    assert len(eliminated) == 2
+    # a record parsed apart shares nothing with an equal one
+    assert search.invariant_gate(parse_ribbon(serialize(stabilized)), unknot, 0) is None
+    assert sorted(eliminated) == [(1, 0), (5, 0), (5, 0)]
 
 
 def test_every_gate_entry_has_an_independent_oracle():
