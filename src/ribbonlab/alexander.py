@@ -54,9 +54,20 @@ from .ribbon import RibbonData, _Value, component_count
 __all__ = list(_PUBLIC["alexander"])
 
 
+def _int_terms(terms):
+    """``terms`` when it is a tuple of (exponent, coefficient) pairs of
+    ``int`` (a ``bool`` is not); else ``ValueError``."""
+    pairs = type(terms) is tuple and all([type(t) is tuple and len(t) == 2 for t in terms])
+    if not pairs or not all([type(e) is type(c) is int for e, c in terms]):
+        raise ValueError(f"terms {terms!r} are not (exponent, coefficient) pairs of integers")
+    return terms
+
+
 class LaurentPolynomial(_Value):
     """Finitely supported integer coefficients, stored as sorted
-    (exponent, coefficient) pairs with zeros dropped."""
+    (exponent, coefficient) pairs with zeros dropped.  ``from_dict``,
+    ``evaluate`` and ``str`` refuse terms that are not pairs of ``int``
+    with ``ValueError``."""
 
     terms: tuple[tuple[int, int], ...] = ()
 
@@ -64,7 +75,7 @@ class LaurentPolynomial(_Value):
     def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
         if not isinstance(coeffs, dict):
             raise ValueError(f"coefficients {coeffs!r} are not a dict")
-        return cls(tuple(sorted((e, c) for e, c in coeffs.items() if c)))
+        return cls(tuple(sorted((e, c) for e, c in _int_terms(tuple(coeffs.items())) if c)))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
@@ -74,10 +85,10 @@ class LaurentPolynomial(_Value):
         return cls(((0, 1),))
 
     def evaluate(self, value):
-        return sum(c * value**e for e, c in self.terms)
+        return sum(c * value**e for e, c in _int_terms(self.terms))
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not _int_terms(self.terms):
             return "0"
         parts = []
         for e, c in reversed(self.terms):

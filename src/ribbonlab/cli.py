@@ -303,7 +303,6 @@ def run(argv, out=None) -> int:
             return 0
 
         if args.command == "search":
-            from .moves import _successors
             from .search import Equivalent, Refuted, _steps_info, search_equiv, serialize_outcome
 
             a = _load_data(args.file_a)
@@ -314,14 +313,11 @@ def run(argv, out=None) -> int:
             if stats is not None:
                 import json  # only here, so other calls do not pay its import
 
+                info = _reading.cache_info()
                 stats["caches"] = {
-                    name: {"hits": info.hits, "misses": info.misses}
-                    for name, info in (
-                        ("handle_readings", _reading.cache_info()),
-                        ("successors", _successors.cache_info()),
-                    )
+                    "handle_readings": {"hits": info.hits, "misses": info.misses},
+                    "reduction_steps": dict(_steps_info),
                 }
-                stats["caches"]["reduction_steps"] = dict(_steps_info)
                 print(json.dumps(stats), file=sys.stderr)
             if isinstance(outcome, Equivalent):
                 return 0

@@ -23,7 +23,6 @@ format.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Union
 
 from . import _PUBLIC
@@ -505,46 +504,27 @@ def enumerate_moves(data: RibbonData, weak_budget: int):
     and letters of ``data``, which need not be canonical or reduced: each
     listed state is ``canonical_form(apply_move(data, move))``.  The
     equivalence search reads the same successors of its canonical states
-    as canonical keys, without records, from a per-process cache; this
-    function builds a record for each successor it returns.
+    as canonical keys, without records.
 
     Raises ``ValueError`` with the first message :func:`validate` reports
     when ``data`` is not a valid record, and when ``weak_budget`` is not an
-    ``int``.
+    ``int`` >= 0.
     """
     _require_valid(data)
     if type(weak_budget) is not int:
         raise ValueError(f"weak budget {weak_budget!r} is not an integer")
+    if weak_budget < 0:
+        raise ValueError("weak budget must be >= 0")
     raw = tuple(map(_triple, data.handles))
     reduced = tuple([(s, _free_reduced(w), e) for s, w, e in raw])
-    return [
-        (move, _record(data.dim, *state))
-        for move, state in _labelled(data.base_count, raw, reduced, weak_budget > 0)
-    ]
-
-
-def _labelled(base_count: int, raw, reduced, weak: bool):
-    """Yield ``(move, (base_count, key))`` for each successor of
-    :func:`_successor_triples`, the first move to each canonical state
-    only."""
-    seen = set()
-    for move, count, triples in _successor_triples(base_count, raw, reduced, weak):
+    found = []
+    seen = set()  # the first move to each canonical state wins
+    for move, count, triples in _successor_triples(data.base_count, raw, reduced, weak_budget > 0):
         state = count, _canonical_key(count, triples)
         if state not in seen:
             seen.add(state)
-            yield move, state
-
-
-# Each entry keeps a state's successors alive, as (move, (base count,
-# key)) pairs.  Within one search no state is expanded twice, so the cache
-# pays off across searches in one process (a shared unknot side), which
-# needs far fewer entries.  Only the breadth-first search reads it: the
-# reductions label the successors they take from ``_successor_triples``.
-@lru_cache(maxsize=1 << 10)
-def _successors(base_count: int, key, weak: bool) -> tuple:
-    """The successors of the canonical state ``(base_count, key)``, as
-    :func:`_labelled` yields them."""
-    return tuple(_labelled(base_count, key, key, weak))
+            found.append((move, _record(data.dim, *state)))
+    return found
 
 
 def _successor_triples(n: int, raw, reduced, weak: bool):

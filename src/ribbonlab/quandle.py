@@ -406,6 +406,8 @@ def _solve_colorings(data: RibbonData, q: FiniteQuandle, collect: bool):
 
     # after[b] is the base after b in its part, 0 after the part's last
     after = [*range(1, n + 1), 0]
+    # kept on measurement: building the one part of a connected record made
+    # the S4 counts of the bench's invariants inputs about 10 % slower
     if collect or component_count(data) == 1:  # handle ends alone join every base
         firsts = [1]
     else:

@@ -49,7 +49,6 @@ from .moves import (
     _moves_of,
     _ranged,
     _successor_triples,
-    _successors,
     apply_move,
     is_weak,
     serialize_script,
@@ -431,8 +430,12 @@ def search_equiv(
         reached: list[tuple] = []
         cap_hit = False
         for state in me["frontier"]:
+            n, key = state
             weak = visited[state][2]
-            for move, child in _successors(*state, weak_budget > weak):
+            # each child is labelled as it is read, so a level the cap cuts
+            # labels nothing past the child that hit it
+            for move, count, triples in _successor_triples(n, key, key, weak_budget > weak):
+                child = count, _canonical_key(count, triples)
                 if child in visited:
                     if child in me["unexpanded"]:
                         me["unexpanded"].discard(child)

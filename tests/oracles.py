@@ -31,8 +31,8 @@ from ribbonlab import (
     serialize,
     slides,
 )
-from ribbonlab.moves import _successors
-from ribbonlab.ribbon import _record
+from ribbonlab.moves import _successor_triples
+from ribbonlab.ribbon import _canonical_key, _record
 
 
 def satisfies_relations(data, q, assign):
@@ -518,15 +518,26 @@ def _state_size(state):
     return n, sum(len(word) for _, word, _ in key), len(key)
 
 
+def labelled_successors(state, weak):
+    """The successors of the canonical state ``(base_count, key)``, every
+    one of ``moves._successor_triples`` labelled, as (move, state) pairs:
+    the first move to each state only."""
+    n, key = state
+    found = {}
+    for move, count, triples in _successor_triples(n, key, key, weak):
+        found.setdefault((count, _canonical_key(count, triples)), move)
+    return tuple((move, child) for child, move in found.items())
+
+
 def full_labelling_step(state):
     """One reduction step from the canonical state ``(base_count, key)``
     at weak budget 0, labelling every successor of each state it expands
-    (``moves._successors``): the (move, state reached) pairs, empty when
-    nothing smaller is found.  The first successor of least size when one
-    is smaller; else, through the successors of the root's size, the
+    (:func:`labelled_successors`): the (move, state reached) pairs, empty
+    when nothing smaller is found.  The first successor of least size when
+    one is smaller; else, through the successors of the root's size, the
     least by (size, serialized form) of their smaller successors."""
     size = _state_size(state)
-    successors = _successors(*state, False)
+    successors = labelled_successors(state, False)
     sizes = [_state_size(child) for _, child in successors]
     if min(sizes) < size:
         return (successors[sizes.index(min(sizes))],)
@@ -538,7 +549,7 @@ def full_labelling_step(state):
             plateau.append(child)
     smaller = {}
     for parent in plateau:
-        for move, child in _successors(*parent, False):
+        for move, child in labelled_successors(parent, False):
             if _state_size(child) < size and child not in smaller:
                 smaller[child] = (move, parent)
     if not smaller:

@@ -173,7 +173,7 @@ def test_search_stats_is_one_json_line_on_stderr(case, capsys, monkeypatch):
         assert stats["states"][side] == stored
     if out.startswith("UNKNOWN"):
         assert out.split("\n")[0] == f"UNKNOWN {sum(stats['states'].values())} {len(stats['levels']) - (stats['stop'] == 'cap')}"
-    assert sorted(stats["caches"]) == ["handle_readings", "reduction_steps", "successors"]
+    assert sorted(stats["caches"]) == ["handle_readings", "reduction_steps"]
     for info in stats["caches"].values():
         assert sorted(info) == ["hits", "misses"]
 

@@ -548,6 +548,18 @@ def test_a_reader_refuses_a_value_of_another_kind_with_value_error(name, value):
         lambda: certify(KNOT, KNOT, SAME, {}),
         lambda: generate(5),
         lambda: LaurentPolynomial.from_dict(5),
+        # listed the budget-0 successors
+        lambda: enumerate_moves(KNOT, -1),
+        # accepted, the second printing as t^0.5
+        lambda: LaurentPolynomial.from_dict({"a": 1}),
+        lambda: LaurentPolynomial.from_dict({0.5: 1}),
+        lambda: LaurentPolynomial.from_dict({0: True}),
+        lambda: LaurentPolynomial.from_dict({0: 1.0}),
+        lambda: LaurentPolynomial(((0, 1.5),)).evaluate(2),
+        # raised ``TypeError``
+        lambda: str(LaurentPolynomial(5)),
+        lambda: str(LaurentPolynomial(((0, "x"),))),
+        lambda: LaurentPolynomial(5).evaluate(2),
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):

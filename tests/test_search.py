@@ -25,7 +25,6 @@ from ribbonlab import (
     is_sphere_knot,
     macro_clone_handle,
     macro_merge_bases,
-    moves,
     parse_ribbon,
     quandle,
     reversed_handle,
@@ -36,7 +35,7 @@ from ribbonlab import (
     serialize_script,
 )
 from ribbonlab.cli import _random_data, _scramble, generate
-from ribbonlab.moves import enumerate_moves, is_weak
+from ribbonlab.moves import _successor_triples, enumerate_moves, is_weak
 from ribbonlab.ribbon import _canonical_state, _record
 from ribbonlab.search import _GATE, _reduce
 
@@ -253,20 +252,52 @@ def test_the_state_cap_bounds_the_reductions(monkeypatch):
     no more states than the cap less the two roots."""
     knot = canonical_form(_random_data(30, 31, 3, 5))
     labelled = []
-    for module in (search, moves):  # the reductions' labellings, and the cached successors'
-        labelling = module._canonical_key
+    labelling = search._canonical_key
 
-        def counted(base_count, triples, labelling=labelling):
-            labelled.append(base_count)
-            return labelling(base_count, triples)
+    def counted(base_count, triples):
+        labelled.append(base_count)
+        return labelling(base_count, triples)
 
-        monkeypatch.setattr(module, "_canonical_key", counted)
+    monkeypatch.setattr(search, "_canonical_key", counted)
     monkeypatch.setattr(search, "_STEPS", {})  # label, not read the memo
     stats = {}
     search_equiv(knot, apply_stabilize(knot, 1), 0, 0, 10, stats=stats)
     assert sum(stats["states"].values()) <= 10
     assert len(labelled) <= 10 - 2
     assert stats["reduced"]["a"] + stats["reduced"]["b"] <= 8
+
+
+@pytest.mark.parametrize("stored", [0, 1, 2])
+def test_a_level_the_cap_cuts_labels_no_successor_past_the_one_that_hit_it(monkeypatch, stored):
+    """The breadth-first search labels each successor as it reads it.  Of
+    the 29 successors of the torus:3 root, expanded first, three are new
+    states, the first, the 28th and the 29th: a cap that lets ``stored`` of
+    them in labels the successors up to the next new one, and no more."""
+    a, b = generate("torus:3"), generate("unknot")
+    labelled = []
+    labelling = search._canonical_key
+
+    def counted(base_count, triples):
+        labelled.append(base_count)
+        return labelling(base_count, triples)
+
+    def labellings(depth):
+        labelled.clear()
+        monkeypatch.setattr(search, "_STEPS", {})  # label, not read the memo
+        stats = {}
+        search_equiv(a, b, depth, 1, 2 + stored, stats=stats)
+        return len(labelled), stats
+
+    monkeypatch.setattr(search, "_canonical_key", counted)
+    reductions, _ = labellings(0)
+    total, stats = labellings(1)
+    assert stats["stop"] == "cap" and stats["levels"] == [["a", stored]]
+    n, key = root = _canonical_state(a)
+    children = [(count, labelling(count, triples)) for _, count, triples in _successor_triples(n, key, key, True)]
+    seen = {root}
+    new = [i for i, child in enumerate(children) if child not in seen and not seen.add(child)]
+    assert (len(children), new) == (29, [0, 27, 28])
+    assert total - reductions == new[stored] + 1
 
 
 @pytest.mark.parametrize("k", [1, 4, 12])
