@@ -56,26 +56,35 @@ __all__ = list(_PUBLIC["alexander"])
 
 def _int_terms(terms):
     """``terms`` when it is a tuple of (exponent, coefficient) pairs of
-    ``int`` (a ``bool`` is not); else ``ValueError``."""
+    ``int`` (a ``bool`` is not), no exponent repeated and no coefficient
+    zero; else ``ValueError``."""
     pairs = type(terms) is tuple and all([type(t) is tuple and len(t) == 2 for t in terms])
     if not pairs or not all([type(e) is type(c) is int for e, c in terms]):
         raise ValueError(f"terms {terms!r} are not (exponent, coefficient) pairs of integers")
+    if len({e for e, _ in terms}) < len(terms):
+        raise ValueError(f"terms {terms!r} repeat an exponent")
+    if not all([c for _, c in terms]):
+        raise ValueError(f"terms {terms!r} have a zero coefficient")
     return terms
 
 
 class LaurentPolynomial(_Value):
     """Finitely supported integer coefficients, stored as sorted
-    (exponent, coefficient) pairs with zeros dropped.  ``from_dict``,
-    ``evaluate`` and ``str`` refuse terms that are not pairs of ``int``
-    with ``ValueError``."""
+    (exponent, coefficient) pairs.  The constructor refuses terms that are
+    not pairs of ``int``, repeat an exponent or have a zero coefficient
+    with ``ValueError``; ``from_dict`` drops zero coefficients first."""
 
     terms: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "terms", tuple(sorted(_int_terms(self.terms))))
 
     @classmethod
     def from_dict(cls, coeffs: dict[int, int]) -> "LaurentPolynomial":
         if not isinstance(coeffs, dict):
             raise ValueError(f"coefficients {coeffs!r} are not a dict")
-        return cls(tuple(sorted((e, c) for e, c in _int_terms(tuple(coeffs.items())) if c)))
+        # a zero of another type than int is kept, for the constructor to refuse
+        return cls(tuple([(e, c) for e, c in coeffs.items() if c or type(c) is not int]))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.terms)
@@ -85,10 +94,10 @@ class LaurentPolynomial(_Value):
         return cls(((0, 1),))
 
     def evaluate(self, value):
-        return sum(c * value**e for e, c in _int_terms(self.terms))
+        return sum(c * value**e for e, c in self.terms)
 
     def __str__(self) -> str:
-        if not _int_terms(self.terms):
+        if not self.terms:
             return "0"
         parts = []
         for e, c in reversed(self.terms):

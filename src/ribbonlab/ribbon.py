@@ -610,7 +610,15 @@ def _flipped(word) -> tuple[int, ...]:
 # cells of more than one base holds twins, bases whose swap maps the
 # handles to themselves, such as bases no handle touches: every leaf below
 # it encodes alike.  400 such bases took 2.0 s, one at a time through the
-# tree, and take 0.3 ms.
+# tree, and take 0.3 ms.  Only a root whose refined colouring is no such
+# leaf reaches the tree search.  When every cell of more than one base
+# holds only bases of pendant forests, trees of empty handles that no word
+# crosses, every leaf of the tree encodes alike too, and the search ends
+# at the first leaf it reaches, after one descent (see ``_canonical_key``).
+# A stabilized unknot is such a forest once its words are reduced.  One
+# base with 200 hanging two-base chains took 4.5 s, trying every base of
+# every cell, and takes 0.06 s; 400 chains took more than 25 s and take
+# 0.25 s.  Every other tied root takes the full tree search.
 #
 # The key is the winning leaf's handles with coded words, so it is the
 # canonical record's handle list, and the search keys its states on it.
@@ -801,35 +809,35 @@ class _Colouring:
         stops early once every cell is a singleton.
         """
         colours, cells = self.colours, self.cells
-        memo: dict[int, tuple] = {}
-
-        def signature(b):
-            out = []
-            for h in handles_of[b]:
-                if h in memo:
-                    reading, way = memo[h]
-                else:
-                    ids, signs, rev_signs = readings[h][:3]
-                    seen = tuple([colours[x] for x in ids])
-                    fwd = (seen, signs)
-                    rev = (seen[::-1], rev_signs)
-                    reading, way = memo[h] = (fwd, 0) if fwd < rev else (rev, 1) if rev < fwd else (fwd, 2)
-                here, there = readings[h].spots[b]
-                # a reading equal to its reverse leaves the direction open,
-                # so the base takes the smaller of its two position lists
-                out.append((reading, here if way == 0 else there if way == 1 else min(here, there)))
-            out.sort()
-            return tuple(out)
-
         while touched and len(cells) < len(colours):
             affected = {b for t in touched for h in handles_of[t] for b in readings[h].spots}
-            memo.clear()
+            read: dict[int, tuple] = {}  # handle -> its reading this round, and which way
             splits = []
             for c in sorted({colours[b] for b in affected}):
-                if len(cells[c]) > 1:
-                    ranked = sorted((signature(b), b) for b in cells[c])
-                    if ranked[0][0] != ranked[-1][0]:
-                        splits.append((c, ranked))
+                if len(cells[c]) == 1:
+                    continue
+                ranked = []
+                for b in cells[c]:
+                    signature = []
+                    for h in handles_of[b]:
+                        reading = readings[h]
+                        if h in read:
+                            seen, way = read[h]
+                        else:
+                            ids = tuple(map(colours.__getitem__, reading.ids))
+                            fwd = (ids, reading.signs)
+                            rev = (ids[::-1], reading.rev_signs)
+                            seen, way = read[h] = (fwd, 0) if fwd < rev else (rev, 1) if rev < fwd else (fwd, 2)
+                        here, there = reading.spots[b]
+                        # a reading equal to its reverse leaves the direction
+                        # open, so the base takes the smaller of its two
+                        # position lists
+                        signature.append((seen, here if way == 0 else there if way == 1 else min(here, there)))
+                    signature.sort()
+                    ranked.append((tuple(signature), b))
+                ranked.sort()
+                if ranked[0][0] != ranked[-1][0]:
+                    splits.append((c, ranked))
             touched = []
             for c, ranked in splits:
                 self.split(c, ranked, touched)
@@ -928,11 +936,63 @@ def _leaf_colours(colouring, readings, handles_of):
     return colours
 
 
+def _forest_bases(readings, handles_of):
+    """The forest bases, given the handles' ``readings`` and each base's
+    handles.  A base is peeled, together with its handle, when it lies on
+    exactly one remaining handle, that handle is empty and not a loop, and
+    no word crosses the base; peeling repeats until no base can be.  The
+    forest bases are the bases left on no handle that no word crosses: the
+    peeled ones, the last base of each component that peeled away
+    entirely, and the bases no handle touches."""
+    crossed = {b for reading in readings for b in reading.mids}
+    left = [len(handles) for handles in handles_of]
+    gone = set()  # the peeled handles
+    peel = [b for b, count in enumerate(left) if count == 1]
+    while peel:
+        b = peel.pop()
+        if left[b] != 1 or b in crossed:
+            continue
+        for h in handles_of[b]:
+            if h not in gone:
+                break
+        ids = readings[h].ids
+        if len(ids) != 2 or ids[0] == ids[1]:
+            continue
+        gone.add(h)
+        other = ids[0] + ids[1] - b
+        left[b] = 0
+        left[other] -= 1
+        if left[other] == 1:
+            peel.append(other)
+    return {b for b, count in enumerate(left) if not count and b not in crossed}
+
+
 def _canonical_key(base_count, triples):
     """The least relabelled encoding over the leaves of the
     individualization-refinement tree, given valid, freely reduced
     ``(start, coded word, end)`` triples: the canonical record's handles,
-    as such triples."""
+    as such triples.
+
+    When every cell of more than one base of the refined root holds only
+    forest bases (see :func:`_forest_bases`), the first leaf the tree
+    search reaches is the answer, and the search stops there, with no
+    second leaf, generators or orbit pruning.  Every other base is then a
+    singleton, so every automorphism that keeps the colours fixes it, and
+    the forest bases with the bases their trees hang on form a coloured
+    forest.  Its empty handles read the same in both orientations, so its
+    edges are undirected, and refinement reads a forest base through them
+    alone, as colour refinement reads a vertex through its neighbours.
+    Colour refinement finds the orbits of a coloured forest (N. Immerman,
+    E. Lander, "Describing graphs: a first-order approach to graph
+    canonization", 1990; V. Arvind, J. Koebler, G. Rattan, O. Verbitsky,
+    "Graph isomorphism, color refinement, and compactness", Comput.
+    Complexity 26, 2017), and a map of the forest that keeps the colours
+    and fixes every other base maps the handles to themselves.  So each
+    node's target cell is one orbit of its stabilizer: its children's
+    subtrees are images of each other and hold the same leaf encodings.
+    Individualizing a forest base and refining again leaves a colouring of
+    the same kind, so this holds at every node, and every leaf encodes
+    alike."""
     readings = [_reading(t) for t in triples]
 
     def leaf_key(colours):
@@ -969,6 +1029,8 @@ def _canonical_key(base_count, triples):
     colours = _leaf_colours(root, readings, handles_of)
     if colours is not None:
         return leaf_key(colours)
+    forest = _forest_bases(readings, handles_of)
+    descent = all([b in forest for cell in root.cells.values() if len(cell) > 1 for b in cell])
     first = best = None  # (key, colours, path) of the first and the least leaf
     generators: list[dict[int, int]] = []
     stack = [_TreeNode(root, ())]
@@ -985,6 +1047,8 @@ def _canonical_key(base_count, triples):
             stack.append(_TreeNode(colouring, path, node.target))
             continue
         key = leaf_key(colours)
+        if descent:
+            return key
         if first is None:
             first = best = (key, colours, path)
             continue

@@ -140,6 +140,9 @@ def test_str_formatting():
     assert str(LaurentPolynomial()) == "0"
     assert str(LaurentPolynomial.from_dict({0: -2, 1: 3})) == "3*t - 2"
     assert str(LaurentPolynomial.from_dict({-1: 1, 1: 1})) == "t + t^-1"
+    # the constructor stores the terms sorted, whatever their order
+    unsorted = LaurentPolynomial(((2, 1), (0, 1), (1, -1)))
+    assert unsorted == LaurentPolynomial.from_dict({0: 1, 1: -1, 2: 1}) and str(unsorted) == "t^2 - t + 1"
 
 
 def test_evaluate():

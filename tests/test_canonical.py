@@ -143,14 +143,26 @@ def tied_signatures(base_count, triples):
 
 @pytest.fixture
 def labelling_paths(monkeypatch):
-    """Counts of ``_Colouring.refine`` calls and of search tree nodes,
-    kept while the test runs."""
+    """Counts of ``_Colouring.refine`` and ``_Colouring.individualized``
+    calls, of search tree nodes and of leaves (refined colourings that
+    ``_leaf_colours`` orders), kept while the test runs."""
     counts = Counter()
     refine = ribbon._Colouring.refine
+    individualized = ribbon._Colouring.individualized
+    leaf_colours = ribbon._leaf_colours
 
     def counted_refine(self, *args):
         counts["refine"] += 1
         return refine(self, *args)
+
+    def counted_individualized(self, v):
+        counts["individualized"] += 1
+        return individualized(self, v)
+
+    def counted_leaf_colours(*args):
+        colours = leaf_colours(*args)
+        counts["leaf"] += colours is not None
+        return colours
 
     class CountedNode(ribbon._TreeNode):
         def __init__(self, *args):
@@ -158,6 +170,8 @@ def labelling_paths(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(ribbon._Colouring, "refine", counted_refine)
+    monkeypatch.setattr(ribbon._Colouring, "individualized", counted_individualized)
+    monkeypatch.setattr(ribbon, "_leaf_colours", counted_leaf_colours)
     monkeypatch.setattr(ribbon, "_TreeNode", CountedNode)
     return counts
 
@@ -256,6 +270,94 @@ def test_bases_told_apart_by_crossing_signs_alone_are_no_twins(labelling_paths):
     rng = random.Random(28)
     assert len({canonical_bytes(shuffled(data, rng)) for _ in range(30)}) == 1
     assert labelling_paths["tree"]
+
+
+def spider(*legs):
+    """Paths of the given lengths hung on base 1."""
+    handles, n = [], 1
+    for length in legs:
+        previous = 1
+        for _ in range(length):
+            n += 1
+            handles.append(Handle(previous, n, ()))
+            previous = n
+    return RibbonData(2, n, tuple(handles))
+
+
+def pendant_records(rng):
+    """Records of up to 6 bases whose tied cells, after refinement, often
+    hold only pendant forest bases: paths, spiders, stabilized knots, and
+    trees with one crossed base or one loop."""
+    records = [path(n) for n in range(2, 7)]
+    records += [spider(*legs) for legs in ((1, 1, 1), (2, 2), (2, 1, 1), (2, 2, 1), (3, 1, 1), (1, 1, 1, 1, 1))]
+    for bases in (1, 2, 2, 3, 3, 4):
+        data = random_knot(rng, bases, extra=rng.randint(0, 1), max_len=rng.randint(0, 2))
+        while data.base_count < 6:
+            data = apply_stabilize(data, rng.randint(1, data.base_count))
+        records.append(data)
+    for n in (4, 5, 5, 6, 6, 6):
+        handles = [Handle(b, rng.randint(1, b - 1), ()) for b in range(2, n + 1)]
+        b = rng.randint(1, n)
+        records.append(RibbonData(2, n, tuple(handles) + (Handle(b, b, ()),)))
+        h = rng.randrange(len(handles))
+        crossed = Handle(handles[h].start, handles[h].end, (SignedLetter(rng.randint(1, n), rng.choice((1, -1))),))
+        records.append(RibbonData(2, n, tuple(handles[:h] + [crossed] + handles[h + 1 :])))
+    return records
+
+
+def test_pendant_forests_match_the_exhaustive_oracle(labelling_paths):
+    """Shuffled records with pendant trees, up to 7 bases, share a form
+    exactly when the exhaustive oracle's keys agree, and refinement plus
+    one descent of the tree labels many of them."""
+    rng = random.Random(32)
+    classes, descents = set(), 0
+    for data in pendant_records(rng):
+        family = [shuffled(data, rng) for _ in range(3)]
+        # the same tree grown at another base, often in another class
+        family.append(shuffled(apply_stabilize(data, rng.randint(1, data.base_count)), rng))
+        for record in family[-2:]:
+            labelling_paths.clear()
+            canonical_bytes(record)
+            descents += labelling_paths["tree"] > 0 and labelling_paths["leaf"] == 1
+        forms = [canonical_bytes(record) for record in family]
+        assert len(set(forms[:3])) == 1
+        classes.update(zip(forms[2:], map(exhaustive_canonical_key, family[2:])))
+    assert len({form for form, _ in classes}) == len({key for _, key in classes}) == len(classes)
+    assert descents > 10
+
+
+def test_a_chain_spider_takes_one_descent(labelling_paths):
+    """Refinement leaves the 20 inner and the 20 outer bases of a spider
+    of 20 two-base chains in two cells, and no two are twins.  Each level
+    of the descent individualizes one inner base, which splits off its
+    outer base, so 19 levels end at the one leaf, with no second leaf."""
+    data = shuffled(spider(*[2] * 20), random.Random(32))
+    canonical_form(data)
+    assert labelling_paths["individualized"] == labelling_paths["tree"] == 19
+    assert labelling_paths["leaf"] == 1
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # two chains on base 1, whose inner bases 2 and 4 are each
+        # crossed by a loop on base 1
+        RibbonData(
+            2,
+            5,
+            tuple(Handle(s, e, ()) for s, e in ((1, 2), (2, 3), (1, 4), (4, 5)))
+            + (Handle(1, 1, (SignedLetter(2, 1),)), Handle(1, 1, (SignedLetter(4, 1),))),
+        ),
+        # bases 1 and 2 each hold a loop and a leaf
+        RibbonData(2, 4, tuple(Handle(s, e, ()) for s, e in ((1, 1), (2, 2), (1, 3), (2, 4)))),
+    ],
+    ids=["crossed-chains", "looped-bases"],
+)
+def test_a_tied_base_off_the_forest_keeps_the_full_tree_search(labelling_paths, data):
+    rng = random.Random(32)
+    forms = {canonical_bytes(shuffled(data, rng)) for _ in range(10)}
+    assert forms == {canonical_bytes(data)}
+    assert labelling_paths["leaf"] >= 2 * 11
 
 
 @pytest.mark.parametrize(

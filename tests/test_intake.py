@@ -560,6 +560,15 @@ def test_a_reader_refuses_a_value_of_another_kind_with_value_error(name, value):
         lambda: str(LaurentPolynomial(5)),
         lambda: str(LaurentPolynomial(((0, "x"),))),
         lambda: LaurentPolynomial(5).evaluate(2),
+        # built, then ``as_dict`` raised ``TypeError``
+        lambda: LaurentPolynomial(5),
+        # built, reading back as {0.5: 1}
+        lambda: LaurentPolynomial(((0.5, 1),)),
+        # built, evaluating to 3 at 1 from a repeated exponent
+        lambda: LaurentPolynomial(((0, 1), (0, 2))),
+        # built, printing as -0*t and unequal to the zero polynomial
+        lambda: LaurentPolynomial(((1, 0),)),
+        lambda: LaurentPolynomial.from_dict({0: 0.0}),
     ],
 )
 def test_a_value_of_the_wrong_kind_is_refused_with_value_error(call):
